@@ -226,9 +226,11 @@ class GroupContext:
             ai, jstar = piv
             if jstar != i:
                 cols[i], cols[jstar] = cols[jstar], cols[i]
-            u_inv = FieldElement(R, 0, R.inv(cols[i][i].unit), cols[i][i].prec)
+            prec = cols[i][i].prec
+            u_inv = FieldElement(R, 0, R.inv(cols[i][i].unit), prec)
             cols[i] = [u_inv * x for x in cols[i]]
-            inv_piv = cols[i][i].inverse()
+            # the pivot is now pi^ai times exactly R.one()
+            inv_piv = FieldElement(R, -ai, R.one(), prec)
             for j in range(i + 1, n):
                 f = cols[j][i] * inv_piv
                 if not f.is_zero_marker():

@@ -57,6 +57,8 @@ def _tower(args, need_ext=False):
     case = getattr(args, "case", None)
     if need_ext and case is None:
         raise ConfigError("this command needs --case unramified|ramified")
+    if args.n < 1:
+        raise ConfigError("--n must be at least 1")
     return Tower(args.p, args.m, n=args.n, case=case, l=args.l,
                  pair_mode=args.pair_mode, coeff_k=args.k,
                  unif_image=_parse_lambda_image(args.lambda_image),
@@ -130,9 +132,23 @@ def _wrap(command, config, payload):
     return doc
 
 
-def _load(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def _load(path, parse):
+    """Read the JSON object in ``path`` and hand it to ``parse``.  A file
+    that cannot be read, is not a JSON object or lacks a key is a
+    ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} does not hold a JSON object")
+    try:
+        return parse(doc)
+    except KeyError as exc:
+        raise ConfigError(f"{path} lacks the key {exc.args[0]!r}") from None
 
 
 def _algebra_for_element(tower, doc):
@@ -140,6 +156,14 @@ def _algebra_for_element(tower, doc):
     if side not in tower.alg:
         raise ConfigError(f"side {side!r} not present (need --case for E/E')")
     return tower.alg[side]
+
+
+def _load_element(path, tower):
+    """(algebra, element) for the Hecke element in ``path``."""
+    def parse(doc):
+        alg = _algebra_for_element(tower, doc)
+        return alg, alg.from_json(doc)
+    return _load(path, parse)
 
 
 # -- command handlers ---------------------------------------------------------
@@ -173,9 +197,8 @@ def _cmd_cosets_enumerate(args):
 
 def _cmd_hecke_convolve(args):
     tower = _tower(args, need_ext=args.case is not None)
-    fdoc, gdoc = _load(args.a), _load(args.b)
-    alg = _algebra_for_element(tower, fdoc)
-    f, g = alg.from_json(fdoc), alg.from_json(gdoc)
+    alg, f = _load_element(args.a, tower)
+    g = _load(args.b, alg.from_json)
     out = alg.convolve(f, g)
     _emit(_wrap("hecke convolve", _config_echo(args), {"result": out.to_json()}), args)
     return 0
@@ -183,18 +206,15 @@ def _cmd_hecke_convolve(args):
 
 def _cmd_hecke_brauer(args):
     tower = _tower(args, need_ext=True)
-    fdoc = _load(args.infile)
-    alg = _algebra_for_element(tower, fdoc)
-    out = tower.brauer(alg.from_json(fdoc))
+    _, f = _load_element(args.infile, tower)
+    out = tower.brauer(f)
     _emit(_wrap("hecke brauer", _config_echo(args), {"result": out.to_json()}), args)
     return 0
 
 
 def _cmd_hecke_sigma(args):
     tower = _tower(args, need_ext=True)
-    fdoc = _load(args.infile)
-    alg = _algebra_for_element(tower, fdoc)
-    f = alg.from_json(fdoc)
+    alg, f = _load_element(args.infile, tower)
     if args.orbit_sum:
         supports = f.support()
         if len(supports) != 1:
@@ -208,9 +228,8 @@ def _cmd_hecke_sigma(args):
 
 def _cmd_kaz_map(args):
     tower = _tower(args, need_ext=args.case is not None)
-    fdoc = _load(args.infile)
-    alg = _algebra_for_element(tower, fdoc)
-    out = tower.kaz(alg.from_json(fdoc))
+    _, f = _load_element(args.infile, tower)
+    out = tower.kaz(f)
     _emit(_wrap("kaz map", _config_echo(args), {"result": out.to_json()}), args)
     return 0
 
@@ -242,7 +261,7 @@ def _cmd_check(args):
 
 
 def _cmd_tate_cohomology(args):
-    M = module_from_json(_load(args.module))
+    M = _load(args.module, module_from_json)
     res = tate_cohomology(M, args.i)
     cfg = {"module": args.module, "i": args.i, "l": M.field.l, "k": M.field.k,
            "dim": M.dim}
@@ -251,10 +270,9 @@ def _cmd_tate_cohomology(args):
 
 
 def _cmd_linkage_check(args):
-    Xi = module_from_json(_load(args.xi))
-    rho = module_from_json(_load(args.rho))
-    br = _load(args.br)
-    mapping = br.get("generators", br)
+    Xi = _load(args.xi, module_from_json)
+    rho = _load(args.rho, module_from_json)
+    mapping = _load(args.br, lambda br: br.get("generators", br))
     res = linkage_check(Xi, rho, mapping, seed=args.seed)
     cfg = {"xi": args.xi, "rho": args.rho, "br": args.br,
            "l": Xi.field.l, "k": Xi.field.k, "seed": args.seed}

@@ -78,3 +78,8 @@ class UndecidedError(CloseHeckeError):
 
 class ConfigError(CloseHeckeError):
     code = "CONFIG_INVALID"
+
+
+class InvariantViolationError(CloseHeckeError):
+    """A computed result failed the check that guards it."""
+    code = "INVARIANT_VIOLATED"

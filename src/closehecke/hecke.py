@@ -12,6 +12,7 @@ from __future__ import annotations
 from .cartan import GroupContext
 from .coeffs import CoeffField
 from .errors import (
+    InvariantViolationError,
     NotSigmaInvariantError,
     SideMismatchError,
     SpecMismatchError,
@@ -173,7 +174,9 @@ class HeckeAlgebra:
                 if fp in per_dc:
                     # bi-invariance: every left coset of one double coset
                     # receives the same count
-                    assert per_dc[fp][1] == cnt, "inconsistent double-coset counts"
+                    if per_dc[fp][1] != cnt:
+                        raise InvariantViolationError(
+                            f"inconsistent double-coset counts {per_dc[fp][1]} and {cnt}")
                 else:
                     per_dc[fp] = (lab, cnt)
             return tuple(per_dc.values())

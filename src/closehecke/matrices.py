@@ -80,7 +80,7 @@ class FieldElement:
 
     def __add__(self, other):
         R = self.ring
-        if R != other.ring:
+        if R is not other.ring and R != other.ring:
             raise SpecMismatchError("field elements over different rings")
         if self.unit is None and other.unit is None:
             return FieldElement.zero(R, min(self.v, other.v))
@@ -102,7 +102,7 @@ class FieldElement:
 
     def __mul__(self, other):
         R = self.ring
-        if R != other.ring:
+        if R is not other.ring and R != other.ring:
             raise SpecMismatchError("field elements over different rings")
         if self.unit is None or other.unit is None:
             return FieldElement.zero(R, self.v + other.v)
@@ -194,7 +194,7 @@ class GroupMatrix:
                                    for x in row] for row in data])
 
     def __mul__(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise SpecMismatchError("matrices over different rings")
         n = self.n
         rows = []

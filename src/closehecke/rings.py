@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .errors import (
     GaloisConditionError,
+    InvariantViolationError,
     KindMismatchError,
     NotAUnitError,
     NotMCloseError,
@@ -244,10 +245,13 @@ class BaseRing:
         self.pi_level = spec.level
         if self.model == MIXED:
             self.modulus = spec.p ** spec.level
+        self._one = self.from_int(1)
+        self._inverses = {}   # unit -> its verified inverse
 
-    # -- structural equality so rings can key caches
+    # -- structural equality so rings can key caches; rings are shared, so
+    # identity settles almost every comparison
     def __eq__(self, other):
-        return isinstance(other, BaseRing) and self.spec == other.spec
+        return self is other or (isinstance(other, BaseRing) and self.spec == other.spec)
 
     def __hash__(self):
         return hash(("base", self.spec))
@@ -264,7 +268,7 @@ class BaseRing:
         return 0 if self.model == MIXED else (0,) * self.level
 
     def one(self):
-        return self.from_int(1)
+        return self._one
 
     def from_int(self, c):
         if self.model == MIXED:
@@ -287,14 +291,14 @@ class BaseRing:
     def mul(self, a, b):
         if self.model == MIXED:
             return (a * b) % self.modulus
-        out = [0] * self.level
+        level = self.level
+        out = [0] * level
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    if i + j >= self.level:
-                        break
-                    out[i + j] = (out[i + j] + x * y) % self.p
-        return tuple(out)
+                for j in range(level - i):
+                    out[i + j] += x * b[j]
+        p = self.p
+        return tuple(c % p for c in out)
 
     def is_zero(self, a):
         return a == 0 if self.model == MIXED else not any(a)
@@ -317,19 +321,19 @@ class BaseRing:
     def is_unit(self, a):
         return self.val(a) == 0
 
+    def _res_field_inv(self, a):
+        """Inverse of the residue of a unit, lifted canonically."""
+        return self.from_int(pow(self.res1_int(a), -1, self.p))
+
     def inv(self, a):
+        v = self._inverses.get(a)
+        if v is not None:
+            return v
         if not self.is_unit(a):
             raise NotAUnitError(f"{a!r} is not a unit in {self!r}")
         if self.model == MIXED:
-            return pow(a, -1, self.modulus)
-        # Newton lift of the residue-field inverse
-        v = self.from_int(pow(a[0], -1, self.p))
-        for _ in range(self.level.bit_length() + 1):
-            v = self.mul(v, self.sub(self.from_int(2), self.mul(a, v)))
-            if self.mul(a, v) == self.one():
-                break
-        assert self.mul(a, v) == self.one()
-        return v
+            return _verified_inverse(self, a, pow(a, -1, self.modulus), 0)
+        return _verified_inverse(self, a, self._res_field_inv(a), self.level.bit_length() + 1)
 
     def pow(self, a, k):
         if k < 0:
@@ -432,17 +436,23 @@ class ExtensionRing:
             # T^l = w, the distinguished uniformizer class of the base field.
             # At base level 1 the class is 0 and T-division cannot recover the
             # top coordinate; the canonical lift 0 is used there.
-            assert unif_class is not None, "ramified ring needs a uniformizer class"
+            if unif_class is None:
+                raise SpecMismatchError("ramified ring needs a uniformizer class")
             self.w = unif_class
             if not base_ring.is_zero(unif_class) and base_ring.val(unif_class) == 1:
                 self.w_unit_inv = base_ring.inv(base_ring.div_pi(unif_class, 1))
             else:
                 self.w_unit_inv = None
             self.head = None
+        # Over Z/p^N the convolution runs on plain ints, reduced once
+        self._int_coords = base_ring.model == MIXED
+        self._one = (base_ring.one(),) + (base_ring.zero(),) * (self.l - 1)
+        self._inverses = {}   # unit -> its verified inverse
 
     def __eq__(self, other):
-        return (isinstance(other, ExtensionRing) and self.spec == other.spec
-                and self.base == other.base and self.w == other.w)
+        return self is other or (
+            isinstance(other, ExtensionRing) and self.spec == other.spec
+            and self.base == other.base and self.w == other.w)
 
     def __hash__(self):
         return hash(("ext", self.spec, self.base.spec, self.w))
@@ -458,7 +468,7 @@ class ExtensionRing:
         return (self.base.zero(),) * self.l
 
     def one(self):
-        return (self.base.one(),) + (self.base.zero(),) * (self.l - 1)
+        return self._one
 
     def from_int(self, c):
         return (self.base.from_int(c),) + (self.base.zero(),) * (self.l - 1)
@@ -483,6 +493,25 @@ class ExtensionRing:
 
     def mul(self, a, b):
         B, l = self.base, self.l
+        if self._int_coords:
+            conv = [0] * (2 * l - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        conv[i + j] += x * y
+            if self.kind == RAMIFIED:
+                w = self.w
+                for i in range(l - 1):
+                    conv[i] += conv[i + l] * w
+            else:
+                head = self.head
+                for i in range(2 * l - 2, l - 1, -1):
+                    c = conv[i]
+                    if c:
+                        for j in range(l):
+                            conv[i - l + j] += c * head[j]
+            M = B.modulus
+            return tuple(c % M for c in conv[:l])
         conv = [B.zero()] * (2 * l - 1)
         for i, x in enumerate(a):
             if not B.is_zero(x):
@@ -530,16 +559,13 @@ class ExtensionRing:
         return tuple(self.base.from_int(c) for c in inv[: self.l])
 
     def inv(self, a):
+        v = self._inverses.get(a)
+        if v is not None:
+            return v
         if not self.is_unit(a):
             raise NotAUnitError("not a unit in extension ring")
-        v = self._res_field_inv(a)
-        two = self.from_int(2)
-        for _ in range(self.pi_level.bit_length() + 2):
-            v = self.mul(v, self.sub(two, self.mul(a, v)))
-            if self.mul(a, v) == self.one():
-                break
-        assert self.mul(a, v) == self.one()
-        return v
+        return _verified_inverse(self, a, self._res_field_inv(a),
+                                 self.pi_level.bit_length() + 2)
 
     def pow(self, a, k):
         if k < 0:
@@ -595,6 +621,24 @@ class ExtensionRing:
 
     def coords_from_json(self, d):
         return tuple(self.base.coords_from_json(x) for x in d)
+
+
+def _verified_inverse(ring, a, v, steps):
+    """Inverse of the unit ``a`` from a residue-level inverse ``v``, by at
+    most ``steps`` Newton steps v <- v (2 - a v).  Only a ``v`` with
+    a v = 1 exactly enters the ring's memo, which later ``inv(a)`` calls
+    return unchecked."""
+    one, two = ring.one(), ring.from_int(2)
+    av = ring.mul(a, v)
+    for _ in range(steps):
+        if av == one:
+            break
+        v = ring.mul(v, ring.sub(two, av))
+        av = ring.mul(a, v)
+    if av != one:
+        raise InvariantViolationError(f"inverse of {a!r} in {ring!r} failed its check")
+    ring._inverses[a] = v
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -156,3 +156,30 @@ def random_field_matrix(ctx, ring, rng, n=None, val_range=(-1, 2), zero_prob=0.2
                                         ring.pi_level))
         rows.append(row)
     return GroupMatrix(ring, rows)
+
+
+def schoolbook_ext_mul(ring, a, b):
+    """Product in base[T]/(f) from the full polynomial product and long
+    division by the monic modulus f, using only the base ring's add, neg
+    and mul.  The modulus is rebuilt from the spec: T^l + minimalPoly for
+    an unramified ring, T^l - w for a ramified one."""
+    B, l = ring.base, ring.l
+    if ring.kind == "ramified":
+        low = [B.neg(ring.w)] + [B.zero()] * (l - 1)
+    else:
+        low = [B.from_int(c) for c in ring.spec.minimal_poly]
+    prod = [B.zero()] * (2 * l - 1)
+    for i in range(l):
+        for j in range(l):
+            prod[i + j] = B.add(prod[i + j], B.mul(a[i], b[j]))
+    for d in range(2 * l - 2, l - 1, -1):
+        c = prod[d]
+        prod[d] = B.zero()
+        for j in range(l):
+            prod[d - l + j] = B.add(prod[d - l + j], B.neg(B.mul(c, low[j])))
+    return tuple(prod[:l])
+
+
+def truncated_poly_mul(p, level, a, b):
+    """Coefficients of a(t) b(t) mod (p, t^level), one coefficient at a time."""
+    return tuple(sum(a[i] * b[k - i] for i in range(k + 1)) % p for k in range(level))

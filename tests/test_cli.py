@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from closehecke.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -114,3 +120,32 @@ def test_hecke_sigma_orbit_sum(tmp_path, capsys):
     code, out = run_cli(capsys, "hecke", "brauer", "--p", "3", "--m", "1",
                         "--l", "2", "--case", "ramified", "--in", str(fpath))
     assert code == 2  # not sigma-invariant: surfaced as a config-level error
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["kaz", "map", "--p", "2", "--in", "missing.json"], None),
+    (["kaz", "map", "--p", "2", "--in", "in.json"], "not json"),
+    (["kaz", "map", "--p", "2", "--in", "in.json"], "{}"),
+    (["check", "kaz-hom", "--p", "2", "--n", "0"], None),
+], ids=["missing-file", "not-json", "missing-key", "n-zero"])
+def test_bad_input_exits_two_with_typed_error(tmp_path, monkeypatch, capsys, argv, content):
+    monkeypatch.chdir(tmp_path)
+    if content is not None:
+        (tmp_path / "in.json").write_text(content)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error [CONFIG_INVALID]: ")
+
+
+def test_optimized_run_is_byte_identical():
+    """Result-guarding checks are no bare asserts: ``python -O`` strips
+    those, and the report must not change."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def run(*flags):
+        return subprocess.run([sys.executable, *flags, "-m", "closehecke.cli", "check",
+                               "kaz-hom", "--p", "2", "--window", "1", "--samples", "1"],
+                              env=env, capture_output=True, timeout=300)
+
+    plain, optimized = run(), run("-O")
+    assert optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout

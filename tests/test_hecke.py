@@ -4,7 +4,12 @@ import pytest
 
 from closehecke.cartan import CosetLabel, GroupContext
 from closehecke.coeffs import CoeffField
-from closehecke.errors import NotSigmaInvariantError, SideMismatchError, WindowTooSmallError
+from closehecke.errors import (
+    InvariantViolationError,
+    NotSigmaInvariantError,
+    SideMismatchError,
+    WindowTooSmallError,
+)
 from closehecke.hecke import HeckeAlgebra
 from closehecke.matrices import GroupMatrix
 from closehecke.rings import MIXED, RAMIFIED, UNRAMIFIED, base_side, extension_side
@@ -46,6 +51,23 @@ def rand_label(ctx, rng, mus):
 
 
 # -- algebra axioms ---------------------------------------------------------------
+
+def test_inconsistent_double_coset_counts_raise(monkeypatch):
+    # t_(0,1) * t_(0,1) = t_(0,2), whose four left cosets each receive one
+    # product.  A transversal that repeats a coset sends two products to
+    # some of them and one to the others, which breaks bi-invariance.
+    H = HeckeAlgebra(GroupContext(base_side("F", MIXED, 2, 1), 2), CoeffField(3, 1))
+    f = H.unif_basis((0, 1))
+    reps = H.context.left_coset_reps
+
+    def repeat_first(g, **kw):
+        out = reps(g, **kw)
+        return out + out[:1]
+
+    monkeypatch.setattr(H.context, "left_coset_reps", repeat_first)
+    with pytest.raises(InvariantViolationError):
+        H.convolve(f, f)
+
 
 def test_unit_law(HF2):
     one = HF2.one()

@@ -4,6 +4,7 @@ import pytest
 
 from closehecke.errors import (
     GaloisConditionError,
+    InvariantViolationError,
     NotAUnitError,
     NotMCloseError,
     SamePrimeError,
@@ -29,7 +30,7 @@ from closehecke.rings import (
     smallest_irreducible,
 )
 
-from helpers import check_ring_hom
+from helpers import check_ring_hom, schoolbook_ext_mul, truncated_poly_mul
 
 
 def elt(ring, c, precision=None):
@@ -319,3 +320,79 @@ def test_element_coords_bit_exact():
     R = side.ring(1)
     for a in R.elements():
         assert R.coords_from_json(R.coords_json(a)) == a
+
+
+# -- arithmetic fast paths against independent references ----------------------
+
+def _unram_z4(minimal_poly=(1, 1, 0)):
+    base = BaseRingSpec(MIXED, 2, 2)
+    return ExtensionRing(build_extension(base, UNRAMIFIED, 3, minimal_poly), BaseRing(base))
+
+
+def _unram_z4_t2():
+    # T^3 + T^2 + 1: reducing T^4 feeds T^3 again, so the order of the
+    # reduction matters
+    return _unram_z4((1, 0, 1))
+
+
+def _ram_z9():
+    base = BaseRingSpec(MIXED, 3, 2)
+    B = BaseRing(base)
+    return ExtensionRing(build_extension(base, RAMIFIED, 2), B, unif_class=B.unif())
+
+
+def _f2_t5():
+    return BaseRing(BaseRingSpec(EQUAL, 2, 5))
+
+
+def _f3_t4():
+    return BaseRing(BaseRingSpec(EQUAL, 3, 4))
+
+
+@pytest.mark.parametrize("make", [_unram_z4, _unram_z4_t2, _ram_z9])
+def test_extension_mul_matches_schoolbook(make):
+    E = make()
+    els = list(E.elements())
+    for a in els:
+        for b in els:
+            assert E.mul(a, b) == schoolbook_ext_mul(E, a, b)
+
+
+@pytest.mark.parametrize("make", [_f2_t5, _f3_t4])
+def test_equal_base_mul_matches_truncated_product(make):
+    R = make()
+    for a in R.elements():
+        for b in R.elements():
+            assert R.mul(a, b) == truncated_poly_mul(R.p, R.level, a, b)
+
+
+@pytest.mark.parametrize("make", [_unram_z4, _ram_z9, _f2_t5, _f3_t4])
+def test_every_unit_inverse_is_verified_and_memoised(make):
+    R = make()
+    units = [a for a in R.elements() if R.is_unit(a)]
+    assert units
+    for a in units:
+        v = R.inv(a)
+        assert R.mul(a, v) == R.one()
+        assert R.inv(a) is v
+
+
+def test_wrong_residue_inverse_raises_typed_error(monkeypatch):
+    E = _unram_z4()
+    B = _f3_t4()
+    monkeypatch.setattr(ExtensionRing, "_res_field_inv", lambda self, a: self.from_int(0))
+    monkeypatch.setattr(BaseRing, "_res_field_inv", lambda self, a: self.from_int(0))
+    with pytest.raises(InvariantViolationError):
+        E.inv(E.one())
+    with pytest.raises(InvariantViolationError):
+        B.inv(B.from_int(2))
+    # nothing unverified entered the memo
+    assert E.one() not in E._inverses and B.from_int(2) not in B._inverses
+
+
+def test_separately_built_rings_compare_equal():
+    for make in (_unram_z4, _ram_z9, _f2_t5):
+        R, S = make(), make()
+        assert R is not S
+        assert R == S and hash(R) == hash(S)
+    assert _unram_z4() != _ram_z9()
