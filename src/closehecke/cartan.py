@@ -12,10 +12,17 @@ key in the other's key set, never equality of representatives.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, InsufficientPrecisionError
+from .errors import (
+    BudgetExceededError,
+    ConfigError,
+    InsufficientPrecisionError,
+    InvariantViolationError,
+    json_field,
+)
 from .matrices import FieldElement, GroupMatrix, check_antidominant, spread
 from .rings import RAMIFIED
 
@@ -84,7 +91,6 @@ class GroupContext:
         else:
             self.residue_q = side.p
         self._fingerprints = {}
-        self._kgens = {}
         self._group_elements = None
         self._label_cache = {}
 
@@ -249,52 +255,47 @@ class GroupContext:
         V = H.inverse() * A
         return (c, tuple(avals), tuple(below), V.residue_matrix(m))
 
-    def _k_generators(self, ring, r):
-        """Generators of K_m / K_r as working matrices (1 + pi^j c E_ab)."""
-        key = (ring, r)
-        if key in self._kgens:
-            return self._kgens[key]
-        n = self.n
-        basis = [ring.one()]
+    def _residue_basis(self, ring):
+        """Lifts of an F_p-basis of the residue field: 1, or 1, T, ..., T^(l-1)
+        on an unramified extension."""
         if self.side.is_ext and self.side.kind != RAMIFIED:
-            basis = [ring.pow(ring.gen(), i) for i in range(self.side.l)]
-        gens = []
-        for j in range(self.m, r):
-            for cb in basis:
-                c = ring.mul_pi(cb, j)
-                if ring.is_zero(c):
-                    continue
-                fe = FieldElement.make(ring, 0, c)
-                for aa in range(n):
-                    for bb in range(n):
-                        rows = [list(row) for row in GroupMatrix.identity(ring, n).rows]
-                        rows[aa][bb] = rows[aa][bb] + fe
-                        gens.append(GroupMatrix(ring, rows))
-        self._kgens[key] = gens
-        return gens
+            return [ring.pow(ring.gen(), i) for i in range(self.side.l)]
+        return [ring.one()]
 
-    def left_coset_reps(self, g, mu=None, with_keys=False):
-        """Duplicate-free left-coset representatives of K g K / K, BFS order."""
-        if mu is None:
-            mu = self.smith_cartan(g)[0]
-        r = self.m + spread(mu)
-        gens = self._k_generators(g.ring, r)
-        k0 = self.left_coset_key(g)
-        seen = {k0}
-        order = [(k0, g)]
-        queue = deque([g])
-        while queue:
-            x = queue.popleft()
-            for s in gens:
-                y = s * x
-                ky = self.left_coset_key(y)
-                if ky not in seen:
-                    seen.add(ky)
-                    order.append((ky, y))
-                    queue.append(y)
-        if with_keys:
-            return order
-        return [mat for _, mat in order]
+    def _digits(self, ring, lo, hi):
+        """One representative of each class of pi^lo o / pi^hi: the sums of
+        p-digits times basis elements times pi^t for lo <= t < hi, zero first."""
+        steps = [ring.mul_pi(b, t) for t in range(lo, hi) for b in self._residue_basis(ring)]
+        out = [ring.zero()]
+        for s in steps:
+            multiples = [ring.mul(ring.from_int(d), s) for d in range(self.side.p)]
+            out = [ring.add(x, c) for x in out for c in multiples]
+        return out
+
+    def left_coset_reps(self, label, ring):
+        """Left-coset representatives of K g K / K for g = P pi^mu Q^{-1}.
+
+        K_m is normal in GL_n(o), so K g K = P (K pi^mu K) Q^{-1}, and the
+        Iwahori factorisation K_m = U^- T U^+ leaves only the lower
+        unitriangular part: the cosets are P u pi^mu Q^{-1} K with u_ij (i > j)
+        running over pi^m o / pi^(m + mu_i - mu_j).  Two such u in one coset
+        agree entry by entry, diagonal by diagonal, so the list is
+        duplicate-free and has prod q^(mu_i - mu_j) members; u = I comes first.
+        """
+        n, mu, m = self.n, label.mu, self.m
+        P = self.lift_residue_matrix(label.P, ring)
+        right = self.unif_power_matrix(mu, ring) * \
+            self.lift_residue_matrix(label.Q, ring).inverse()
+        below = [(i, j) for i in range(1, n) for j in range(i)]
+        choices = [self._digits(ring, m, m + mu[i] - mu[j]) for i, j in below]
+        ident = GroupMatrix.identity(ring, n)
+        reps = []
+        for entries in itertools.product(*choices):
+            rows = [list(row) for row in ident.rows]
+            for (i, j), c in zip(below, entries):
+                rows[i][j] = FieldElement.make(ring, 0, c)
+            reps.append(P * GroupMatrix(ring, rows) * right)
+        return reps
 
     # -- double cosets -----------------------------------------------------------
 
@@ -305,10 +306,8 @@ class GroupContext:
             return fp
 
         def run(pi_prec):
-            ring = self.working_ring(pi_prec)
-            g = self.lift_label(label, ring)
-            keyed = self.left_coset_reps(g, mu=label.mu, with_keys=True)
-            return (label.mu, tuple(sorted(k for k, _ in keyed)))
+            reps = self.left_coset_reps(label, self.working_ring(pi_prec))
+            return (label.mu, tuple(sorted(self.left_coset_key(g) for g in reps)))
 
         fp = self.with_retry(run, self.default_pi_prec([label.mu]))
         self._fingerprints[label] = fp
@@ -320,17 +319,8 @@ class GroupContext:
                           self.m)
 
     def same_double_coset(self, g, h):
-        """K g K == K h K: equal Cartan invariants and h in the left-coset
-        union of g."""
-        mu_g = self.smith_cartan(g)[0]
-        mu_h = self.smith_cartan(h)[0]
-        if mu_g != mu_h:
-            return False
-        keys = {k for k, _ in self.left_coset_reps(g, mu=mu_g, with_keys=True)}
-        return self.left_coset_key(h) in keys
-
-    def same_label(self, a, b):
-        return self.fingerprint(a) == self.fingerprint(b)
+        """K g K == K h K: the left coset of h is one of those of K g K."""
+        return self.left_coset_key(h) in self.fingerprint(self.label_of_matrix(g))[1]
 
     # -- enumeration ---------------------------------------------------------------
 
@@ -340,9 +330,7 @@ class GroupContext:
     def _residue_gl_generators(self):
         """Generators of GL_n(o/pi^m) as residue matrices of the label ring."""
         ring, n = self.label_ring, self.n
-        basis = [ring.one()]
-        if self.side.is_ext and self.side.kind != RAMIFIED:
-            basis = [ring.pow(ring.gen(), i) for i in range(self.side.l)]
+        basis = self._residue_basis(ring)
         gens = []
         for a in range(n):
             for b in range(n):
@@ -436,7 +424,9 @@ class GroupContext:
                 if y not in seen:
                     seen.add(y)
                     queue.append(y)
-        assert len(seen) == self.group_order()
+        if len(seen) != self.group_order():
+            raise InvariantViolationError(
+                f"generated {len(seen)} residue matrices, |G(o/p^m)| = {self.group_order()}")
         self._group_elements = sorted(seen)
         return self._group_elements
 
@@ -492,13 +482,32 @@ class GroupContext:
                       for row in label.Q],
                 "level": label.level}
 
-    def label_from_json(self, d):
-        ring = self.label_ring
-        P = tuple(tuple(ring.residue(ring.coords_from_json(x), self.m) for x in row)
-                  for row in d["P"])
-        Q = tuple(tuple(ring.residue(ring.coords_from_json(x), self.m) for x in row)
-                  for row in d["Q"])
-        return CosetLabel(tuple(int(x) for x in d["mu"]), P, Q, int(d["level"]))
+    def label_from_json(self, d, field="label"):
+        """Parse a wire-format label; a field of the wrong type or shape is a
+        ConfigError naming it."""
+        json_field(d, dict, field)
+        n, ring = self.n, self.label_ring
+        mu = json_field(d["mu"], list, f"{field}.mu", n)
+
+        def residues(key):
+            rows = json_field(d[key], list, f"{field}.{key}", n)
+            return tuple(tuple(ring.residue(ring.coords_from_json(x), self.m)
+                               for x in json_field(row, list, f"{field}.{key}[{i}]", n))
+                         for i, row in enumerate(rows))
+
+        mu = tuple(json_field(x, int, f"{field}.mu[{i}]") for i, x in enumerate(mu))
+        if list(mu) != sorted(mu):
+            raise ConfigError(f"{field}.mu must be non-decreasing, not {list(mu)}")
+        P, Q = residues("P"), residues("Q")
+        # the closed-form transversal needs P and Q in GL_n(o)
+        for key, data in (("P", P), ("Q", Q)):
+            try:
+                mu_data = self.smith_cartan(self.lift_residue_matrix(data, ring))[0]
+            except InsufficientPrecisionError:
+                mu_data = None
+            if mu_data != (0,) * n:
+                raise ConfigError(f"{field}.{key} is not invertible modulo pi")
+        return CosetLabel(mu, P, Q, json_field(d["level"], int, f"{field}.level"))
 
 
 def _ring_dot(ring, row, col):

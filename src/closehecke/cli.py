@@ -92,6 +92,9 @@ class RunConfig:
         if self.case == "ramified" and self.l is not None \
                 and (self.p - 1) % self.l != 0:
             raise ConfigError("ramified extensions need l | p - 1")
+        for name, value in (("--window", self.window), ("--samples", self.samples)):
+            if value is not None and value < 0:
+                raise ConfigError(f"{name} must not be negative, got {value}")
         return self
 
     def to_json(self):
@@ -103,15 +106,19 @@ class RunConfig:
                 "precisionCap": self.precision_cap}
 
 
-def _config_echo(args, extra=None):
-    cfg = RunConfig(
+def _run_config(args):
+    return RunConfig(
         p=args.p, l=args.l, m=args.m, n=args.n, k=args.k,
         case=getattr(args, "case", None), pair_mode=args.pair_mode,
         lambda_image=_parse_lambda_image(args.lambda_image),
         seed=getattr(args, "seed", None), window=getattr(args, "window", None),
         samples=getattr(args, "samples", None), budget=args.budget,
         pair_budget=args.pair_budget, precision_cap=args.precision_cap,
-    ).validate().to_json()
+    ).validate()
+
+
+def _config_echo(args, extra=None):
+    cfg = _run_config(args).to_json()
     if extra:
         cfg.update(extra)
     return cfg
@@ -236,6 +243,7 @@ def _cmd_kaz_map(args):
 
 def _cmd_check(args):
     name = args.check_command
+    _run_config(args)          # reject a bad configuration before the check runs
     if name == "kaz-hom":
         tower = _tower(args)
         rep = check_kaz_hom(tower, window_spread=args.window, samples=args.samples,

@@ -8,7 +8,7 @@ structure constant, being the image of an integer, lands in the prime field.
 
 from __future__ import annotations
 
-from .errors import NotAUnitError, SpecMismatchError
+from .errors import NotAUnitError, SpecMismatchError, json_field
 from .rings import is_prime, smallest_irreducible
 
 
@@ -116,7 +116,8 @@ class CoeffField:
     def coords_from_json(self, d):
         if isinstance(d, int):
             return self.from_int(d)
-        a = tuple(int(c) % self.l for c in d)
+        a = tuple(json_field(c, int, "coefficient") % self.l
+                  for c in json_field(d, list, "coefficient"))
         if len(a) != self.k:
             raise SpecMismatchError("coefficient coordinate length mismatch")
         return a

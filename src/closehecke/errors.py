@@ -83,3 +83,23 @@ class ConfigError(CloseHeckeError):
 class InvariantViolationError(CloseHeckeError):
     """A computed result failed the check that guards it."""
     code = "INVARIANT_VIOLATED"
+
+
+_JSON_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def json_field(value, kind, field, length=None):
+    """``value`` if it has the JSON type ``kind`` (int, list or dict) and, for
+    a list, ``length`` entries when given; else a ConfigError naming
+    ``field``.  A boolean is not an integer; a tuple passes as a list."""
+    if kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif kind is list:
+        ok = isinstance(value, (list, tuple))
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{field} must be {_JSON_KINDS[kind]}, not {value!r}")
+    if length is not None and len(value) != length:
+        raise ConfigError(f"{field} must have {length} entries, not {len(value)}")
+    return value

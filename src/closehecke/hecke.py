@@ -17,6 +17,7 @@ from .errors import (
     SideMismatchError,
     SpecMismatchError,
     WindowTooSmallError,
+    json_field,
 )
 from .matrices import FieldElement, GroupMatrix, spread
 
@@ -154,10 +155,8 @@ class HeckeAlgebra:
 
         def run(prec):
             ring = ctx.working_ring(prec)
-            A = ctx.lift_label(la, ring)
-            B = ctx.lift_label(lb, ring)
-            areps = ctx.left_coset_reps(A, mu=la.mu)
-            breps = ctx.left_coset_reps(B, mu=lb.mu)
+            areps = ctx.left_coset_reps(la, ring)
+            breps = ctx.left_coset_reps(lb, ring)
             buckets = {}
             for ai in areps:
                 for bj in breps:
@@ -214,7 +213,9 @@ class HeckeAlgebra:
             return ctx.label_of_matrix(ctx.sigma_on_group(g))
 
         out = ctx.with_retry(run, ctx.default_pi_prec([label.mu]))
-        assert out.mu == label.mu, "Galois action must preserve the Cartan invariant"
+        if out.mu != label.mu:
+            raise InvariantViolationError(
+                f"Galois action moved the Cartan invariant {label.mu} to {out.mu}")
         return out
 
     def sigma_act(self, f: HeckeElement) -> HeckeElement:
@@ -235,7 +236,9 @@ class HeckeAlgebra:
                 break
             fps.add(fp)
             orbit.append(cur)
-        assert len(orbit) in (1, self.context.side.l)
+        if len(orbit) not in (1, self.context.side.l):
+            raise InvariantViolationError(
+                f"sigma orbit of length {len(orbit)}, expected 1 or {self.context.side.l}")
         return orbit
 
     def sigma_orbit_sum(self, label) -> HeckeElement:
@@ -323,8 +326,12 @@ class HeckeAlgebra:
     def from_json(self, d):
         if d.get("side") not in (None, self.side):
             raise SideMismatchError(f"element is on side {d.get('side')!r}")
-        if int(d["l"]) != self.field.l or int(d.get("k", 1)) != self.field.k:
+        if json_field(d["l"], int, "l") != self.field.l \
+                or json_field(d.get("k", 1), int, "k") != self.field.k:
             raise SpecMismatchError("coefficient field mismatch")
-        return self.element([(self.context.label_from_json(t["label"]),
-                              self.field.coords_from_json(t["coeff"]))
-                             for t in d["terms"]])
+        pairs = []
+        for i, t in enumerate(json_field(d["terms"], list, "terms")):
+            json_field(t, dict, f"terms[{i}]")
+            pairs.append((self.context.label_from_json(t["label"], f"terms[{i}].label"),
+                          self.field.coords_from_json(t["coeff"])))
+        return self.element(pairs)

@@ -232,13 +232,6 @@ class GroupMatrix:
                 "a zero floor sits below the smallest certified valuation")
         return best
 
-    def is_integral(self):
-        try:
-            return self.min_val() >= 0
-        except InsufficientPrecisionError:
-            # all-floor entries are integral when floors are >= 0
-            return all(x.certified_val()[0] >= 0 for row in self.rows for x in row)
-
     def inverse(self):
         """Gauss-Jordan with min-valuation pivoting; exact at working precision."""
         R, n = self.ring, self.n

@@ -28,6 +28,7 @@ from .errors import (
     NotMCloseError,
     SamePrimeError,
     SpecMismatchError,
+    json_field,
 )
 
 MIXED = "mixed"
@@ -407,8 +408,9 @@ class BaseRing:
 
     def coords_from_json(self, d):
         if self.model == MIXED:
-            return int(d) % self.modulus
-        coords = tuple(int(c) % self.p for c in d)
+            return json_field(d, int, "coordinate") % self.modulus
+        coords = tuple(json_field(c, int, "coordinate") % self.p
+                       for c in json_field(d, list, "coordinate"))
         if len(coords) != self.level:
             raise SpecMismatchError("coordinate length mismatch")
         return coords
@@ -620,6 +622,8 @@ class ExtensionRing:
         return [self.base.coords_json(x) for x in a]
 
     def coords_from_json(self, d):
+        if len(json_field(d, list, "coordinate")) != self.l:
+            raise SpecMismatchError("coordinate length mismatch")
         return tuple(self.base.coords_from_json(x) for x in d)
 
 

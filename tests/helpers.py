@@ -1,13 +1,15 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the canonical-key machinery of the library: left
-cosets are enumerated by brute force over K_m/K_r and compared by the
+cosets are enumerated by brute force over K_m/K_r (or, where that is too
+large to list, closed under its elementary generators) and compared by the
 definition x^{-1} y in K, and convolution coefficients come from the double
 sum over group/K points.
 """
 
 import itertools
 
+from closehecke.errors import InsufficientPrecisionError, SpecMismatchError
 from closehecke.matrices import FieldElement, GroupMatrix, spread
 
 
@@ -43,16 +45,44 @@ def _det(rows):
     return acc
 
 
+def _in_k(ctx, x, y):
+    """x y integral and congruent to 1 modulo pi^m, entry by entry, so a
+    pair of distinct cosets is usually told apart by one entry."""
+    ring, n, m = y.ring, ctx.n, ctx.m
+    one, zero = ring.residue(ring.one(), m), ring.residue(ring.zero(), m)
+    for i in range(n):
+        for j in range(n):
+            e = FieldElement.zero(ring)
+            for k in range(n):
+                e = e + x.rows[i][k] * y.rows[k][j]
+            try:
+                if e.residue(m) != (one if i == j else zero):
+                    return False
+            except (InsufficientPrecisionError, SpecMismatchError):
+                return False
+    return True
+
+
 def same_left_coset(ctx, x, y):
     """x K = y K by definition: x^{-1} y integral and congruent to 1."""
-    z = x.inverse() * y
-    try:
-        res = z.residue_matrix(ctx.m)
-    except Exception:
-        return False
-    ring = z.ring
-    ident = GroupMatrix.identity(ring, ctx.n).residue_matrix(ctx.m)
-    return res == ident
+    return _in_k(ctx, x.inverse(), y)
+
+
+def coset_matches(ctx, x, reps):
+    """How many of ``reps`` lie in the left coset x K, by definition."""
+    inv = x.inverse()
+    return sum(1 for rep in reps if _in_k(ctx, inv, rep))
+
+
+def _distinct_cosets(ctx, candidates):
+    """The candidates with a repeated left coset dropped, compared by
+    definition."""
+    reps = []
+    for cand in candidates:
+        inv = cand.inverse()
+        if not any(_in_k(ctx, inv, rep) for rep in reps):
+            reps.append(cand)
+    return reps
 
 
 def brute_left_cosets(ctx, g, mu=None):
@@ -61,12 +91,35 @@ def brute_left_cosets(ctx, g, mu=None):
     if mu is None:
         mu = ctx.smith_cartan(g)[0]
     r = ctx.m + spread(mu)
-    ring = g.ring
-    reps = []
-    for k in _brute_k_elements(ctx, ring, r):
-        cand = k * g
-        if not any(same_left_coset(ctx, cand, rep) for rep in reps):
-            reps.append(cand)
+    return _distinct_cosets(ctx, (k * g for k in _brute_k_elements(ctx, g.ring, r)))
+
+
+def closure_left_cosets(ctx, g, mu):
+    """Left cosets of K g K / K as the closure of {g K} under left
+    multiplication by the elementary matrices 1 + pi^j c E_ab of K_m / K_r
+    (m <= j < r, c over an F_p-basis of the residue field), compared by
+    definition.  Exhaustive where K_m / K_r is too large to list."""
+    ring, n, side = g.ring, ctx.n, ctx.side
+    r = ctx.m + spread(mu)
+    basis = [ring.one()]
+    if side.is_ext and side.kind == "unramified":
+        basis = [ring.pow(ring.gen(), i) for i in range(side.l)]
+    ident = GroupMatrix.identity(ring, n)
+    gens = []
+    for j in range(ctx.m, r):
+        for c in basis:
+            for a in range(n):
+                for b in range(n):
+                    rows = [list(row) for row in ident.rows]
+                    rows[a][b] = rows[a][b] + FieldElement.make(ring, j, c)
+                    gens.append(GroupMatrix(ring, rows))
+    reps = [g]
+    for x in reps:                       # reps grows while it is walked
+        for s in gens:
+            y = s * x
+            inv = y.inverse()
+            if not any(_in_k(ctx, inv, rep) for rep in reps):
+                reps.append(y)
     return reps
 
 
@@ -80,20 +133,24 @@ def _brute_k_elements(ctx, ring, r):
     side = ctx.side
     e_ring = side.l if (side.is_ext and side.kind == "ramified") else 1
     sub = side.ring(max(-(-depth // e_ring), 1))
-    coords = [c for c in sub.elements()]
+    residues = sorted({sub.residue(a, depth) for a in sub.elements()})
     ident = GroupMatrix.identity(ring, n)
-    for combo in itertools.product(coords, repeat=n * n):
+    for combo in itertools.product(residues, repeat=n * n):
         rows = []
         for i in range(n):
             row = []
             for j in range(n):
-                a = combo[i * n + j]
                 lifted = FieldElement.make(ring, ctx.m,
-                                           ring.lift_residue(sub.residue(a, depth), depth))
-                base = ident.rows[i][j]
-                row.append(base + lifted)
+                                           ring.lift_residue(combo[i * n + j], depth))
+                row.append(ident.rows[i][j] + lifted)
             rows.append(row)
         yield GroupMatrix(ring, rows)
+
+
+def k_elements(ctx, ring, r):
+    """K_m/K_r as a list of working matrices, for tests that move a
+    representative within its double coset."""
+    return list(_brute_k_elements(ctx, ring, r))
 
 
 def member_of_double_coset_brute(ctx, x, cosets):

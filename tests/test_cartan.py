@@ -3,7 +3,11 @@ import random
 import pytest
 
 from closehecke.cartan import CosetLabel, GroupContext, group_order, required_precision
-from closehecke.errors import BudgetExceededError, InsufficientPrecisionError
+from closehecke.errors import (
+    BudgetExceededError,
+    InsufficientPrecisionError,
+    InvariantViolationError,
+)
 from closehecke.matrices import (
     FieldElement,
     GroupMatrix,
@@ -15,6 +19,9 @@ from closehecke.rings import EQUAL, MIXED, RAMIFIED, UNRAMIFIED, base_side, exte
 
 from helpers import (
     brute_left_cosets,
+    closure_left_cosets,
+    coset_matches,
+    k_elements,
     minor_valuation_mu,
     random_field_matrix,
     same_left_coset,
@@ -100,16 +107,16 @@ def test_smith_cartan_invariance_under_units(ctx3):
 
 def test_left_coset_reps_identity(ctx2):
     ring = ctx2.working_ring(6)
-    reps = ctx2.left_coset_reps(GroupMatrix.identity(ring, 2))
+    reps = ctx2.left_coset_reps(ctx2.identity_label(), ring)
     assert len(reps) == 1
 
 
 def test_left_coset_reps_count_and_brute_match(ctx2):
     ring = ctx2.working_ring(6)
-    g = GroupMatrix.unif_diagonal(ring, (0, 1))
-    reps = ctx2.left_coset_reps(g)
+    lab = ctx2.unif_label((0, 1))
+    reps = ctx2.left_coset_reps(lab, ring)
     assert len(reps) == 2  # [K : K cap gKg^-1] = q
-    brute = brute_left_cosets(ctx2, g)
+    brute = brute_left_cosets(ctx2, ctx2.lift_label(lab, ring))
     assert len(brute) == len(reps)
     # same partition: every brute rep matches exactly one fast rep
     for b in brute:
@@ -117,15 +124,68 @@ def test_left_coset_reps_count_and_brute_match(ctx2):
 
 
 def test_left_coset_count_conjugation_invariant(ctx2):
+    # every label of one invariant has as many distinct left-coset keys as
+    # the diagonal one
     ring = ctx2.working_ring(8)
     rng = random.Random(3)
     els = ctx2.group_elements()
-    g = ctx2.lift_label(ctx2.unif_label((0, 2)), ring)
-    base = len(ctx2.left_coset_reps(g, mu=(0, 2)))
+    base = len(ctx2.fingerprint(ctx2.unif_label((0, 2)))[1])
     for _ in range(5):
-        x = GroupMatrix.from_residue(ring, els[rng.randrange(len(els))], 1)
-        y = GroupMatrix.from_residue(ring, els[rng.randrange(len(els))], 1)
-        assert len(ctx2.left_coset_reps(x * g * y.inverse(), mu=(0, 2))) == base
+        lab = CosetLabel((0, 2), els[rng.randrange(len(els))],
+                         els[rng.randrange(len(els))], 1)
+        keys = {ctx2.left_coset_key(r) for r in ctx2.left_coset_reps(lab, ring)}
+        assert len(keys) == base
+
+
+def _unipotent_label(ctx, mu, rng):
+    """A label whose P and Q are products of random unitriangular residue
+    matrices, so both are invertible and neither is the identity."""
+    ring, n = ctx.label_ring, ctx.n
+    els = list(ring.elements())
+
+    def tri(lower):
+        return GroupMatrix(ring, [[
+            FieldElement.make(ring, 0, ring.one()) if i == j
+            else FieldElement.make(ring, 0, els[rng.randrange(len(els))])
+            if (i > j) == lower else FieldElement.zero(ring)
+            for j in range(n)] for i in range(n)])
+
+    P = (tri(True) * tri(False)).residue_matrix(ctx.m)
+    Q = (tri(False) * tri(True)).residue_matrix(ctx.m)
+    return CosetLabel(mu, P, Q, ctx.m)
+
+
+_TRANSVERSAL_SIDES = {
+    "base-mixed": lambda: base_side("F", MIXED, 2, 1),
+    "base-equal": lambda: base_side("F", EQUAL, 3, 1),
+    "unramified": lambda: extension_side("E", base_side("F", MIXED, 2, 1), UNRAMIFIED, 3),
+    "ramified": lambda: extension_side("E", base_side("F", MIXED, 3, 1), RAMIFIED, 2),
+}
+
+
+@pytest.mark.parametrize("side, mu", [
+    *((side, mu) for side in _TRANSVERSAL_SIDES for mu in [(0, 1), (0, 2), (-1, 1)]),
+    ("base-mixed", (0, 0, 1)), ("base-mixed", (0, 0, 2))],
+    ids=lambda v: v if isinstance(v, str) else ",".join(map(str, v)))
+def test_transversal_matches_oracle(side, mu):
+    n = len(mu)
+    ctx = GroupContext(_TRANSVERSAL_SIDES[side](), n)
+    lab = _unipotent_label(ctx, mu, random.Random(sum(mu) + 7 * n))
+    ring = ctx.working_ring(ctx.default_pi_prec([mu]))
+    reps = ctx.left_coset_reps(lab, ring)
+    count = 1
+    for i in range(n):
+        for j in range(i):
+            count *= ctx.residue_q ** (mu[i] - mu[j])
+    assert len(reps) == count
+    g = ctx.lift_label(lab, ring)
+    # list K_m/K_r when it is small; otherwise close {gK} under generators
+    if ctx.residue_q ** (n * n * spread(mu)) <= 512:
+        oracle = brute_left_cosets(ctx, g, mu)
+    else:
+        oracle = closure_left_cosets(ctx, g, mu)
+    assert len(oracle) == count
+    assert all(coset_matches(ctx, b, reps) == 1 for b in oracle)
 
 
 def test_left_coset_key_invariance_across_precision(ctx2):
@@ -142,8 +202,8 @@ def test_left_coset_key_invariance_across_precision(ctx2):
 def test_same_double_coset_by_k_multiplication(ctx2):
     ring = ctx2.working_ring(6)
     g = GroupMatrix.unif_diagonal(ring, (0, 1))
-    gens = ctx2._k_generators(ring, 3)
-    assert ctx2.same_double_coset(g, gens[1] * g * gens[4])
+    ks = k_elements(ctx2, ring, 3)
+    assert ctx2.same_double_coset(g, ks[1] * g * ks[-5])
 
 
 def test_same_double_coset_diag_swap_is_oracle_false(ctx2):
@@ -211,6 +271,13 @@ def test_enumerate_labels_mu_zero_counts(ctx2):
     labs = ctx2.enumerate_labels([(0, 0)])
     assert len(labs) == 6  # |GL_2(F_2)|
     assert ctx2.group_order() == 6
+
+
+def test_group_elements_short_closure_raises(monkeypatch):
+    ctx = GroupContext(base_side("F", MIXED, 2, 1), 2)
+    monkeypatch.setattr(ctx, "_residue_gl_generators", lambda: [])
+    with pytest.raises(InvariantViolationError):
+        ctx.group_elements()
 
 
 def test_enumerate_labels_level2_count():

@@ -122,12 +122,29 @@ def test_hecke_sigma_orbit_sum(tmp_path, capsys):
     assert code == 2  # not sigma-invariant: surfaced as a config-level error
 
 
+_KAZ_MAP = ["kaz", "map", "--p", "2", "--l", "3", "--in", "in.json"]
+
+
+def _element(mu, P):
+    label = {"mu": mu, "P": P, "Q": [[1, 0], [0, 1]], "level": 1}
+    return json.dumps({"l": 3, "terms": [{"label": label, "coeff": [1]}]})
+
+
 @pytest.mark.parametrize("argv, content", [
     (["kaz", "map", "--p", "2", "--in", "missing.json"], None),
     (["kaz", "map", "--p", "2", "--in", "in.json"], "not json"),
     (["kaz", "map", "--p", "2", "--in", "in.json"], "{}"),
     (["check", "kaz-hom", "--p", "2", "--n", "0"], None),
-], ids=["missing-file", "not-json", "missing-key", "n-zero"])
+    (_KAZ_MAP, '{"l": 3, "terms": 5}'),
+    (_KAZ_MAP, '{"l": "x", "terms": []}'),
+    (_KAZ_MAP, _element(mu=[0, 0], P=1)),
+    (_KAZ_MAP, _element(mu=[0, 0], P=[[1, 0], [0, 0]])),
+    (_KAZ_MAP, _element(mu=[1, 0], P=[[1, 0], [0, 1]])),
+    (["check", "kaz-hom", "--p", "2", "--window", "-1", "--samples", "0"], None),
+    (["check", "kaz-hom", "--p", "2", "--window", "0", "--samples", "-1"], None),
+], ids=["missing-file", "not-json", "missing-key", "n-zero", "terms-not-list",
+        "l-not-int", "P-not-matrix", "P-singular", "mu-decreasing", "negative-window",
+        "negative-samples"])
 def test_bad_input_exits_two_with_typed_error(tmp_path, monkeypatch, capsys, argv, content):
     monkeypatch.chdir(tmp_path)
     if content is not None:

@@ -14,7 +14,7 @@ from closehecke.hecke import HeckeAlgebra
 from closehecke.matrices import GroupMatrix
 from closehecke.rings import MIXED, RAMIFIED, UNRAMIFIED, base_side, extension_side
 
-from helpers import conv_coeff_double_sum
+from helpers import conv_coeff_double_sum, k_elements
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +60,8 @@ def test_inconsistent_double_coset_counts_raise(monkeypatch):
     f = H.unif_basis((0, 1))
     reps = H.context.left_coset_reps
 
-    def repeat_first(g, **kw):
-        out = reps(g, **kw)
+    def repeat_first(label, ring):
+        out = reps(label, ring)
         return out + out[:1]
 
     monkeypatch.setattr(H.context, "left_coset_reps", repeat_first)
@@ -137,10 +137,10 @@ def test_structure_constants_representative_independent(HF2):
     ring = ctx.working_ring(8)
     la = ctx.unif_label((0, 1))
     base = HF2.convolve(HF2.basis(la), HF2.basis(la))
-    gens = ctx._k_generators(ring, 3)
+    ks = k_elements(ctx, ring, 3)
     for _ in range(4):
-        k1 = gens[rng.randrange(len(gens))]
-        k2 = gens[rng.randrange(len(gens))]
+        k1 = ks[rng.randrange(len(ks))]
+        k2 = ks[rng.randrange(len(ks))]
         alt = ctx.label_of_matrix(k1 * ctx.lift_label(la, ring) * k2)
         assert ctx.fingerprint(alt) == ctx.fingerprint(la)
         out = HF2.convolve(HF2.basis(alt), HF2.basis(alt))
@@ -192,6 +192,25 @@ def test_sigma_relabel_matches_matrix_oracle(ram_pair):
     ring = ctx.working_ring(8)
     assert ctx.same_double_coset(ctx.lift_label(slab, ring),
                                  ctx.sigma_on_group(ctx.lift_label(lab, ring)))
+
+
+def test_sigma_label_moving_the_invariant_raises(monkeypatch):
+    HE = HeckeAlgebra(GroupContext(extension_side("E", base_side("F", MIXED, 3, 1),
+                                                  RAMIFIED, 2), 2), CoeffField(2, 1))
+    ctx = HE.context
+    monkeypatch.setattr(ctx, "sigma_on_group", lambda g: g.times_pi(1))
+    with pytest.raises(InvariantViolationError):
+        HE.sigma_label(ctx.unif_label((0, 1)))
+
+
+def test_sigma_orbit_of_wrong_length_raises(monkeypatch):
+    # l = 3: an action that swaps two labels has an orbit of length 2
+    HE = HeckeAlgebra(GroupContext(extension_side("E", base_side("F", MIXED, 2, 1),
+                                                  UNRAMIFIED, 3), 2), CoeffField(3, 1))
+    a, b = HE.context.unif_label((0, 1)), HE.context.unif_label((1, 1))
+    monkeypatch.setattr(HE, "sigma_label", lambda lab: b if lab == a else a)
+    with pytest.raises(InvariantViolationError):
+        HE.sigma_orbit(a)
 
 
 def test_orbit_sum_properties(ram_pair, unram_pair):

@@ -17,6 +17,8 @@ from closehecke.transfer import (
     random_label,
 )
 
+from helpers import k_elements
+
 
 @pytest.fixture(scope="module")
 def tower_unram():
@@ -87,13 +89,13 @@ def test_kaz_well_defined_across_representatives(tower_ram):
     ctx = tw.ctx["F"]
     ctxp = tw.ctx["F'"]
     ring = ctx.working_ring(8)
-    gens = ctx._k_generators(ring, 3)
+    ks = k_elements(ctx, ring, 3)
     rng = random.Random(9)
     lab = random_label(ctx, rng, [(0, 1)])
     reps = [lab]
     for _ in range(3):
-        k1 = gens[rng.randrange(len(gens))]
-        k2 = gens[rng.randrange(len(gens))]
+        k1 = ks[rng.randrange(len(ks))]
+        k2 = ks[rng.randrange(len(ks))]
         reps.append(ctx.label_of_matrix(k1 * ctx.lift_label(lab, ring) * k2))
     fps = set()
     for rep in reps:
