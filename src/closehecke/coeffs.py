@@ -1,15 +1,46 @@
-"""Coefficient fields F_{l^k} in a polynomial basis.
+"""Coefficient fields F_{l^k} in a polynomial basis, and the one
+polynomial toolkit of the library.
 
 Elements are tuples of k ints in [0, l), little-endian over the
 lexicographically smallest monic irreducible of degree k (degree 1 uses
 X - 0, i.e. plain F_l).  Chosen over an algebraic closure so that every
 structure constant, being the image of an integer, lands in the prime field.
+
+Polynomials over a field F are dense little-endian lists of F-elements with
+no trailing zero; F_p is ``CoeffField(p, 1)``.  The rings' minimal
+polynomials and the Tate splitter both use these helpers, and
+:func:`power` is the one square-and-multiply behind every ``pow``.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import NotAUnitError, SpecMismatchError, json_field
-from .rings import is_prime, smallest_irreducible
+
+
+def is_prime(n):
+    if n < 2:
+        return False
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            return False
+        k += 1
+    return True
+
+
+def power(mul, one, a, e):
+    """a^e for e >= 0 by square-and-multiply under ``mul``, with no squaring
+    after the top bit of e."""
+    out = one
+    while True:
+        if e & 1:
+            out = mul(out, a)
+        e >>= 1
+        if not e:
+            return out
+        a = mul(a, a)
 
 
 class CoeffField:
@@ -83,14 +114,7 @@ class CoeffField:
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
-        out = self.one()
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return power(self.mul, self.one(), a, e)
 
     def inv(self, a):
         if self.is_zero(a):
@@ -107,7 +131,6 @@ class CoeffField:
         return self.pow(a, self.l ** (self.k - 1))
 
     def elements(self):
-        import itertools
         return itertools.product(range(self.l), repeat=self.k)
 
     def coords_json(self, a):
@@ -121,3 +144,104 @@ class CoeffField:
         if len(a) != self.k:
             raise SpecMismatchError("coefficient coordinate length mismatch")
         return a
+
+
+# ---------------------------------------------------------------------------
+# polynomials over a CoeffField (dense little-endian lists)
+
+def poly_trim(F, f):
+    while f and F.is_zero(f[-1]):
+        f.pop()
+    return f
+
+
+def poly_add(F, f, g):
+    n = max(len(f), len(g))
+    out = []
+    for i in range(n):
+        a = f[i] if i < len(f) else F.zero()
+        b = g[i] if i < len(g) else F.zero()
+        out.append(F.add(a, b))
+    return poly_trim(F, out)
+
+
+def poly_mul(F, f, g):
+    if not f or not g:
+        return []
+    out = [F.zero()] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if F.is_zero(a):
+            continue
+        for j, b in enumerate(g):
+            out[i + j] = F.add(out[i + j], F.mul(a, b))
+    return poly_trim(F, out)
+
+
+def poly_rem(F, f, g):
+    f = list(f)
+    dg = len(g) - 1
+    inv_lead = F.inv(g[-1])
+    while f and len(f) - 1 >= dg:
+        c = F.mul(f[-1], inv_lead)
+        shift = len(f) - 1 - dg
+        for i in range(len(g)):
+            f[shift + i] = F.sub(f[shift + i], F.mul(c, g[i]))
+        poly_trim(F, f)
+    return f
+
+
+def poly_gcd(F, f, g):
+    """Monic gcd (empty for f = g = 0)."""
+    f, g = list(f), list(g)
+    while g:
+        f, g = g, poly_rem(F, f, g)
+    if f:
+        inv_lead = F.inv(f[-1])
+        f = [F.mul(inv_lead, c) for c in f]
+    return f
+
+
+def poly_powmod(F, f, e, g):
+    """f^e modulo g."""
+    return power(lambda a, b: poly_rem(F, poly_mul(F, a, b), g), [F.one()],
+                 poly_rem(F, f, g), e)
+
+
+def frobenius_gcd(F, f, i):
+    """gcd(f, X^(q^i) - X) for q = |F|: the product of the distinct monic
+    irreducible factors of f whose degree divides i."""
+    t = poly_powmod(F, [F.zero(), F.one()], F.size() ** i, f)
+    return poly_gcd(F, f, poly_add(F, t, [F.zero(), F.neg(F.one())]))
+
+
+def is_irreducible(F, f):
+    """Rabin's test for a monic f over F: f divides X^(q^d) - X, and
+    gcd(f, X^(q^(d/r)) - X) = 1 for every prime r | d."""
+    d = len(f) - 1
+    if d <= 0:
+        return False
+    if d == 1:
+        return True
+    if len(frobenius_gcd(F, f, d)) != len(f):
+        return False
+    return all(len(frobenius_gcd(F, f, d // r)) == 1
+               for r in range(2, d + 1) if d % r == 0 and is_prime(r))
+
+
+def smallest_irreducible(p, degree):
+    """Lexicographically smallest monic irreducible of given degree over F_p
+    with a nonzero constant term, as its low coefficients (c_0, ..., c_{d-1});
+    the leading 1 is implicit.
+
+    Candidates are ordered by the coefficient tuple read from the highest
+    non-leading coefficient down to the constant term.
+    """
+    F = CoeffField(p, 1)
+    for high in itertools.product(range(p), repeat=degree):
+        # high = (c_{d-1}, ..., c_0)
+        coeffs = list(reversed(high)) + [1]
+        if coeffs[0] == 0:
+            continue
+        if is_irreducible(F, [F.from_int(c) for c in coeffs]):
+            return tuple(coeffs[:-1])
+    raise AssertionError("no irreducible polynomial found")

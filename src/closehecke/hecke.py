@@ -292,18 +292,18 @@ class HeckeAlgebra:
                 if nu not in window:
                     raise WindowTooSmallError(f"support invariant {nu} outside window")
         sup_spread = max((spread(lab.mu) for lab, _ in f.terms.values()), default=0)
-        fp_sets = {}
-        for fp, (lab, c) in f.terms.items():
-            fp_sets[fp] = (set(fp[1]), lab.mu, c)
+        # distinct double cosets have disjoint left cosets, so a
+        # (mu, left-coset key) pair names at most one term
+        index = {(lab.mu, key): c for (_, keys), (lab, c) in f.terms.items() for key in keys}
         terms = []
         for nu in sorted(nus):
             for flab in ctxF.enumerate_labels([nu]):
-                val = self._value_at_base_label(f, fp_sets, flab, ctxF, sup_spread)
+                val = self._value_at_base_label(index, flab, ctxF, sup_spread)
                 if val is not None and not self.field.is_zero(val):
                     terms.append((flab, val))
         return target.element(terms)
 
-    def _value_at_base_label(self, f, fp_sets, flab, ctxF, sup_spread):
+    def _value_at_base_label(self, index, flab, ctxF, sup_spread):
         ctxE = self.context
         e = ctxE.side.e
         pi_prec = ctxE.m + 2 * e * (spread(flab.mu) + sup_spread) + 4
@@ -313,12 +313,7 @@ class HeckeAlgebra:
             ringF = ctxE.side.base_side.ring(ringE.level)
             gF = ctxF.lift_label(flab, ringF)
             gE = self.embed_base_matrix(gF, ringE)
-            key = ctxE.left_coset_key(gE)
-            mu_e = tuple(e * x for x in flab.mu)
-            for keyset, mu, c in fp_sets.values():
-                if mu == mu_e and key in keyset:
-                    return c
-            return None
+            return index.get((tuple(e * x for x in flab.mu), ctxE.left_coset_key(gE)))
 
         return ctxE.with_retry(run, pi_prec)
 

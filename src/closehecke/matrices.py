@@ -151,13 +151,6 @@ class FieldElement:
         return {"v": self.v, "unit": self.ring.coords_json(self.unit)}
 
 
-def field_element_from_json(ring, d):
-    if d.get("zero"):
-        floor = d.get("floor")
-        return FieldElement.zero(ring, INF if floor is None else floor)
-    return FieldElement.make(ring, int(d["v"]), ring.coords_from_json(d["unit"]))
-
-
 class GroupMatrix:
     """n x n matrix of field elements, invertible over the field."""
 
@@ -271,11 +264,6 @@ class GroupMatrix:
         return {"n": self.n,
                 "level": level,
                 "entries": [[x.to_json() for x in row] for row in self.rows]}
-
-
-def matrix_from_json(ring, d):
-    return GroupMatrix(ring, [[field_element_from_json(ring, x) for x in row]
-                              for row in d["entries"]])
 
 
 # ---------------------------------------------------------------------------

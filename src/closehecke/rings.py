@@ -11,8 +11,8 @@ Coordinate conventions
     equal element   : tuple of N ints in [0, p), little-endian in t
     extension element: tuple of l base elements, little-endian in T
 
-Ring objects operate on these raw coordinates; :class:`RingElement` is a
-thin wrapper carrying a precision tag for use at the API surface.
+Ring objects operate on these raw coordinates; precision is tracked one
+layer up, by :class:`closehecke.matrices.FieldElement`.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .coeffs import CoeffField, is_irreducible, is_prime, power, smallest_irreducible
 from .errors import (
     GaloisConditionError,
     InvariantViolationError,
@@ -27,6 +28,7 @@ from .errors import (
     NotAUnitError,
     NotMCloseError,
     SamePrimeError,
+    SideMismatchError,
     SpecMismatchError,
     json_field,
 )
@@ -36,141 +38,9 @@ EQUAL = "equal"
 UNRAMIFIED = "unramified"
 RAMIFIED = "ramified"
 
-_PRIMES_SMALL = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
-
-
-def is_prime(n):
-    if n < 2:
-        return False
-    if n in _PRIMES_SMALL:
-        return True
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
-
 
 def _ceil_div(a, b):
     return -(-a // b)
-
-
-# ---------------------------------------------------------------------------
-# F_p polynomial helpers (dense little-endian int lists)
-
-def _fp_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _fp_add(f, g, p):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out[i] = (a + b) % p
-    return _fp_trim(out)
-
-
-def _fp_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _fp_trim(out)
-
-
-def _fp_rem(f, g, p):
-    f = list(f)
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], -1, p)
-    while len(f) - 1 >= dg and f:
-        shift = len(f) - 1 - dg
-        c = (f[-1] * inv_lead) % p
-        for i in range(len(g)):
-            f[shift + i] = (f[shift + i] - c * g[i]) % p
-        _fp_trim(f)
-    return f
-
-
-def _fp_powmod(f, e, g, p):
-    result = [1]
-    base = _fp_rem(f, g, p)
-    while e:
-        if e & 1:
-            result = _fp_rem(_fp_mul(result, base, p), g, p)
-        base = _fp_rem(_fp_mul(base, base, p), g, p)
-        e >>= 1
-    return result
-
-
-def _fp_gcd(f, g, p):
-    f, g = list(f), list(g)
-    while g:
-        f, g = g, _fp_rem(f, g, p)
-    return f
-
-
-def _fp_extgcd_invmod(f, g, p):
-    """Inverse of f modulo g over F_p, assuming gcd(f, g) = 1."""
-    r0, r1 = list(g), _fp_rem(f, g, p)
-    s0, s1 = [], [1]
-    while r1:
-        dg = len(r1) - 1
-        inv_lead = pow(r1[-1], -1, p)
-        q = [0] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
-        rem = list(r0)
-        while rem and len(rem) - 1 >= dg:
-            shift = len(rem) - 1 - dg
-            c = (rem[-1] * inv_lead) % p
-            q[shift] = c
-            for i in range(len(r1)):
-                rem[shift + i] = (rem[shift + i] - c * r1[i]) % p
-            _fp_trim(rem)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _fp_add(s0, [(-c) % p for c in _fp_mul(q, s1, p)], p)
-    # r0 is a unit constant
-    c_inv = pow(r0[0], -1, p)
-    return _fp_trim([(c_inv * c) % p for c in s0])
-
-
-def _fp_is_irreducible(f, p):
-    """f monic of degree d >= 1 over F_p."""
-    d = len(f) - 1
-    x = [0, 1]
-    # f | x^(p^d) - x
-    t = _fp_powmod(x, p ** d, f, p)
-    if _fp_trim(_fp_add(t, [0, p - 1], p)):
-        return False
-    # gcd(f, x^(p^(d/q)) - x) = 1 for every prime q | d
-    for q in sorted({q for q in range(2, d + 1) if d % q == 0 and is_prime(q)}):
-        t = _fp_powmod(x, p ** (d // q), f, p)
-        g = _fp_gcd(f, _fp_add(t, [0, p - 1], p), p)
-        if len(g) - 1 >= 1:
-            return False
-    return True
-
-
-def smallest_irreducible(p, degree):
-    """Lexicographically smallest monic irreducible of given degree over F_p.
-
-    Candidates are ordered by the coefficient tuple read from the highest
-    non-leading coefficient down to the constant term.
-    """
-    for high in itertools.product(range(p), repeat=degree):
-        # high = (c_{d-1}, ..., c_0)
-        coeffs = list(reversed(high)) + [1]
-        if coeffs[0] == 0:
-            continue  # reducible: divisible by T
-        if _fp_is_irreducible(coeffs, p):
-            return tuple(coeffs[:-1])
-    raise AssertionError("no irreducible polynomial found")
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +92,8 @@ def build_extension(base: BaseRingSpec, kind: str, l: int, minimal_poly=None):
             minimal_poly = smallest_irreducible(base.p, l)
         else:
             minimal_poly = tuple(c % base.p for c in minimal_poly)
-            if not _fp_is_irreducible(list(minimal_poly) + [1], base.p):
+            F = CoeffField(base.p, 1)
+            if not is_irreducible(F, [F.from_int(c) for c in minimal_poly + (1,)]):
                 raise SpecMismatchError("minimalPoly is not irreducible mod p")
         return ExtensionSpec(base, UNRAMIFIED, l, minimal_poly, 1)
     if kind == RAMIFIED:
@@ -339,14 +210,7 @@ class BaseRing:
     def pow(self, a, k):
         if k < 0:
             return self.pow(self.inv(a), -k)
-        out = self.one()
-        base = a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+        return power(self.mul, self.one(), a, k)
 
     def unif(self):
         """Natural uniformizer coordinates: p resp. t."""
@@ -368,9 +232,11 @@ class BaseRing:
         if j == 0:
             return a
         if self.model == MIXED:
-            assert a % self.p ** j == 0, "inexact division"
+            if a % self.p ** j:
+                raise InvariantViolationError(f"{a!r} is not divisible by p^{j}")
             return a // self.p ** j
-        assert not any(a[:j]), "inexact division"
+        if any(a[:j]):
+            raise InvariantViolationError(f"{a!r} is not divisible by t^{j}")
         return a[j:] + (0,) * j
 
     def residue(self, a, r):
@@ -549,16 +415,11 @@ class ExtensionRing:
         return self.val(a) == 0
 
     def _res_field_inv(self, a):
-        """Inverse of the residue of a unit, lifted canonically."""
-        p = self.p
+        """An element congruent to the inverse of the unit a modulo pi."""
         if self.kind == RAMIFIED:
-            c = pow(self.base.res1_int(a[0]), -1, p)
-            return self.from_int(c)
-        fbar = [c % p for c in self.spec.minimal_poly] + [1]
-        abar = _fp_trim([self.base.res1_int(x) for x in a])
-        inv = _fp_extgcd_invmod(abar, fbar, p)
-        inv = inv + [0] * (self.l - len(inv))
-        return tuple(self.base.from_int(c) for c in inv[: self.l])
+            return self.from_int(pow(self.base.res1_int(a[0]), -1, self.p))
+        # the residue field is F_q with q = p^l, so a^(q-1) = 1 mod pi
+        return self.pow(a, self.p ** self.l - 2)
 
     def inv(self, a):
         v = self._inverses.get(a)
@@ -572,14 +433,7 @@ class ExtensionRing:
     def pow(self, a, k):
         if k < 0:
             return self.pow(self.inv(a), -k)
-        out = self.one()
-        base = a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+        return power(self.mul, self.one(), a, k)
 
     def mul_pi(self, a, j):
         if self.kind == UNRAMIFIED:
@@ -646,82 +500,6 @@ def _verified_inverse(ring, a, v, steps):
 
 
 # ---------------------------------------------------------------------------
-# Ring elements with precision tags
-
-class RingElement:
-    """Ring coordinates plus an effective precision (in the natural
-    uniformizer of the ring).  Arithmetic carries the min of the operand
-    precisions and never claims more digits than it knows."""
-
-    __slots__ = ("ring", "coords", "precision")
-
-    def __init__(self, ring, coords, precision=None):
-        self.ring = ring
-        self.coords = coords
-        self.precision = ring.pi_level if precision is None else min(precision, ring.pi_level)
-
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise SpecMismatchError("elements of different rings")
-
-    def __add__(self, other):
-        self._check(other)
-        return RingElement(self.ring, self.ring.add(self.coords, other.coords),
-                           min(self.precision, other.precision))
-
-    def __sub__(self, other):
-        self._check(other)
-        return RingElement(self.ring, self.ring.sub(self.coords, other.coords),
-                           min(self.precision, other.precision))
-
-    def __neg__(self):
-        return RingElement(self.ring, self.ring.neg(self.coords), self.precision)
-
-    def __mul__(self, other):
-        self._check(other)
-        return RingElement(self.ring, self.ring.mul(self.coords, other.coords),
-                           min(self.precision, other.precision))
-
-    def inverse(self):
-        return RingElement(self.ring, self.ring.inv(self.coords), self.precision)
-
-    def __pow__(self, k):
-        return RingElement(self.ring, self.ring.pow(self.coords, k), self.precision)
-
-    def is_unit(self):
-        return self.ring.is_unit(self.coords)
-
-    def val(self):
-        return self.ring.val(self.coords)
-
-    def __eq__(self, other):
-        return (isinstance(other, RingElement) and self.ring == other.ring
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.coords,))
-
-    def __repr__(self):
-        return f"RingElement({self.coords!r} in {self.ring!r})"
-
-    def to_json(self):
-        return self.ring.coords_json(self.coords)
-
-
-def ring_arithmetic(a: RingElement, b: RingElement, op: str) -> RingElement:
-    """Dispatch basic arithmetic; ``op`` in add|sub|mul|invUnit."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "invUnit":
-        return a.inverse()
-    raise SpecMismatchError(f"unknown op {op!r}")
-
-
-# ---------------------------------------------------------------------------
 # Hensel lifting and roots of unity
 
 def hensel_root_of_unity(ring, l, residue_root):
@@ -738,7 +516,8 @@ def hensel_root_of_unity(ring, l, residue_root):
             break
         dfx = ring.mul(l_elt, ring.pow(x, l - 1))
         x = ring.sub(x, ring.mul(fx, ring.inv(dfx)))
-    assert ring.pow(x, l) == one
+    if ring.pow(x, l) != one:
+        raise InvariantViolationError(f"no {l}-th root of unity lifts {residue_root} in {ring!r}")
     return x
 
 
@@ -750,13 +529,6 @@ def primitive_root_residue(p, l):
         if pow(c, l, p) == 1:
             return c
     raise AssertionError("unreachable: mu_l is cyclic of order l | p - 1")
-
-
-def primitive_root_of_unity(spec: BaseRingSpec, l: int) -> RingElement:
-    """Hensel lift of the smallest nontrivial residue-field l-th root of 1."""
-    ring = BaseRing(spec)
-    c = primitive_root_residue(spec.p, l)
-    return RingElement(ring, hensel_root_of_unity(ring, l, c))
 
 
 # ---------------------------------------------------------------------------
@@ -779,11 +551,6 @@ class RingIso:
 
     def apply(self, coords):
         return self._apply(coords)
-
-    def __call__(self, elt: RingElement) -> RingElement:
-        if elt.ring != self.domain:
-            raise SpecMismatchError("element not in the domain ring")
-        return RingElement(self.codomain, self._apply(elt.coords), elt.precision)
 
     def inverse(self):
         return RingIso(self.codomain, self.domain, self._inverse, self._apply,
@@ -829,7 +596,8 @@ def _revert_series(p, image_coeffs, m):
     for k in range(2, m):
         composite = fwd(tuple([0] + psi)[:m] + (0,) * max(0, m - 1 - len(psi)))
         err = ring.sub(composite, ring.unif())
-        assert not any(err[:k]), "reversion drifted at low degree"
+        if any(err[:k]):
+            raise InvariantViolationError(f"series reversion drifted below degree {k}")
         psi[k - 1] = (-err[k] * pow(inv_c1, k, p)) % p
     return tuple(psi)
 
@@ -919,7 +687,8 @@ class GaloisGenerator:
         self.rule = rule
         self.l = ring.l
         if rule == ZETA_SCALING:
-            assert zeta_residue is not None
+            if zeta_residue is None:
+                raise SpecMismatchError("zeta scaling needs a residue root of unity")
             self.zeta_residue = zeta_residue
             self.zeta = hensel_root_of_unity(ring.base, ring.l, zeta_residue)
             self.gen_image = ring.mul(ring.embed(self.zeta), ring.gen())
@@ -964,7 +733,8 @@ class GaloisGenerator:
             if ring.is_zero(fx):
                 break
             s = ring.sub(s, ring.mul(fx, ring.inv(df_eval(s))))
-        assert ring.is_zero(f_eval(s)), "Frobenius lift failed"
+        if not ring.is_zero(f_eval(s)):
+            raise InvariantViolationError(f"Frobenius lift in {ring!r} is not a root")
         return s
 
     def apply_coords(self, coords):
@@ -974,15 +744,6 @@ class GaloisGenerator:
             if not ring.base.is_zero(x):
                 out = ring.add(out, ring.mul(ring.embed(x), self._powers[i]))
         return out
-
-    def __call__(self, elt: RingElement) -> RingElement:
-        if elt.ring != self.ring:
-            raise SpecMismatchError("element not in the generator's ring")
-        return RingElement(self.ring, self.apply_coords(elt.coords), elt.precision)
-
-
-def galois_sigma(gen: GaloisGenerator, x: RingElement) -> RingElement:
-    return gen(x)
 
 
 # ---------------------------------------------------------------------------
@@ -1075,7 +836,8 @@ class LocalFieldSide:
 
     def sigma(self, base_level) -> GaloisGenerator:
         """Matched Galois generator at a working level (extensions only)."""
-        assert self.is_ext, "base fields carry no Galois generator"
+        if not self.is_ext:
+            raise SideMismatchError(f"base field {self.name} carries no Galois generator")
         if base_level not in self._sigmas:
             rule = FROBENIUS if self.kind == UNRAMIFIED else ZETA_SCALING
             self._sigmas[base_level] = GaloisGenerator(

@@ -9,14 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .coeffs import CoeffField
+from .coeffs import CoeffField, frobenius_gcd, is_irreducible, poly_trim
 from .errors import (
+    ConfigError,
     DimBoundExceededError,
     GeneratorNameMismatchError,
+    InvariantViolationError,
     MissingActionError,
     NotOrderLError,
     SpecMismatchError,
     UndecidedError,
+    json_field,
 )
 
 DIM_BOUND = 24
@@ -54,17 +57,6 @@ def mat_mul(F, A, B):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-def mat_pow(F, A, e):
-    out = mat_identity(F, len(A))
-    base = A
-    while e:
-        if e & 1:
-            out = mat_mul(F, out, base)
-        base = mat_mul(F, base, base)
-        e >>= 1
-    return out
 
 
 def mat_transpose(A):
@@ -191,13 +183,21 @@ class CyclicModule:
 
 
 def module_from_json(d):
-    F = CoeffField(int(d["l"]), int(d.get("k", 1)))
+    """Parse a module file; a wrong-typed or wrong-shaped field is a
+    ConfigError naming it."""
+    F = CoeffField(json_field(d["l"], int, "l"), json_field(d.get("k", 1), int, "k"))
+    dim = json_field(d["dim"], int, "dim")
+    if dim < 0:
+        raise ConfigError(f"dim must not be negative, got {dim}")
 
-    def mat(rows):
-        return tuple(tuple(F.coords_from_json(x) for x in row) for row in rows)
+    def mat(rows, name):
+        return tuple(tuple(F.coords_from_json(x)
+                           for x in json_field(row, list, f"{name} row", dim))
+                     for row in json_field(rows, list, name, dim))
 
-    return CyclicModule(F, int(d["dim"]), mat(d["T"]),
-                        {name: mat(rows) for name, rows in d.get("action", {}).items()})
+    action = json_field(d.get("action", {}), dict, "action")
+    return CyclicModule(F, dim, mat(d["T"], "T"),
+                        {name: mat(rows, f"action {name}") for name, rows in action.items()})
 
 
 @dataclass(frozen=True)
@@ -212,28 +212,23 @@ class TateResult:
                           for row in self.basis]}
 
 
-def _check_order_l(M: CyclicModule):
-    F = M.field
-    if mat_pow(F, M.T, F.l) != mat_identity(F, M.dim):
-        raise NotOrderLError("T^l is not the identity")
-
-
 def norm_operator(M: CyclicModule):
-    """N = id + T + ... + T^(l-1)."""
-    _check_order_l(M)
+    """N = id + T + ... + T^(l-1); raises NotOrderLError unless T^l = id."""
     F = M.field
-    out = mat_identity(F, M.dim)
-    acc = mat_identity(F, M.dim)
+    ident = mat_identity(F, M.dim)
+    out = acc = ident
     for _ in range(F.l - 1):
         acc = mat_mul(F, acc, M.T)
         out = mat_add(F, out, acc)
+    if mat_mul(F, acc, M.T) != ident:
+        raise NotOrderLError("T^l is not the identity")
     return out
 
 
-def tate_cohomology(M: CyclicModule, i: int) -> TateResult:
-    """H^0 = ker(id - T)/im(N), H^1 = ker(N)/im(id - T), with the quotient
-    basis in reduced echelon form."""
-    _check_order_l(M)
+def _tate_spaces(M: CyclicModule, i: int):
+    """(ker, echelon image, its pivots, quotient basis) of H^i: H^0 =
+    ker(id - T)/im(N), H^1 = ker(N)/im(id - T).  Both bases are in reduced
+    echelon form."""
     F = M.field
     N = norm_operator(M)
     A = mat_sub(F, mat_identity(F, M.dim), M.T)
@@ -250,7 +245,16 @@ def tate_cohomology(M: CyclicModule, i: int) -> TateResult:
         if any(not F.is_zero(x) for x in rem):
             reduced.append(rem)
     qbasis, _ = rref(F, reduced) if reduced else ([], [])
-    assert len(qbasis) == len(ker) - len(im_ech)
+    if len(qbasis) != len(ker) - len(im_ech):
+        raise InvariantViolationError(
+            f"H^{i} quotient has dimension {len(qbasis)}, "
+            f"expected {len(ker)} - {len(im_ech)}")
+    return ker, im_ech, im_piv, qbasis
+
+
+def tate_cohomology(M: CyclicModule, i: int) -> TateResult:
+    """H^i with the quotient basis in reduced echelon form."""
+    qbasis = _tate_spaces(M, i)[3]
     return TateResult(i, len(qbasis), tuple(qbasis))
 
 
@@ -258,35 +262,26 @@ def tate_quotient_module(M: CyclicModule, i: int) -> CyclicModule:
     """The Tate quotient with the induced named-generator action (generators
     must preserve the kernel and image involved)."""
     F = M.field
-    res = tate_cohomology(M, i)
-    N = norm_operator(M)
-    A = mat_sub(F, mat_identity(F, M.dim), M.T)
-    ker, im = (kernel_basis(F, A), image_basis(F, N)) if i == 0 else \
-        (kernel_basis(F, N), image_basis(F, A))
-    im_ech, im_piv = rref(F, im) if im else ([], [])
-    ker_ech, ker_piv = rref(F, ker) if ker else ([], [])
+    ker, im_ech, im_piv, qbasis = _tate_spaces(M, i)
 
     def induce(op, name):
         cols = []
-        for q in res.basis:
+        for q in qbasis:
             v = mat_apply(F, op, q)
-            if solve_in_span(F, ker_ech, v) is None:
+            if solve_in_span(F, ker, v) is None:
                 raise SpecMismatchError(
                     f"generator {name} does not preserve the Tate kernel")
             rem = reduce_against(F, im_ech, im_piv, v)
-            coeffs = solve_in_span(F, list(res.basis), rem)
+            coeffs = solve_in_span(F, qbasis, rem)
             if coeffs is None:
                 raise SpecMismatchError(
                     f"generator {name} does not descend to the Tate quotient")
             cols.append(coeffs)
-        d = len(res.basis)
+        d = len(qbasis)
         return tuple(tuple(cols[j][i2] for j in range(d)) for i2 in range(d))
 
     action = {name: induce(op, name) for name, op in sorted(M.action.items())}
-    T_ind = induce(M.T, "T") if res.dim else tuple()
-    if not res.dim:
-        T_ind = tuple()
-    return CyclicModule(F, res.dim, T_ind, action)
+    return CyclicModule(F, len(qbasis), induce(M.T, "T"), action)
 
 
 def frobenius_twist(M: CyclicModule) -> CyclicModule:
@@ -313,102 +308,8 @@ def transport_module(M: CyclicModule, label_map: dict) -> CyclicModule:
     return CyclicModule(M.field, M.dim, M.T, renamed)
 
 
-# ---------------------------------------------------------------------------
-# polynomials over the coefficient field (dense little-endian lists)
-
-def _poly_trim(F, f):
-    while f and F.is_zero(f[-1]):
-        f.pop()
-    return f
-
-
-def _poly_add(F, f, g):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else F.zero()
-        b = g[i] if i < len(g) else F.zero()
-        out.append(F.add(a, b))
-    return _poly_trim(F, out)
-
-
-def _poly_mul(F, f, g):
-    if not f or not g:
-        return []
-    out = [F.zero()] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if F.is_zero(a):
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = F.add(out[i + j], F.mul(a, b))
-    return _poly_trim(F, out)
-
-
-def _poly_rem(F, f, g):
-    f = list(f)
-    dg = len(g) - 1
-    inv_lead = F.inv(g[-1])
-    while f and len(f) - 1 >= dg:
-        c = F.mul(f[-1], inv_lead)
-        shift = len(f) - 1 - dg
-        for i in range(len(g)):
-            f[shift + i] = F.sub(f[shift + i], F.mul(c, g[i]))
-        _poly_trim(F, f)
-    return f
-
-
-def _poly_gcd(F, f, g):
-    f, g = list(f), list(g)
-    while g:
-        f, g = g, _poly_rem(F, f, g)
-    if f:
-        inv_lead = F.inv(f[-1])
-        f = [F.mul(inv_lead, c) for c in f]
-    return f
-
-
-def _poly_powmod(F, f, e, g):
-    result = [F.one()]
-    base = _poly_rem(F, f, g)
-    while e:
-        if e & 1:
-            result = _poly_rem(F, _poly_mul(F, result, base), g)
-        base = _poly_rem(F, _poly_mul(F, base, base), g)
-        e >>= 1
-    return result
-
-
-def _poly_is_irreducible(F, f):
-    d = len(f) - 1
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    q = F.size()
-    x = [F.zero(), F.one()]
-    t = _poly_powmod(F, x, q ** d, f)
-    if _poly_trim(F, _poly_add(F, t, [F.zero(), F.neg(F.one())])):
-        return False
-    for r in sorted({r for r in range(2, d + 1) if d % r == 0 and _is_prime(r)}):
-        t = _poly_powmod(F, x, q ** (d // r), f)
-        g = _poly_gcd(F, f, _poly_add(F, t, [F.zero(), F.neg(F.one())]))
-        if len(g) - 1 >= 1:
-            return False
-    return True
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
-
-
-def _poly_eval_matrix(F, f, A):
+def _matrix_polynomial(F, f, A):
+    """f(A) by Horner's rule."""
     d = len(A)
     out = mat_zero(F, d)
     for c in reversed(f):
@@ -429,7 +330,7 @@ def min_poly(F, A):
         v = tuple(x for row in nxt for x in row)
         coeffs = solve_in_span(F, flat, v)
         if coeffs is not None:
-            return _poly_trim(F, [F.neg(c) for c in coeffs] + [F.one()])
+            return poly_trim(F, [F.neg(c) for c in coeffs] + [F.one()])
         powers.append(nxt)
         flat.append(v)
 
@@ -496,7 +397,9 @@ def _probe_singular(F, d, mats, theta):
         Wt = spin(F, matst, kert[0])
         if len(Wt) < d:
             ann = kernel_basis(F, tuple(Wt))
-            assert 0 < len(ann) < d
+            if not 0 < len(ann) < d:
+                raise InvariantViolationError(
+                    f"annihilator of a proper transposed submodule has dimension {len(ann)}")
             return ann
         return True
     return None
@@ -525,8 +428,6 @@ def find_proper_submodule(F, d, mats, seed=0):
         W = spin(F, mats, tuple(v))
         if len(W) < d:
             return W
-    q = F.size()
-    x = [F.zero(), F.one()]
     for theta in _theta_candidates(F, mats, d, seed):
         res = _probe_singular(F, d, mats, theta)
         if res is True:
@@ -535,16 +436,15 @@ def find_proper_submodule(F, d, mats, seed=0):
             return res
         m = min_poly(F, theta)
         deg = len(m) - 1
-        if deg == d and _poly_is_irreducible(F, m):
+        if deg == d and is_irreducible(F, m):
             # the algebra contains a field of degree d: invariant subspaces
             # are vector spaces over it, so only 0 and the whole space
             return None
         for i in range(1, deg + 1):
-            t = _poly_powmod(F, x, q ** i, m)
-            g = _poly_gcd(F, m, _poly_add(F, t, [F.zero(), F.neg(F.one())]))
+            g = frobenius_gcd(F, m, i)
             if len(g) - 1 < 1:
                 continue
-            res = _probe_singular(F, d, mats, _poly_eval_matrix(F, g, theta))
+            res = _probe_singular(F, d, mats, _matrix_polynomial(F, g, theta))
             if res is True:
                 return None
             if res is not None:
@@ -560,7 +460,8 @@ def _restrict_to(F, mats_named, basis):
         for b in basis:
             v = mat_apply(F, A, b)
             coeffs = solve_in_span(F, list(basis), v)
-            assert coeffs is not None, "subspace is not invariant"
+            if coeffs is None:
+                raise InvariantViolationError(f"subspace is not invariant under {name}")
             cols.append(coeffs)
         k = len(basis)
         out[name] = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
@@ -582,7 +483,8 @@ def _quotient_by(F, mats_named, basis, d):
         for q in qvecs:
             v = reduce_against(F, ech, pivots, mat_apply(F, A, q))
             coeffs = solve_in_span(F, qvecs, v)
-            assert coeffs is not None
+            if coeffs is None:
+                raise InvariantViolationError(f"{name} does not act on the quotient")
             cols.append(coeffs)
         k = len(qvecs)
         out[name] = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))

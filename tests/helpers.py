@@ -240,3 +240,51 @@ def schoolbook_ext_mul(ring, a, b):
 def truncated_poly_mul(p, level, a, b):
     """Coefficients of a(t) b(t) mod (p, t^level), one coefficient at a time."""
     return tuple(sum(a[i] * b[k - i] for i in range(k + 1)) % p for k in range(level))
+
+
+def _gf_digits(p, k, a):
+    return [(a // p ** i) % p for i in range(k)]
+
+
+def _gf_add(p, k, a, b):
+    return sum(((x + y) % p) * p ** i
+               for i, (x, y) in enumerate(zip(_gf_digits(p, k, a), _gf_digits(p, k, b))))
+
+
+def _gf_mul(p, low, a, b):
+    """Product in F_p[X]/(X^k + low(X)), elements encoded as the ints whose
+    base-p digits are their coordinates (constant digit first)."""
+    k = len(low)
+    da, db = _gf_digits(p, k, a), _gf_digits(p, k, b)
+    prod = [0] * (2 * k - 1)
+    for i in range(k):
+        for j in range(k):
+            prod[i + j] += da[i] * db[j]
+    for d in range(2 * k - 2, k - 1, -1):
+        c, prod[d] = prod[d], 0
+        for j in range(k):
+            prod[d - k + j] -= c * low[j]
+    return sum((prod[i] % p) * p ** i for i in range(k))
+
+
+def brute_is_irreducible(f, p, low=(0,)):
+    """Irreducibility of the monic f (little-endian int-encoded coefficients,
+    see ``_gf_mul``) over F_p[X]/(X^k + low(X)), by trial division by every
+    monic polynomial of degree 1 .. deg(f) // 2."""
+    k = len(low)
+    d = len(f) - 1
+    if d < 1:
+        return False
+    for dg in range(1, d // 2 + 1):
+        for low_g in itertools.product(range(p ** k), repeat=dg):
+            g = list(low_g) + [1]
+            rem = list(f)
+            for shift in range(d - dg, -1, -1):
+                # subtract c X^shift g; -1 is encoded as p - 1
+                minus_c = _gf_mul(p, low, rem[shift + dg], p - 1)
+                for i in range(dg + 1):
+                    rem[shift + i] = _gf_add(p, k, rem[shift + i],
+                                             _gf_mul(p, low, minus_c, g[i]))
+            if not any(rem[:dg]):
+                return False
+    return True

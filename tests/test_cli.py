@@ -87,13 +87,19 @@ def test_hecke_and_kaz_pipeline(tmp_path, capsys):
     assert code == 0 and json.loads(out)["result"]["side"] == "F'"
 
 
+# a trivial block plus a free 3-cycle, with e acting by 2 on the trivial part
+_TATE_MODULE = {"l": 3, "k": 1, "dim": 4,
+                "T": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0]],
+                "action": {"e": [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}}
+_RHO = {"l": 3, "k": 1, "dim": 1, "T": [[1]], "action": {"f": [[2]]}}
+
+
 def test_tate_and_linkage_cli(tmp_path, capsys):
     mod = {"l": 3, "k": 1, "dim": 1, "T": [[1]], "action": {"e": [[2]]}}
-    rho = {"l": 3, "k": 1, "dim": 1, "T": [[1]], "action": {"f": [[2]]}}
     br = {"generators": {"e": "f"}}
     mp, rp, bp = tmp_path / "m.json", tmp_path / "r.json", tmp_path / "b.json"
     mp.write_text(json.dumps(mod))
-    rp.write_text(json.dumps(rho))
+    rp.write_text(json.dumps(_RHO))
     bp.write_text(json.dumps(br))
     code, out = run_cli(capsys, "tate", "cohomology", "--module", str(mp), "--i", "0")
     assert code == 0 and json.loads(out)["result"]["dim"] == 1
@@ -123,6 +129,7 @@ def test_hecke_sigma_orbit_sum(tmp_path, capsys):
 
 
 _KAZ_MAP = ["kaz", "map", "--p", "2", "--l", "3", "--in", "in.json"]
+_TATE = ["tate", "cohomology", "--module", "in.json", "--i", "0"]
 
 
 def _element(mu, P):
@@ -142,9 +149,13 @@ def _element(mu, P):
     (_KAZ_MAP, _element(mu=[1, 0], P=[[1, 0], [0, 1]])),
     (["check", "kaz-hom", "--p", "2", "--window", "-1", "--samples", "0"], None),
     (["check", "kaz-hom", "--p", "2", "--window", "0", "--samples", "-1"], None),
+    (_TATE, '{"l": "x", "k": 1, "dim": 1, "T": [[1]]}'),
+    (_TATE, '{"l": 2, "k": 1, "dim": 1, "T": 5}'),
+    (_TATE, '{"l": 2, "k": 1, "dim": 2, "T": [[1]]}'),
 ], ids=["missing-file", "not-json", "missing-key", "n-zero", "terms-not-list",
         "l-not-int", "P-not-matrix", "P-singular", "mu-decreasing", "negative-window",
-        "negative-samples"])
+        "negative-samples", "module-l-not-int", "module-T-not-matrix",
+        "module-T-wrong-shape"])
 def test_bad_input_exits_two_with_typed_error(tmp_path, monkeypatch, capsys, argv, content):
     monkeypatch.chdir(tmp_path)
     if content is not None:
@@ -153,16 +164,21 @@ def test_bad_input_exits_two_with_typed_error(tmp_path, monkeypatch, capsys, arg
     assert capsys.readouterr().err.startswith("error [CONFIG_INVALID]: ")
 
 
-def test_optimized_run_is_byte_identical():
+def test_optimized_run_is_byte_identical(tmp_path):
     """Result-guarding checks are no bare asserts: ``python -O`` strips
-    those, and the report must not change."""
+    those, and the reports must not change."""
+    (tmp_path / "m.json").write_text(json.dumps(_TATE_MODULE))
+    (tmp_path / "r.json").write_text(json.dumps(_RHO))
+    (tmp_path / "b.json").write_text(json.dumps({"generators": {"e": "f"}}))
     env = dict(os.environ, PYTHONPATH=str(SRC))
 
-    def run(*flags):
-        return subprocess.run([sys.executable, *flags, "-m", "closehecke.cli", "check",
-                               "kaz-hom", "--p", "2", "--window", "1", "--samples", "1"],
-                              env=env, capture_output=True, timeout=300)
+    def run(argv, *flags):
+        return subprocess.run([sys.executable, *flags, "-m", "closehecke.cli", *argv],
+                              env=env, cwd=tmp_path, capture_output=True, timeout=300)
 
-    plain, optimized = run(), run("-O")
-    assert optimized.returncode == 0, optimized.stderr
-    assert optimized.stdout == plain.stdout
+    for argv in (["check", "kaz-hom", "--p", "2", "--window", "1", "--samples", "1"],
+                 ["tate", "cohomology", "--module", "m.json", "--i", "0"],
+                 ["linkage", "check", "--xi", "m.json", "--rho", "r.json", "--br", "b.json"]):
+        plain, optimized = run(argv), run(argv, "-O")
+        assert optimized.returncode == 0, optimized.stderr
+        assert optimized.stdout == plain.stdout

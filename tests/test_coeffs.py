@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 
-from closehecke.coeffs import CoeffField
+from closehecke.coeffs import CoeffField, is_irreducible, smallest_irreducible
 from closehecke.errors import NotAUnitError
+
+from helpers import brute_is_irreducible
 
 
 @pytest.mark.parametrize("l,k", [(2, 1), (3, 1), (2, 2), (3, 2)])
@@ -54,3 +58,28 @@ def test_coords_json_roundtrip():
     for a in F.elements():
         assert F.coords_from_json(F.coords_json(a)) == a
     assert F.coords_from_json(2) == F.from_int(2)
+
+
+# -- the polynomial toolkit against a trial-division oracle -------------------
+
+@pytest.mark.parametrize("l,k,low,degrees", [
+    (2, 1, (0,), range(1, 5)),
+    (3, 1, (0,), range(1, 5)),
+    (2, 2, (1, 1), range(1, 3)),   # F_4 = F_2[X]/(X^2 + X + 1)
+])
+def test_is_irreducible_matches_trial_division(l, k, low, degrees):
+    F = CoeffField(l, k)
+    for d in degrees:
+        for f in itertools.product(range(l ** k), repeat=d):
+            f = list(f) + [1]
+            coeffs = [tuple((c // l ** i) % l for i in range(k)) for c in f]
+            assert is_irreducible(F, coeffs) == brute_is_irreducible(f, l, low), f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_smallest_irreducible_is_first_oracle_hit(p, d):
+    # candidate order: (c_{d-1}, ..., c_0) lexicographic, constant term nonzero
+    first = next(tuple(reversed(high)) for high in itertools.product(range(p), repeat=d)
+                 if high[-1] and brute_is_irreducible(list(reversed(high)) + [1], p))
+    assert smallest_irreducible(p, d) == first

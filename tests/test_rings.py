@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from closehecke.coeffs import smallest_irreducible
 from closehecke.errors import (
     GaloisConditionError,
     InvariantViolationError,
@@ -16,62 +17,46 @@ from closehecke.rings import (
     UNRAMIFIED,
     BaseRing,
     BaseRingSpec,
+    FROBENIUS,
     ExtensionRing,
     GaloisGenerator,
-    RingElement,
     base_side,
     build_extension,
     build_lambda,
     build_pi,
     extension_side,
-    galois_sigma,
-    primitive_root_of_unity,
-    ring_arithmetic,
-    smallest_irreducible,
+    hensel_root_of_unity,
+    primitive_root_residue,
 )
 
 from helpers import check_ring_hom, schoolbook_ext_mul, truncated_poly_mul
 
 
-def elt(ring, c, precision=None):
-    return RingElement(ring, ring.from_int(c), precision)
-
-
 def test_mixed_arithmetic_z8():
     R = BaseRing(BaseRingSpec(MIXED, 2, 3))
-    assert ring_arithmetic(elt(R, 5), elt(R, 5), "mul").coords == 1
-    assert ring_arithmetic(elt(R, 3), elt(R, 7), "add").coords == 2
-    assert ring_arithmetic(elt(R, 3), elt(R, 7), "sub").coords == 4
+    assert R.mul(5, 5) == 1
+    assert R.add(3, 7) == 2
+    assert R.sub(3, 7) == 4
 
 
 def test_equal_char2_square():
     R = BaseRing(BaseRingSpec(EQUAL, 2, 2))
-    one_plus_t = RingElement(R, (1, 1))
-    assert (one_plus_t * one_plus_t).coords == (1, 0)
+    assert R.mul((1, 1), (1, 1)) == (1, 0)
 
 
 def test_ramified_defining_relation():
     B = BaseRing(BaseRingSpec(EQUAL, 3, 2))
     spec = build_extension(BaseRingSpec(EQUAL, 3, 2), RAMIFIED, 2)
     E = ExtensionRing(spec, B, unif_class=B.unif())
-    T = RingElement(E, E.gen())
-    assert (T * T).coords == E.embed(B.unif())
+    T = E.gen()
+    assert E.mul(T, T) == E.embed(B.unif())
 
 
 def test_inv_unit_and_error():
     R = BaseRing(BaseRingSpec(MIXED, 3, 3))
-    a = elt(R, 5)
-    assert (a * ring_arithmetic(a, a, "invUnit")).coords == 1
+    assert R.mul(5, R.inv(5)) == 1
     with pytest.raises(NotAUnitError):
-        ring_arithmetic(elt(R, 3), elt(R, 3), "invUnit")
-
-
-def test_precision_carries_min():
-    R = BaseRing(BaseRingSpec(MIXED, 2, 5))
-    a = elt(R, 3, precision=4)
-    b = elt(R, 5, precision=2)
-    assert (a * b).precision == 2
-    assert (a + b).precision == 2
+        R.inv(3)
 
 
 def test_ring_axioms_sampled():
@@ -256,14 +241,6 @@ def test_pi_sigma_compatibility_exhaustive(unramified_tower, ramified_tower):
             assert pi.apply(sig.apply_coords(a)) == sigp.apply_coords(pi.apply(a))
 
 
-def test_galois_sigma_element_api(ramified_tower):
-    _, _, E, _, _ = ramified_tower
-    R = E.ring(2)
-    gen = E.sigma(2)
-    x = RingElement(R, R.gen())
-    assert galois_sigma(gen, galois_sigma(gen, x)) == x
-
-
 def test_mixed_frobenius_deep_level(unramified_tower):
     # Hensel-lifted Frobenius at working level 3 over Z/8: ring automorphism
     # of order 3 fixing the base
@@ -286,24 +263,27 @@ def test_mixed_frobenius_deep_level(unramified_tower):
 
 # -- roots of unity ----------------------------------------------------------------
 
+def _primitive_root(spec, l):
+    """Hensel lift of the smallest nontrivial residue-field l-th root of 1."""
+    return hensel_root_of_unity(BaseRing(spec), l, primitive_root_residue(spec.p, l))
+
+
 def test_primitive_root_examples():
-    z = primitive_root_of_unity(BaseRingSpec(MIXED, 3, 4), 2)
-    assert z.coords == 3 ** 4 - 1  # the lift of -1
-    z7 = primitive_root_of_unity(BaseRingSpec(EQUAL, 7, 1), 3)
-    assert z7.coords == (2,)
+    assert _primitive_root(BaseRingSpec(MIXED, 3, 4), 2) == 3 ** 4 - 1  # the lift of -1
+    assert _primitive_root(BaseRingSpec(EQUAL, 7, 1), 3) == (2,)
     with pytest.raises(GaloisConditionError):
-        primitive_root_of_unity(BaseRingSpec(MIXED, 2, 1), 3)
+        _primitive_root(BaseRingSpec(MIXED, 2, 1), 3)
 
 
 def test_primitive_root_is_hensel_unique():
     spec = BaseRingSpec(MIXED, 7, 3)
-    z = primitive_root_of_unity(spec, 3)
-    R = z.ring
-    assert R.pow(z.coords, 3) == R.one()
-    assert z.coords % 7 == 2
+    z = _primitive_root(spec, 3)
+    R = BaseRing(spec)
+    assert R.pow(z, 3) == R.one()
+    assert z % 7 == 2
     # uniqueness of the lift with this residue
     others = [x for x in range(7 ** 3) if pow(x, 3, 7 ** 3) == 1 and x % 7 == 2]
-    assert others == [z.coords]
+    assert others == [z]
 
 
 # -- serialization -------------------------------------------------------------------
@@ -396,3 +376,13 @@ def test_separately_built_rings_compare_equal():
         assert R is not S
         assert R == S and hash(R) == hash(S)
     assert _unram_z4() != _ram_z9()
+
+
+def test_failed_frobenius_lift_raises_typed_error(monkeypatch):
+    # over Z/8, T^2 is a root of T^3 + T + 1 only mod 2, so the lift needs
+    # Newton steps; with every inverse forced to 0 they cannot move it
+    base = BaseRingSpec(MIXED, 2, 3)
+    E = ExtensionRing(build_extension(base, UNRAMIFIED, 3), BaseRing(base))
+    monkeypatch.setattr(ExtensionRing, "inv", lambda self, a: self.zero())
+    with pytest.raises(InvariantViolationError):
+        GaloisGenerator(E, FROBENIUS)

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from closehecke.coeffs import CoeffField
+from closehecke import tate
 from closehecke.errors import (
     DimBoundExceededError,
     GeneratorNameMismatchError,
+    InvariantViolationError,
     MissingActionError,
     NotOrderLError,
 )
@@ -152,6 +154,14 @@ def test_rank_nullity_exact():
         A = mat_sub(F, mat_identity(F, d), M.T)
         assert len(kernel_basis(F, A)) + len(image_basis(F, A)) == d
         assert len(kernel_basis(F, N)) + len(image_basis(F, N)) == d
+
+
+def test_wrong_quotient_dimension_raises_typed_error(monkeypatch):
+    # with nothing reduced modulo im(N), the regular module's kernel survives
+    # whole and the quotient is one dimension too large
+    monkeypatch.setattr(tate, "reduce_against", lambda F, ech, piv, v: tuple(v))
+    with pytest.raises(InvariantViolationError):
+        tate_cohomology(CyclicModule(F3, 3, cyclic_shift(F3, 3)), 0)
 
 
 def test_quotient_basis_echelon_deterministic():
