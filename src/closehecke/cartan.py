@@ -21,9 +21,10 @@ from .errors import (
     ConfigError,
     InsufficientPrecisionError,
     InvariantViolationError,
+    SideMismatchError,
     json_field,
 )
-from .matrices import FieldElement, GroupMatrix, check_antidominant, spread
+from .matrices import FieldElement, GroupMatrix, certified_min, check_antidominant, spread
 from .rings import RAMIFIED
 
 
@@ -85,7 +86,9 @@ class GroupContext:
         self.precision_cap = precision_cap
         self._ring_e = side.l if (side.is_ext and side.kind == RAMIFIED) else 1
         self.label_ring = side.ring(side.base_level_m if side.is_ext else side.m)
-        assert self.label_ring.pi_level == self.m
+        if self.label_ring.pi_level != self.m:
+            raise InvariantViolationError(
+                f"label ring has pi-level {self.label_ring.pi_level}, not m = {self.m}")
         if side.is_ext and side.kind != RAMIFIED:
             self.residue_q = side.p ** side.l
         else:
@@ -157,20 +160,11 @@ class GroupContext:
             for row in mat:
                 row[j] = row[j] - f * row[k]
 
+        mu = []
         for k in range(n):
-            piv = None
-            floor_min = None
-            for i in range(k, n):
-                for j in range(k, n):
-                    v, exact = a[i][j].certified_val()
-                    if exact:
-                        if piv is None or v < piv[0]:
-                            piv = (v, i, j)
-                    else:
-                        floor_min = v if floor_min is None else min(floor_min, v)
-            if piv is None or (floor_min is not None and floor_min < piv[0]):
-                raise InsufficientPrecisionError("cannot certify a minimal pivot")
-            v0, pi_, pj = piv
+            v0, (pi_, pj) = certified_min((a[i][j], (i, j))
+                                          for i in range(k, n) for j in range(k, n))
+            mu.append(v0)
             if pi_ != k:
                 a[k], a[pi_] = a[pi_], a[k]
                 P[k], P[pi_] = P[pi_], P[k]
@@ -190,19 +184,14 @@ class GroupContext:
                 if not f.is_zero_marker():
                     col_sub(a, j, k, f)
                     col_sub(Q, j, k, f)
-        mu = []
-        units = []
+        # later steps never touch a[k][k], so it is still the pivot pi^v u_k,
+        # and pi_nat^v u_k = pi_dist^v (w^{-v} u_k)
         w = self.side.unif_unit_coords(R)
-        for k in range(n):
-            v, exact = a[k][k].certified_val()
-            if not exact:
-                raise InsufficientPrecisionError("diagonal entry lost to cancellation")
-            mu.append(v)
-            # d_k = pi_nat^v u_k = pi_dist^v (w^{-v} u_k)
-            units.append(FieldElement(R, 0, R.mul(a[k][k].unit, R.pow(w, -v)),
-                                      a[k][k].prec))
+        units = [FieldElement(R, 0, R.mul(a[k][k].unit, R.pow(w, -v)), a[k][k].prec)
+                 for k, v in enumerate(mu)]
         if any(mu[i] > mu[i + 1] for i in range(n - 1)):
-            raise AssertionError("global min pivoting must give non-decreasing mu")
+            raise InvariantViolationError(
+                f"global min pivoting gave a decreasing invariant {tuple(mu)}")
         Pm = GroupMatrix(R, P)
         Qm = GroupMatrix(R, Q)
         x = Pm.inverse()
@@ -219,17 +208,7 @@ class GroupContext:
         avals = []
         below = []
         for i in range(n):
-            piv, floor_min = None, None
-            for j in range(i, n):
-                v, exact = cols[j][i].certified_val()
-                if exact:
-                    if piv is None or v < piv[0]:
-                        piv = (v, j)
-                else:
-                    floor_min = v if floor_min is None else min(floor_min, v)
-            if piv is None or (floor_min is not None and floor_min < piv[0]):
-                raise InsufficientPrecisionError("cannot certify a pivot row minimum")
-            ai, jstar = piv
+            ai, jstar = certified_min((cols[j][i], j) for j in range(i, n))
             if jstar != i:
                 cols[i], cols[jstar] = cols[jstar], cols[i]
             prec = cols[i][i].prec
@@ -406,29 +385,26 @@ class GroupContext:
         return out
 
     def group_elements(self):
-        """All residue matrices of GL_n(o/pi^m), BFS closure (budgeted)."""
+        """All residue matrices of GL_n(o/pi^m), in sorted order (budgeted):
+        the n x n matrices over the label ring that pass residue_invertible."""
         if self._group_elements is not None:
             return self._group_elements
         if self.group_order() > self.pair_budget:
             raise BudgetExceededError(
                 f"|G(o/p^m)| = {self.group_order()} exceeds pair budget")
-        gens = self._residue_gl_generators()
-        ident = tuple(tuple(self.label_ring.one() if i == j else self.label_ring.zero()
-                            for j in range(self.n)) for i in range(self.n))
-        seen = {ident}
-        queue = [ident]
-        while queue:
-            x = queue.pop(0)
-            for s in gens:
-                y = self._rmat_mul(s, x)
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if len(seen) != self.group_order():
+        ring, n = self.label_ring, self.n
+        # a product over the sorted elements lists matrices in sorted order
+        els = []
+        for entries in itertools.product(sorted(ring.elements()), repeat=n * n):
+            mat = tuple(entries[i * n:(i + 1) * n] for i in range(n))
+            if residue_invertible(ring, mat):
+                els.append(mat)
+        if len(els) != self.group_order():
             raise InvariantViolationError(
-                f"generated {len(seen)} residue matrices, |G(o/p^m)| = {self.group_order()}")
-        self._group_elements = sorted(seen)
-        return self._group_elements
+                f"found {len(els)} invertible residue matrices, "
+                f"|G(o/p^m)| = {self.group_order()}")
+        self._group_elements = els
+        return els
 
     def gamma_stabilizer(self, mu):
         """Gamma_mu as an explicit pair list (diagnostic, desk sizes only)."""
@@ -453,7 +429,8 @@ class GroupContext:
 
         With the ramified zeta-scaling rule, sigma(pi^v u) = pi^v zeta^v
         sigma(u); the unramified Frobenius fixes the uniformizer."""
-        assert self.side.is_ext
+        if not self.side.is_ext:
+            raise SideMismatchError("the Galois action lives on an extension side")
         ring = g.ring
         gen = self.side.sigma(ring.level)
         zeta = ring.embed(gen.zeta) if gen.zeta is not None else None
@@ -501,13 +478,27 @@ class GroupContext:
         P, Q = residues("P"), residues("Q")
         # the closed-form transversal needs P and Q in GL_n(o)
         for key, data in (("P", P), ("Q", Q)):
-            try:
-                mu_data = self.smith_cartan(self.lift_residue_matrix(data, ring))[0]
-            except InsufficientPrecisionError:
-                mu_data = None
-            if mu_data != (0,) * n:
+            if not residue_invertible(ring, data):
                 raise ConfigError(f"{field}.{key} is not invertible modulo pi")
         return CosetLabel(mu, P, Q, json_field(d["level"], int, f"{field}.level"))
+
+
+def residue_invertible(ring, mat):
+    """Whether the square matrix ``mat`` over the local ring ``ring`` lies in
+    GL_n, by elimination with unit pivots: a column of the remaining block
+    without a unit vanishes modulo pi, and then so does the determinant."""
+    rows = [list(row) for row in mat]
+    n = len(rows)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if ring.is_unit(rows[i][k])), None)
+        if piv is None:
+            return False
+        rows[k], rows[piv] = rows[piv], rows[k]
+        inv = ring.inv(rows[k][k])
+        for i in range(k + 1, n):
+            f = ring.mul(rows[i][k], inv)
+            rows[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(rows[i], rows[k])]
+    return True
 
 
 def _ring_dot(ring, row, col):

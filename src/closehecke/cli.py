@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .errors import CloseHeckeError, ConfigError
+from .errors import CloseHeckeError, ConfigError, json_field
 from .matrices import cochar_window
 from .tate import linkage_check, module_from_json, tate_cohomology
 from .transfer import (
@@ -127,8 +127,11 @@ def _config_echo(args, extra=None):
 def _emit(doc, args):
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     if args.json or not args.out:
         sys.stdout.write(text)
 
@@ -156,6 +159,15 @@ def _load(path, parse):
         return parse(doc)
     except KeyError as exc:
         raise ConfigError(f"{path} lacks the key {exc.args[0]!r}") from None
+
+
+def _br_generators(doc):
+    """The generator map of a --br file: an object of string -> string, under
+    "generators" or at the top level."""
+    gens = json_field(doc.get("generators", doc), dict, "generators")
+    for name, image in gens.items():
+        json_field(image, str, f"generators.{name}")
+    return gens
 
 
 def _algebra_for_element(tower, doc):
@@ -280,7 +292,7 @@ def _cmd_tate_cohomology(args):
 def _cmd_linkage_check(args):
     Xi = _load(args.xi, module_from_json)
     rho = _load(args.rho, module_from_json)
-    mapping = _load(args.br, lambda br: br.get("generators", br))
+    mapping = _load(args.br, _br_generators)
     res = linkage_check(Xi, rho, mapping, seed=args.seed)
     cfg = {"xi": args.xi, "rho": args.rho, "br": args.br,
            "l": Xi.field.l, "k": Xi.field.k, "seed": args.seed}

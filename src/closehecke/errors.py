@@ -85,11 +85,11 @@ class InvariantViolationError(CloseHeckeError):
     code = "INVARIANT_VIOLATED"
 
 
-_JSON_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+_JSON_KINDS = {int: "an integer", list: "a list", dict: "an object", str: "a string"}
 
 
 def json_field(value, kind, field, length=None):
-    """``value`` if it has the JSON type ``kind`` (int, list or dict) and, for
+    """``value`` if it has the JSON type ``kind`` (int, list, dict or str) and, for
     a list, ``length`` entries when given; else a ConfigError naming
     ``field``.  A boolean is not an integer; a tuple passes as a list."""
     if kind is int:

@@ -46,18 +46,7 @@ class HeckeElement:
 
     def __add__(self, other):
         self.algebra._check_same(other.algebra)
-        F = self.algebra.field
-        out = dict(self.terms)
-        for fp, (lab, c) in other.terms.items():
-            if fp in out:
-                s = F.add(out[fp][1], c)
-                if F.is_zero(s):
-                    del out[fp]
-                else:
-                    out[fp] = (out[fp][0], s)
-            else:
-                out[fp] = (lab, c)
-        return HeckeElement(self.algebra, out)
+        return self.algebra.element([*self.terms.values(), *other.terms.values()])
 
     def scale(self, c):
         F = self.algebra.field
@@ -249,20 +238,23 @@ class HeckeAlgebra:
         return self.sigma_act(f) == f
 
     # -- Brauer restriction -------------------------------------------------------
-    def embed_base_matrix(self, gF, ring):
-        """Embed a base-side matrix into an extension-side working ring,
-        rescaling valuations by the ramification index."""
-        e = self.context.side.e
-        rows = []
-        for row in gF.rows:
-            new = []
-            for x in row:
-                if x.is_zero_marker():
-                    new.append(FieldElement.zero(ring, e * x.v))
-                else:
-                    new.append(FieldElement(ring, e * x.v, ring.embed(x.unit), e * x.prec))
-            rows.append(new)
-        return GroupMatrix(ring, rows)
+    def on_base_label(self, ctxF, flab, fn, sup_spread):
+        """fn(g) for g the representative of the base-side label ``flab``
+        embedded in G(E), valuations rescaled by the ramification index, at a
+        working precision for supports of spread up to ``sup_spread``."""
+        ctxE = self.context
+        side = ctxE.side
+        e = side.e
+
+        def run(prec):
+            ringE = ctxE.working_ring(prec)
+            gF = ctxF.lift_label(flab, side.base_side.ring(ringE.level))
+            return fn(GroupMatrix(ringE, [
+                [FieldElement.zero(ringE, e * x.v) if x.is_zero_marker()
+                 else FieldElement(ringE, e * x.v, ringE.embed(x.unit), e * x.prec)
+                 for x in row] for row in gF.rows]))
+
+        return ctxE.with_retry(run, ctxE.m + 2 * e * (spread(flab.mu) + sup_spread) + 4)
 
     def brauer_restrict(self, f: HeckeElement, target: "HeckeAlgebra",
                         window=None) -> HeckeElement:
@@ -297,25 +289,14 @@ class HeckeAlgebra:
         index = {(lab.mu, key): c for (_, keys), (lab, c) in f.terms.items() for key in keys}
         terms = []
         for nu in sorted(nus):
+            emu = tuple(e * x for x in nu)
             for flab in ctxF.enumerate_labels([nu]):
-                val = self._value_at_base_label(index, flab, ctxF, sup_spread)
+                val = self.on_base_label(
+                    ctxF, flab, lambda g: index.get((emu, ctxE.left_coset_key(g))),
+                    sup_spread)
                 if val is not None and not self.field.is_zero(val):
                     terms.append((flab, val))
         return target.element(terms)
-
-    def _value_at_base_label(self, index, flab, ctxF, sup_spread):
-        ctxE = self.context
-        e = ctxE.side.e
-        pi_prec = ctxE.m + 2 * e * (spread(flab.mu) + sup_spread) + 4
-
-        def run(prec):
-            ringE = ctxE.working_ring(prec)
-            ringF = ctxE.side.base_side.ring(ringE.level)
-            gF = ctxF.lift_label(flab, ringF)
-            gE = self.embed_base_matrix(gF, ringE)
-            return index.get((tuple(e * x for x in flab.mu), ctxE.left_coset_key(gE)))
-
-        return ctxE.with_retry(run, pi_prec)
 
     # -- serialization ---------------------------------------------------------------
     def from_json(self, d):

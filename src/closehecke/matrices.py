@@ -49,10 +49,6 @@ class FieldElement:
         return FieldElement.make(ring, 0, ring.lift_residue(data, level))
 
     @staticmethod
-    def from_int(ring, c):
-        return FieldElement.make(ring, 0, ring.from_int(c))
-
-    @staticmethod
     def unif_power(ring, j, unit_coords=None):
         """pi^j (times a unit^j when a distinguished uniformizer is used)."""
         if unit_coords is None:
@@ -151,6 +147,27 @@ class FieldElement:
         return {"v": self.v, "unit": self.ring.coords_json(self.unit)}
 
 
+def certified_min(cells):
+    """(valuation, tag) of the first of the (element, tag) ``cells`` whose
+    certified valuation is least: the one pivot rule of the library.  Raises
+    InsufficientPrecisionError when no valuation is certified, or when a
+    zero known only up to a floor could sit below the least one."""
+    best = None
+    floor_min = INF
+    for x, tag in cells:
+        v, exact = x.certified_val()
+        if not exact:
+            floor_min = min(floor_min, v)
+        elif best is None or v < best[0]:
+            best = (v, tag)
+    if best is None:
+        raise InsufficientPrecisionError("no certifiable valuation")
+    if floor_min < best[0]:
+        raise InsufficientPrecisionError(
+            "a zero floor sits below the smallest certified valuation")
+    return best
+
+
 class GroupMatrix:
     """n x n matrix of field elements, invertible over the field."""
 
@@ -201,29 +218,12 @@ class GroupMatrix:
             rows.append(row)
         return GroupMatrix(self.ring, rows)
 
-    def scale(self, s: FieldElement):
-        return GroupMatrix(self.ring, [[s * x for x in row] for row in self.rows])
-
     def times_pi(self, j):
         return GroupMatrix(self.ring, [[x.times_pi(j) for x in row] for row in self.rows])
 
     def min_val(self):
         """Certified minimum entry valuation."""
-        best = None
-        floor_only = None
-        for row in self.rows:
-            for x in row:
-                v, exact = x.certified_val()
-                if exact:
-                    best = v if best is None else min(best, v)
-                else:
-                    floor_only = v if floor_only is None else min(floor_only, v)
-        if best is None:
-            raise InsufficientPrecisionError("no certifiable entry valuation")
-        if floor_only is not None and floor_only < best:
-            raise InsufficientPrecisionError(
-                "a zero floor sits below the smallest certified valuation")
-        return best
+        return certified_min((x, None) for row in self.rows for x in row)[0]
 
     def inverse(self):
         """Gauss-Jordan with min-valuation pivoting; exact at working precision."""
@@ -231,13 +231,7 @@ class GroupMatrix:
         a = [list(row) for row in self.rows]
         b = [list(row) for row in GroupMatrix.identity(R, n).rows]
         for col in range(n):
-            piv_row, piv_val = None, None
-            for i in range(col, n):
-                v, exact = a[i][col].certified_val()
-                if exact and (piv_val is None or v < piv_val):
-                    piv_row, piv_val = i, v
-            if piv_row is None:
-                raise InsufficientPrecisionError("no certifiable pivot during inversion")
+            piv_row = certified_min((a[i][col], i) for i in range(col, n))[1]
             if piv_row != col:
                 a[col], a[piv_row] = a[piv_row], a[col]
                 b[col], b[piv_row] = b[piv_row], b[col]

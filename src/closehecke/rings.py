@@ -502,23 +502,33 @@ def _verified_inverse(ring, a, v, steps):
 # ---------------------------------------------------------------------------
 # Hensel lifting and roots of unity
 
-def hensel_root_of_unity(ring, l, residue_root):
-    """Unique l-th root of unity in ``ring`` congruent to residue_root mod pi.
+def hensel_root(ring, coeffs, x):
+    """The root of the polynomial with little-endian coefficients ``coeffs``
+    (ring elements) that is congruent to ``x`` modulo pi, by Newton's
+    iteration; the derivative must be a unit at x."""
+    deriv = [ring.mul(ring.from_int(j), c) for j, c in enumerate(coeffs)][1:]
 
-    Newton iteration on X^l - 1; requires l a unit in the ring.
-    """
-    x = ring.from_int(residue_root)
-    l_elt = ring.from_int(l)
-    one = ring.one()
+    def value(poly, y):
+        acc = ring.zero()
+        for c in reversed(poly):
+            acc = ring.add(ring.mul(acc, y), c)
+        return acc
+
     for _ in range(ring.pi_level.bit_length() + 2):
-        fx = ring.sub(ring.pow(x, l), one)
+        fx = value(coeffs, x)
         if ring.is_zero(fx):
-            break
-        dfx = ring.mul(l_elt, ring.pow(x, l - 1))
-        x = ring.sub(x, ring.mul(fx, ring.inv(dfx)))
-    if ring.pow(x, l) != one:
-        raise InvariantViolationError(f"no {l}-th root of unity lifts {residue_root} in {ring!r}")
+            return x
+        x = ring.sub(x, ring.mul(fx, ring.inv(value(deriv, x))))
+    if not ring.is_zero(value(coeffs, x)):
+        raise InvariantViolationError(f"Newton's iteration in {ring!r} ended off a root")
     return x
+
+
+def hensel_root_of_unity(ring, l, residue_root):
+    """Unique l-th root of unity in ``ring`` congruent to residue_root mod pi,
+    the root of X^l - 1; requires l a unit in the ring."""
+    coeffs = [ring.neg(ring.one())] + [ring.zero()] * (l - 1) + [ring.one()]
+    return hensel_root(ring, coeffs, ring.from_int(residue_root))
 
 
 def primitive_root_residue(p, l):
@@ -707,35 +717,10 @@ class GaloisGenerator:
         s = ring.pow(ring.gen(), ring.p)
         if ring.base.model == EQUAL:
             return s
-        # Newton-lift s to the root of the minimal polynomial congruent to
-        # T^p mod p (the mixed model has p-th powers only at the residue level).
-        f_low = [ring.embed(ring.base.from_int(c)) for c in ring.spec.minimal_poly]
-
-        def f_eval(x):
-            acc = ring.one()
-            out = ring.zero()
-            for c in f_low:
-                out = ring.add(out, ring.mul(c, acc))
-                acc = ring.mul(acc, x)
-            return ring.add(out, acc)  # + x^l
-
-        def df_eval(x):
-            acc = ring.one()
-            out = ring.zero()
-            for j in range(1, ring.l):
-                acc_j = ring.pow(x, j - 1)
-                out = ring.add(out, ring.mul(ring.from_int(j), ring.mul(f_low[j], acc_j)))
-            out = ring.add(out, ring.mul(ring.from_int(ring.l), ring.pow(x, ring.l - 1)))
-            return out
-
-        for _ in range(ring.pi_level.bit_length() + 2):
-            fx = f_eval(s)
-            if ring.is_zero(fx):
-                break
-            s = ring.sub(s, ring.mul(fx, ring.inv(df_eval(s))))
-        if not ring.is_zero(f_eval(s)):
-            raise InvariantViolationError(f"Frobenius lift in {ring!r} is not a root")
-        return s
+        # the root of the minimal polynomial congruent to T^p mod p (the mixed
+        # model has p-th powers only at the residue level)
+        f = [ring.embed(ring.base.from_int(c)) for c in ring.spec.minimal_poly]
+        return hensel_root(ring, f + [ring.one()], s)
 
     def apply_coords(self, coords):
         ring = self.ring

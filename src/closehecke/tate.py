@@ -225,10 +225,42 @@ def norm_operator(M: CyclicModule):
     return out
 
 
+def _pivots(F, echelon):
+    """Pivot columns of an echelon basis: each row's first nonzero entry."""
+    return [next(c for c, x in enumerate(row) if not F.is_zero(x)) for row in echelon]
+
+
+def _subquotient_action(F, ops, sub, quo, basis, error):
+    """Matrices that the operators ``ops`` (name -> matrix) induce on the
+    subquotient sub/quo, in ``basis``.
+
+    Each space is a reduced echelon basis with its pivots, as (rows, pivots);
+    sub is None for the whole space.  ``basis`` spans a complement of quo in
+    sub and vanishes at quo's pivots, so the coordinates of a vector of sub
+    reduced against quo are its entries at the pivots of ``basis``.  An
+    operator that leaves sub, or moves quo off itself, raises ``error``."""
+    rows, pivots = basis
+    out = {}
+    for name, A in ops.items():
+        for w in quo[0]:
+            if any(not F.is_zero(x) for x in reduce_against(F, *quo, mat_apply(F, A, w))):
+                raise error(f"{name} does not descend to the quotient")
+        cols = []
+        for b in rows:
+            v = mat_apply(F, A, b)
+            if sub is not None and any(not F.is_zero(x)
+                                       for x in reduce_against(F, *sub, v)):
+                raise error(f"{name} does not preserve the subspace")
+            v = reduce_against(F, *quo, v)
+            cols.append([v[c] for c in pivots])
+        out[name] = tuple(tuple(col[i] for col in cols) for i in range(len(rows)))
+    return out
+
+
 def _tate_spaces(M: CyclicModule, i: int):
-    """(ker, echelon image, its pivots, quotient basis) of H^i: H^0 =
-    ker(id - T)/im(N), H^1 = ker(N)/im(id - T).  Both bases are in reduced
-    echelon form."""
+    """(ker, im, quotient basis) of H^i: H^0 = ker(id - T)/im(N), H^1 =
+    ker(N)/im(id - T).  Each is a reduced echelon basis with its pivots,
+    and the quotient basis vanishes at the pivots of im."""
     F = M.field
     N = norm_operator(M)
     A = mat_sub(F, mat_identity(F, M.dim), M.T)
@@ -238,50 +270,36 @@ def _tate_spaces(M: CyclicModule, i: int):
         ker, im = kernel_basis(F, N), image_basis(F, A)
     else:
         raise SpecMismatchError("i must be 0 or 1")
-    im_ech, im_piv = rref(F, im) if im else ([], [])
+    im_piv = _pivots(F, im)
     reduced = []
     for row in ker:
-        rem = reduce_against(F, im_ech, im_piv, row)
+        rem = reduce_against(F, im, im_piv, row)
         if any(not F.is_zero(x) for x in rem):
             reduced.append(rem)
-    qbasis, _ = rref(F, reduced) if reduced else ([], [])
-    if len(qbasis) != len(ker) - len(im_ech):
+    qbasis, q_piv = rref(F, reduced) if reduced else ([], [])
+    if len(qbasis) != len(ker) - len(im):
         raise InvariantViolationError(
             f"H^{i} quotient has dimension {len(qbasis)}, "
-            f"expected {len(ker)} - {len(im_ech)}")
-    return ker, im_ech, im_piv, qbasis
+            f"expected {len(ker)} - {len(im)}")
+    return (ker, _pivots(F, ker)), (im, im_piv), (qbasis, q_piv)
 
 
 def tate_cohomology(M: CyclicModule, i: int) -> TateResult:
     """H^i with the quotient basis in reduced echelon form."""
-    qbasis = _tate_spaces(M, i)[3]
+    qbasis = _tate_spaces(M, i)[2][0]
     return TateResult(i, len(qbasis), tuple(qbasis))
 
 
 def tate_quotient_module(M: CyclicModule, i: int) -> CyclicModule:
-    """The Tate quotient with the induced named-generator action (generators
-    must preserve the kernel and image involved)."""
-    F = M.field
-    ker, im_ech, im_piv, qbasis = _tate_spaces(M, i)
+    """The Tate quotient with the induced named-generator action; T and the
+    generators must preserve the kernel and the image involved."""
+    ker, im, quo = _tate_spaces(M, i)
 
-    def induce(op, name):
-        cols = []
-        for q in qbasis:
-            v = mat_apply(F, op, q)
-            if solve_in_span(F, ker, v) is None:
-                raise SpecMismatchError(
-                    f"generator {name} does not preserve the Tate kernel")
-            rem = reduce_against(F, im_ech, im_piv, v)
-            coeffs = solve_in_span(F, qbasis, rem)
-            if coeffs is None:
-                raise SpecMismatchError(
-                    f"generator {name} does not descend to the Tate quotient")
-            cols.append(coeffs)
-        d = len(qbasis)
-        return tuple(tuple(cols[j][i2] for j in range(d)) for i2 in range(d))
+    def induce(ops):
+        return _subquotient_action(M.field, ops, ker, im, quo, SpecMismatchError)
 
-    action = {name: induce(op, name) for name, op in sorted(M.action.items())}
-    return CyclicModule(F, len(qbasis), induce(M.T, "T"), action)
+    return CyclicModule(M.field, len(quo[0]), induce({"T": M.T})["T"],
+                        induce(dict(sorted(M.action.items()))))
 
 
 def frobenius_twist(M: CyclicModule) -> CyclicModule:
@@ -452,45 +470,6 @@ def find_proper_submodule(F, d, mats, seed=0):
     raise UndecidedError("no splitting element found within the candidate budget")
 
 
-def _restrict_to(F, mats_named, basis):
-    """Generator matrices restricted to an invariant subspace basis."""
-    out = {}
-    for name, A in mats_named.items():
-        cols = []
-        for b in basis:
-            v = mat_apply(F, A, b)
-            coeffs = solve_in_span(F, list(basis), v)
-            if coeffs is None:
-                raise InvariantViolationError(f"subspace is not invariant under {name}")
-            cols.append(coeffs)
-        k = len(basis)
-        out[name] = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-    return out
-
-
-def _quotient_by(F, mats_named, basis, d):
-    """Generator matrices induced on the quotient by an invariant subspace."""
-    ech, pivots = rref(F, basis) if basis else ([], [])
-    comp = [c for c in range(d) if c not in pivots]
-    qvecs = []
-    for c in comp:
-        v = [F.zero()] * d
-        v[c] = F.one()
-        qvecs.append(tuple(reduce_against(F, ech, pivots, tuple(v))))
-    out = {}
-    for name, A in mats_named.items():
-        cols = []
-        for q in qvecs:
-            v = reduce_against(F, ech, pivots, mat_apply(F, A, q))
-            coeffs = solve_in_span(F, qvecs, v)
-            if coeffs is None:
-                raise InvariantViolationError(f"{name} does not act on the quotient")
-            cols.append(coeffs)
-        k = len(qvecs)
-        out[name] = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-    return out
-
-
 def composition_factors(M: CyclicModule, bound=DIM_BOUND, seed=0):
     """Jordan-Holder factors of the named-generator module, as simple
     CyclicModules (T is the identity on each factor)."""
@@ -510,8 +489,14 @@ def composition_factors(M: CyclicModule, bound=DIM_BOUND, seed=0):
         if W is None:
             factors.append(CyclicModule(F, d, mat_identity(F, d), dict(mats_named)))
             continue
-        stack.append((len(W), _restrict_to(F, mats_named, W)))
-        stack.append((d - len(W), _quotient_by(F, mats_named, W, d)))
+        sub = (W, _pivots(F, W))
+        comp = [c for c in range(d) if c not in sub[1]]
+        units = [tuple(F.one() if j == c else F.zero() for j in range(d)) for c in comp]
+        stack.append((len(W), _subquotient_action(F, mats_named, sub, ([], []), sub,
+                                                  InvariantViolationError)))
+        stack.append((d - len(W), _subquotient_action(F, mats_named, None, sub,
+                                                      (units, comp),
+                                                      InvariantViolationError)))
     factors.sort(key=lambda fac: (fac.dim, sorted(fac.action.items())))
     return factors
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cartan import CosetLabel, GroupContext
+from .cartan import CosetLabel, GroupContext, residue_invertible
 from .coeffs import CoeffField
-from .errors import ConfigError, SideMismatchError
+from .errors import ConfigError, InvariantViolationError, SideMismatchError
 from .hecke import HeckeAlgebra, HeckeElement
 from .matrices import GroupMatrix, cochar_window, spread
 from .rings import (
@@ -67,8 +67,9 @@ def build_close_pair(p, m, pair_mode="mixed-equal", unif_image=None) -> ClosePai
     else:
         raise ConfigError(f"unknown pair mode {pair_mode!r}")
     ringF, ringFp = F.ring(m), Fp.ring(m)
-    assert lam.apply(F.unif_class(ringF)) == Fp.unif_class(ringFp), \
-        "closeness iso must match the distinguished uniformizer classes"
+    if lam.apply(F.unif_class(ringF)) != Fp.unif_class(ringFp):
+        raise InvariantViolationError(
+            "closeness iso must match the distinguished uniformizer classes")
     return ClosePair(F, Fp, m, lam)
 
 
@@ -94,23 +95,29 @@ def _verify_extension_pair(pair, E, Ep, pi):
         els = [tuple(rng.choice(list(dom.base.elements())) for _ in range(dom.l))
                for _ in range(64)]
     inv = pi.inverse()
-    one = dom.one()
+
+    def require(ok, what):
+        if not ok:
+            raise InvariantViolationError(f"extension pair: {what}")
+
     for a in els:
         fa = pi.apply(a)
-        assert inv.apply(fa) == a, "Pi must be bijective"
-        assert pi.apply(sig.apply_coords(a)) == sigp.apply_coords(fa), \
-            "Pi o sigma must equal sigma' o Pi"
+        require(inv.apply(fa) == a, "Pi must be bijective")
+        require(pi.apply(sig.apply_coords(a)) == sigp.apply_coords(fa),
+                "Pi o sigma must equal sigma' o Pi")
         sa = a
         for _ in range(E.l):
             sa = sig.apply_coords(sa)
-        assert sa == a, "sigma must have order l"
+        require(sa == a, "sigma must have order l")
     for b in els[:32]:
         for a in els[:32]:
-            assert pi.apply(dom.mul(a, b)) == cod.mul(pi.apply(a), pi.apply(b))
-            assert pi.apply(dom.add(a, b)) == cod.add(pi.apply(a), pi.apply(b))
+            require(pi.apply(dom.mul(a, b)) == cod.mul(pi.apply(a), pi.apply(b)),
+                    "Pi must be multiplicative")
+            require(pi.apply(dom.add(a, b)) == cod.add(pi.apply(a), pi.apply(b)),
+                    "Pi must be additive")
     for x in pair.F.ring(pair.m).elements():
-        assert pi.apply(dom.embed(x)) == cod.embed(pair.lam.apply(x)), \
-            "Pi restricted to the base must be lambda"
+        require(pi.apply(dom.embed(x)) == cod.embed(pair.lam.apply(x)),
+                "Pi restricted to the base must be lambda")
 
 
 class Tower:
@@ -219,26 +226,8 @@ def _random_residue_gl(ctx, rng):
     while True:
         mat = tuple(tuple(pool[rng.randrange(len(pool))] for _ in range(n))
                     for _ in range(n))
-        if _residue_det_is_unit(ring, mat):
+        if residue_invertible(ring, mat):
             return mat
-
-
-def _residue_det_is_unit(ring, mat):
-    import itertools
-    n = len(mat)
-    det = ring.zero()
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = ring.one()
-        for i in range(n):
-            term = ring.mul(term, mat[i][perm[i]])
-        det = ring.add(det, term if sign > 0 else ring.neg(term))
-    return ring.is_unit(det)
 
 
 def random_label(ctx, rng, mus):
@@ -313,7 +302,7 @@ def structured_orbit_sums(tower: Tower, mu_spread, base_window, samples, seed):
         names.append(f"orbit-sum pi_{mu}")
     for nu in cochar_window(tower.n, 0, base_window, max_spread=base_window):
         for flab in ctxF.enumerate_labels([nu]):
-            elab = _extension_label_of_base(tower, flab)
+            elab = HE.on_base_label(ctxF, flab, ctxE.label_of_matrix, 1)
             sums.append(HE.sigma_orbit_sum(elab))
             names.append(f"orbit-sum of F-label {flab.mu}")
     small = cochar_window(tower.n, 0, max(1, mu_spread - (e - 1)))
@@ -322,20 +311,6 @@ def structured_orbit_sums(tower: Tower, mu_spread, base_window, samples, seed):
         sums.append(HE.sigma_orbit_sum(lab))
         names.append(f"random orbit-sum #{i}")
     return list(zip(names, sums))
-
-
-def _extension_label_of_base(tower: Tower, flab):
-    ctxE, ctxF = tower.ctx["E"], tower.ctx["F"]
-    HE = tower.alg["E"]
-    prec = ctxE.m + 2 * ctxE.side.e * (spread(flab.mu) + 1) + 4
-
-    def run(p):
-        ringE = ctxE.working_ring(p)
-        ringF = ctxE.side.base_side.ring(ringE.level)
-        gF = ctxF.lift_label(flab, ringF)
-        return ctxE.label_of_matrix(HE.embed_base_matrix(gF, ringE))
-
-    return ctxE.with_retry(run, prec)
 
 
 def check_main_diagram(tower: Tower, mu_spread=None, base_window=1, samples=25,

@@ -177,6 +177,20 @@ def conv_coeff_double_sum(ctx, la, lb, lc, pi_prec=None):
     return count
 
 
+def leibniz_det(ring, mat):
+    """Determinant of a square matrix over ``ring`` as the signed sum over
+    all n! permutations, with the sign counted from inversions."""
+    n = len(mat)
+    det = ring.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = ring.one()
+        for i in range(n):
+            term = ring.mul(term, mat[i][perm[i]])
+        det = ring.add(det, ring.neg(term) if inversions % 2 else term)
+    return det
+
+
 def check_ring_hom(iso, exhaustive_bound=4100):
     """Ring-homomorphism and bijectivity check, exhaustive at desk sizes."""
     dom, cod = iso.domain, iso.codomain

@@ -1,16 +1,20 @@
+import itertools
 import random
 
 import pytest
 
+from closehecke import cartan
 from closehecke.cartan import CosetLabel, GroupContext, group_order, required_precision
 from closehecke.errors import (
     BudgetExceededError,
     InsufficientPrecisionError,
     InvariantViolationError,
+    SideMismatchError,
 )
 from closehecke.matrices import (
     FieldElement,
     GroupMatrix,
+    certified_min,
     check_antidominant,
     cochar_window,
     spread,
@@ -22,6 +26,7 @@ from helpers import (
     closure_left_cosets,
     coset_matches,
     k_elements,
+    leibniz_det,
     minor_valuation_mu,
     random_field_matrix,
     same_left_coset,
@@ -274,10 +279,33 @@ def test_enumerate_labels_mu_zero_counts(ctx2):
 
 
 def test_group_elements_short_closure_raises(monkeypatch):
+    # a membership test that rejects one invertible matrix leaves the
+    # listing one short of |GL_2(F_2)|
     ctx = GroupContext(base_side("F", MIXED, 2, 1), 2)
-    monkeypatch.setattr(ctx, "_residue_gl_generators", lambda: [])
+    rejected = ((0, 1), (1, 0))
+    invertible = cartan.residue_invertible
+    monkeypatch.setattr(cartan, "residue_invertible",
+                        lambda ring, mat: mat != rejected and invertible(ring, mat))
     with pytest.raises(InvariantViolationError):
         ctx.group_elements()
+
+
+@pytest.mark.parametrize("side, q", [
+    (base_side("F", MIXED, 2, 1), 2),
+    (base_side("F", MIXED, 3, 1), 3),
+    (base_side("F", MIXED, 2, 2), 2),
+    (extension_side("E", base_side("F", MIXED, 2, 1), UNRAMIFIED, 3), 8),
+], ids=["Z/2", "F_3", "Z/4", "F_8"])
+def test_residue_invertible_matches_determinant_oracle(side, q):
+    # every 2 x 2 matrix over the level-1 (Z/4: level-2) ring
+    ring = side.ring(side.base_level_m)
+    units = 0
+    for entries in itertools.product(list(ring.elements()), repeat=4):
+        mat = (entries[:2], entries[2:])
+        expected = ring.is_unit(leibniz_det(ring, mat))
+        assert cartan.residue_invertible(ring, mat) == expected, mat
+        units += expected
+    assert units == group_order(2, q, ring.pi_level)
 
 
 def test_enumerate_labels_level2_count():
@@ -416,6 +444,51 @@ def test_label_json_roundtrip(ctx_ram):
     d = ctx_ram.label_to_json(lab)
     back = ctx_ram.label_from_json(d)
     assert back == lab
+
+
+def test_inverse_refuses_a_pivot_under_a_zero_floor():
+    # column 0 holds pi * 1, certified, and O(pi^0): the unknown entry could
+    # be the smaller pivot
+    ring = GroupContext(base_side("F", MIXED, 2, 1), 2).working_ring(6)
+    g = GroupMatrix(ring, [[FieldElement.zero(ring, floor=0), fe(ring, 0, 1)],
+                           [fe(ring, 1, 1), fe(ring, 0, 1)]])
+    with pytest.raises(InsufficientPrecisionError):
+        g.inverse()
+
+
+def test_certified_min_takes_the_first_least_entry():
+    ring = GroupContext(base_side("F", MIXED, 2, 1), 2).working_ring(6)
+    cells = [(fe(ring, 2, 1), "a"), (fe(ring, 1, 1), "b"), (fe(ring, 1, 3), "c"),
+             (FieldElement.zero(ring, floor=4), "d")]
+    assert certified_min(cells) == (1, "b")
+    with pytest.raises(InsufficientPrecisionError):
+        certified_min([(FieldElement.zero(ring, floor=3), "a")])
+
+
+def test_decreasing_cartan_invariant_raises_typed_error(monkeypatch):
+    # a pivot rule that takes the last certified entry puts pi before 1
+    ctx = GroupContext(base_side("F", MIXED, 2, 1), 2)
+    ring = ctx.working_ring(6)
+
+    def last_certified(cells):
+        return [(x.v, tag) for x, tag in cells if not x.is_zero_marker()][-1]
+
+    monkeypatch.setattr(cartan, "certified_min", last_certified)
+    with pytest.raises(InvariantViolationError):
+        ctx.smith_cartan(GroupMatrix.unif_diagonal(ring, (0, 1)))
+
+
+def test_label_ring_at_the_wrong_level_raises_typed_error(monkeypatch):
+    side = base_side("F", MIXED, 2, 1)
+    ring_at = side.ring
+    monkeypatch.setattr(side, "ring", lambda level: ring_at(level + 1))
+    with pytest.raises(InvariantViolationError):
+        GroupContext(side, 2)
+
+
+def test_sigma_on_group_of_a_base_side_is_a_side_mismatch(ctx2):
+    with pytest.raises(SideMismatchError):
+        ctx2.sigma_on_group(GroupMatrix.identity(ctx2.working_ring(4), 2))
 
 
 def test_insufficient_precision_surfaces():

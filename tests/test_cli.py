@@ -130,6 +130,7 @@ def test_hecke_sigma_orbit_sum(tmp_path, capsys):
 
 _KAZ_MAP = ["kaz", "map", "--p", "2", "--l", "3", "--in", "in.json"]
 _TATE = ["tate", "cohomology", "--module", "in.json", "--i", "0"]
+_LINKAGE = ["linkage", "check", "--xi", "m.json", "--rho", "m.json", "--br", "in.json"]
 
 
 def _element(mu, P):
@@ -152,12 +153,17 @@ def _element(mu, P):
     (_TATE, '{"l": "x", "k": 1, "dim": 1, "T": [[1]]}'),
     (_TATE, '{"l": 2, "k": 1, "dim": 1, "T": 5}'),
     (_TATE, '{"l": 2, "k": 1, "dim": 2, "T": [[1]]}'),
+    (_LINKAGE, '{"generators": {"e": [1]}}'),
+    (_LINKAGE, '{"generators": 5}'),
+    (_TATE + ["--out", "missing-dir/r.json"], '{"l": 3, "k": 1, "dim": 1, "T": [[1]]}'),
 ], ids=["missing-file", "not-json", "missing-key", "n-zero", "terms-not-list",
         "l-not-int", "P-not-matrix", "P-singular", "mu-decreasing", "negative-window",
         "negative-samples", "module-l-not-int", "module-T-not-matrix",
-        "module-T-wrong-shape"])
+        "module-T-wrong-shape", "br-image-not-string", "br-not-object",
+        "out-unwritable"])
 def test_bad_input_exits_two_with_typed_error(tmp_path, monkeypatch, capsys, argv, content):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps(_RHO))
     if content is not None:
         (tmp_path / "in.json").write_text(content)
     assert main(argv) == 2
@@ -177,8 +183,44 @@ def test_optimized_run_is_byte_identical(tmp_path):
                               env=env, cwd=tmp_path, capture_output=True, timeout=300)
 
     for argv in (["check", "kaz-hom", "--p", "2", "--window", "1", "--samples", "1"],
+                 ["check", "main-diagram", "--case", "ramified", "--p", "3", "--l", "2",
+                  "--window", "1", "--samples", "1"],
+                 ["cosets", "enumerate", "--side", "E", "--case", "unramified",
+                  "--p", "2", "--l", "3", "--mu-lo", "0", "--mu-hi", "0"],
                  ["tate", "cohomology", "--module", "m.json", "--i", "0"],
                  ["linkage", "check", "--xi", "m.json", "--rho", "r.json", "--br", "b.json"]):
         plain, optimized = run(argv), run(argv, "-O")
         assert optimized.returncode == 0, optimized.stderr
         assert optimized.stdout == plain.stdout
+
+
+# the tests that drive a result-guarding check to fail: each must raise its
+# typed error with asserts stripped too
+_TYPED_INVARIANT_TESTS = [
+    "tests/test_cartan.py::test_group_elements_short_closure_raises",
+    "tests/test_cartan.py::test_decreasing_cartan_invariant_raises_typed_error",
+    "tests/test_cartan.py::test_label_ring_at_the_wrong_level_raises_typed_error",
+    "tests/test_cartan.py::test_sigma_on_group_of_a_base_side_is_a_side_mismatch",
+    "tests/test_cartan.py::test_inverse_refuses_a_pivot_under_a_zero_floor",
+    "tests/test_transfer.py::test_extension_pair_guards_raise_typed_errors",
+    "tests/test_transfer.py::test_close_pair_uniformizer_mismatch_raises_typed_error",
+    "tests/test_hecke.py::test_inconsistent_double_coset_counts_raise",
+    "tests/test_hecke.py::test_sigma_label_moving_the_invariant_raises",
+    "tests/test_hecke.py::test_sigma_orbit_of_wrong_length_raises",
+    "tests/test_rings.py::test_wrong_residue_inverse_raises_typed_error",
+    "tests/test_rings.py::test_failed_frobenius_lift_raises_typed_error",
+    "tests/test_tate.py::test_wrong_quotient_dimension_raises_typed_error",
+    "tests/test_tate.py::test_quotient_module_generator_leaving_the_kernel",
+    "tests/test_tate.py::test_quotient_module_generator_moving_the_image",
+]
+
+
+def test_typed_invariants_hold_under_optimize():
+    """``python -O`` strips bare asserts; the typed checks must still fire."""
+    root = SRC.parent
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           *_TYPED_INVARIANT_TESTS],
+                          env=env, cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert " passed" in proc.stdout and "failed" not in proc.stdout

@@ -10,6 +10,7 @@ from closehecke.errors import (
     InvariantViolationError,
     MissingActionError,
     NotOrderLError,
+    SpecMismatchError,
 )
 from closehecke.tate import (
     CyclicModule,
@@ -162,6 +163,30 @@ def test_wrong_quotient_dimension_raises_typed_error(monkeypatch):
     monkeypatch.setattr(tate, "reduce_against", lambda F, ech, piv, v: tuple(v))
     with pytest.raises(InvariantViolationError):
         tate_cohomology(CyclicModule(F3, 3, cyclic_shift(F3, 3)), 0)
+
+
+def _trivial_plus_cycle(action):
+    """F_3 with T fixing e0 and cycling e1 -> e2 -> e3: H^0 = ker(1 - T) /
+    im(N) = <e0, e1 + e2 + e3> / <e1 + e2 + e3>, spanned by e0."""
+    T = block_T(F3, [1, 3])
+    cols = [[F3.from_int(c) for c in col] for col in action]
+    return CyclicModule(F3, 4, T, {"g": tuple(tuple(col[i] for col in cols)
+                                              for i in range(4))})
+
+
+def test_quotient_module_generator_leaving_the_kernel():
+    # g e0 = e1 is not fixed by T
+    M = _trivial_plus_cycle([(0, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    with pytest.raises(SpecMismatchError, match="does not preserve"):
+        tate_quotient_module(M, 0)
+
+
+def test_quotient_module_generator_moving_the_image():
+    # g fixes e0 and sends e1 to e0: it keeps ker(1 - T), but moves
+    # e1 + e2 + e3 in im(N) to e0, which is not in im(N)
+    M = _trivial_plus_cycle([(1, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)])
+    with pytest.raises(SpecMismatchError, match="does not descend"):
+        tate_quotient_module(M, 0)
 
 
 def test_quotient_basis_echelon_deterministic():

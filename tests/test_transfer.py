@@ -1,12 +1,16 @@
 import random
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
+from closehecke import transfer
 from closehecke.cartan import CosetLabel
-from closehecke.errors import ConfigError, GaloisConditionError
-from closehecke.rings import EQUAL, MIXED
+from closehecke.errors import ConfigError, GaloisConditionError, InvariantViolationError
+from closehecke.rings import EQUAL, MIXED, RingIso, build_lambda, build_pi, extension_side
 from closehecke.transfer import (
     Tower,
+    _verify_extension_pair,
     build_close_pair,
     build_extension_pair,
     check_brauer_multiplicative,
@@ -52,6 +56,85 @@ def test_extension_pair_galois_condition():
     pair = build_close_pair(2, 1, "mixed-equal")
     with pytest.raises(GaloisConditionError):
         build_extension_pair(pair, "ramified", 3)
+
+
+def _extension_parts(p, kind, l):
+    pair = build_close_pair(p, 1, "mixed-equal")
+    E = extension_side("E", pair.F, kind, l)
+    Ep = extension_side("E'", pair.Fp, kind, l, minimal_poly=E.minimal_poly,
+                        zeta_residue=E.zeta_residue)
+    return pair, E, Ep, build_pi(pair.lam, E.ring(1), Ep.ring(1))
+
+
+def _twisted(pi, fwd, bwd):
+    """Pi o fwd, with inverse bwd o Pi^-1."""
+    inv = pi.inverse()
+    return RingIso(pi.domain, pi.codomain, lambda a: pi.apply(fwd(a)),
+                   lambda b: bwd(inv.apply(b)), {})
+
+
+def _break_bijective(monkeypatch, pair, E, Ep, pi):
+    dom = pi.domain
+    return pair, RingIso(dom, pi.codomain, pi.apply, lambda b: dom.zero(), {})
+
+
+def _break_sigma(monkeypatch, pair, E, Ep, pi):
+    # Pi o (times T) sends sigma(a) T where sigma' o Pi gives sigma(a T)
+    dom = pi.domain
+    t, t_inv = dom.gen(), dom.inv(dom.gen())
+    return pair, _twisted(pi, lambda a: dom.mul(a, t), lambda a: dom.mul(a, t_inv))
+
+
+def _break_order(monkeypatch, pair, E, Ep, pi):
+    # multiplication by T commutes with Pi, but T^3 != 1 in F_8
+    for side in (E, Ep):
+        monkeypatch.setattr(side, "sigma", lambda level, side=side: SimpleNamespace(
+            apply_coords=lambda a, r=side.ring(level): r.mul(a, r.gen())))
+    return pair, pi
+
+
+def _break_mul(monkeypatch, pair, E, Ep, pi):
+    # a -> 2a is additive and commutes with sigma, but 2ab != 4ab mod 3
+    dom = pi.domain
+    two = dom.from_int(2)
+    return pair, _twisted(pi, lambda a: dom.mul(two, a), lambda a: dom.mul(two, a))
+
+
+def _break_add(monkeypatch, pair, E, Ep, pi):
+    # a -> a^3 is a multiplicative bijection of F_8 (inverse a^5), not additive
+    dom = pi.domain
+    return pair, _twisted(pi, lambda a: dom.pow(a, 3), lambda a: dom.pow(a, 5))
+
+
+def _break_base(monkeypatch, pair, E, Ep, pi):
+    lam = pair.lam
+    zero = lam.codomain.zero()
+    return replace(pair, lam=RingIso(lam.domain, lam.codomain, lambda a: zero,
+                                     lambda b: b, {})), pi
+
+
+@pytest.mark.parametrize("tower, breaker, what", [
+    ((2, "unramified", 3), _break_bijective, "bijective"),
+    ((2, "unramified", 3), _break_sigma, "sigma"),
+    ((2, "unramified", 3), _break_order, "order l"),
+    ((3, "ramified", 2), _break_mul, "multiplicative"),
+    ((2, "unramified", 3), _break_add, "additive"),
+    ((2, "unramified", 3), _break_base, "lambda"),
+], ids=["bijective", "sigma", "order", "multiplicative", "additive", "base"])
+def test_extension_pair_guards_raise_typed_errors(monkeypatch, tower, breaker, what):
+    pair, E, Ep, pi = _extension_parts(*tower)
+    _verify_extension_pair(pair, E, Ep, pi)          # the true data pass
+    bad_pair, bad_pi = breaker(monkeypatch, pair, E, Ep, pi)
+    with pytest.raises(InvariantViolationError, match=what):
+        _verify_extension_pair(bad_pair, E, Ep, bad_pi)
+
+
+def test_close_pair_uniformizer_mismatch_raises_typed_error(monkeypatch):
+    # lambda = identity cannot carry t to the class t (1 + t) of F' at m = 3
+    monkeypatch.setattr(transfer, "build_lambda",
+                        lambda F, Fp, m, unif_image=None: build_lambda(F, Fp, m))
+    with pytest.raises(InvariantViolationError):
+        build_close_pair(2, 3, "equal-equal", unif_image=(1, 1))
 
 
 # -- kaz map ---------------------------------------------------------------------
