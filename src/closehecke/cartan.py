@@ -40,13 +40,6 @@ class CosetLabel:
         return (self.mu, _flatten(self.P), _flatten(self.Q))
 
 
-@dataclass(frozen=True)
-class StabilizerSubgroup:
-    mu: tuple
-    level: int
-    members: tuple  # pairs of residue matrices
-
-
 def _flatten(data, out=None):
     if out is None:
         out = []
@@ -56,13 +49,6 @@ def _flatten(data, out=None):
     else:
         out.append(data)
     return tuple(out)
-
-
-def required_precision(mus, m):
-    """Congruence depth n_C = m + max spread: conjugation by any g in the
-    window carries the level-n_C subgroup into the level-m one."""
-    s = max((spread(mu) for mu in mus), default=0)
-    return m + s
 
 
 def group_order(n, q, pi_level):
@@ -297,10 +283,6 @@ class GroupContext:
         return CosetLabel(mu, x.residue_matrix(self.m), y.residue_matrix(self.m),
                           self.m)
 
-    def same_double_coset(self, g, h):
-        """K g K == K h K: the left coset of h is one of those of K g K."""
-        return self.left_coset_key(h) in self.fingerprint(self.label_of_matrix(g))[1]
-
     # -- enumeration ---------------------------------------------------------------
 
     def group_order(self):
@@ -364,8 +346,12 @@ class GroupContext:
             else:
                 if gens is None:
                     gens = self._residue_gl_generators()
+                # seen: the left cosets of the double cosets found so far, which
+                # are disjoint, so a label is new exactly when the key of its
+                # representative (u = I in left_coset_reps) is unseen
+                pi_prec = self.default_pi_prec([mu])
                 start = self.unif_label(mu)
-                seen = {self.fingerprint(start)}
+                seen = set(self.fingerprint(start)[1])
                 orbit = [start]
                 queue = deque([start])
                 while queue:
@@ -373,9 +359,10 @@ class GroupContext:
                     for s in gens:
                         for moved in (CosetLabel(mu, self._rmat_mul(s, lab.P), lab.Q, self.m),
                                       CosetLabel(mu, lab.P, self._rmat_mul(s, lab.Q), self.m)):
-                            fp = self.fingerprint(moved)
-                            if fp not in seen:
-                                seen.add(fp)
+                            key = self.with_retry(lambda prec: self.left_coset_key(
+                                self.lift_label(moved, self.working_ring(prec))), pi_prec)
+                            if key not in seen:
+                                seen.update(self.fingerprint(moved)[1])
                                 orbit.append(moved)
                                 queue.append(moved)
             orbit.sort(key=lambda lab: lab.sort_key())
@@ -405,22 +392,6 @@ class GroupContext:
                 f"|G(o/p^m)| = {self.group_order()}")
         self._group_elements = els
         return els
-
-    def gamma_stabilizer(self, mu):
-        """Gamma_mu as an explicit pair list (diagnostic, desk sizes only)."""
-        mu = check_antidominant(mu)
-        if self.group_order() ** 2 > self.pair_budget:
-            raise BudgetExceededError(
-                f"|H_m| = {self.group_order() ** 2} exceeds pair budget {self.pair_budget}")
-        els = self.group_elements()
-        base_fp = self.fingerprint(self.unif_label(mu))
-        members = []
-        for x in els:
-            for y in els:
-                cand = CosetLabel(mu, x, y, self.m)
-                if self.fingerprint(cand) == base_fp:
-                    members.append((x, y))
-        return StabilizerSubgroup(mu, self.m, tuple(members))
 
     # -- Galois action ------------------------------------------------------------
 

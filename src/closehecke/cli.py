@@ -54,11 +54,9 @@ def _add_output_args(p):
 
 
 def _tower(args, need_ext=False):
-    case = getattr(args, "case", None)
+    case = _run_config(args).case  # reject a bad configuration before any work
     if need_ext and case is None:
         raise ConfigError("this command needs --case unramified|ramified")
-    if args.n < 1:
-        raise ConfigError("--n must be at least 1")
     return Tower(args.p, args.m, n=args.n, case=case, l=args.l,
                  pair_mode=args.pair_mode, coeff_k=args.k,
                  unif_image=_parse_lambda_image(args.lambda_image),
@@ -95,6 +93,11 @@ class RunConfig:
         for name, value in (("--window", self.window), ("--samples", self.samples)):
             if value is not None and value < 0:
                 raise ConfigError(f"{name} must not be negative, got {value}")
+        for name, value in (("--n", self.n), ("--budget", self.budget),
+                            ("--pair-budget", self.pair_budget),
+                            ("--precision-cap", self.precision_cap)):
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
         return self
 
     def to_json(self):
@@ -203,6 +206,8 @@ def _cmd_fields_build(args):
 
 
 def _cmd_cosets_enumerate(args):
+    if args.mu_lo > args.mu_hi:
+        raise ConfigError(f"--mu-lo {args.mu_lo} exceeds --mu-hi {args.mu_hi}")
     tower = _tower(args, need_ext=args.side in ("E", "E'"))
     ctx = tower.ctx[args.side]
     mus = cochar_window(args.n, args.mu_lo, args.mu_hi, max_spread=args.window)
@@ -255,7 +260,6 @@ def _cmd_kaz_map(args):
 
 def _cmd_check(args):
     name = args.check_command
-    _run_config(args)          # reject a bad configuration before the check runs
     if name == "kaz-hom":
         tower = _tower(args)
         rep = check_kaz_hom(tower, window_spread=args.window, samples=args.samples,

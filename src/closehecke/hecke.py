@@ -39,11 +39,6 @@ class HeckeElement:
         return sorted((lab for lab, _ in self.terms.values()),
                       key=lambda lab: lab.sort_key())
 
-    def coeff_at(self, label):
-        fp = self.algebra.context.fingerprint(label)
-        entry = self.terms.get(fp)
-        return entry[1] if entry else self.algebra.field.zero()
-
     def __add__(self, other):
         self.algebra._check_same(other.algebra)
         return self.algebra.element([*self.terms.values(), *other.terms.values()])
@@ -97,6 +92,10 @@ class HeckeAlgebra:
         self.field = field
         self.side = side or context.side.name
         self._product_cache = {}
+        # base-side label -> left-coset key of its embedding in G(E), which
+        # depends on neither the restricted element nor the precision it was
+        # certified at; only keys that with_retry returned are stored
+        self._base_keys = {}
 
     def _check_same(self, other):
         if other is not self and (other.side != self.side or other.field != self.field):
@@ -291,9 +290,11 @@ class HeckeAlgebra:
         for nu in sorted(nus):
             emu = tuple(e * x for x in nu)
             for flab in ctxF.enumerate_labels([nu]):
-                val = self.on_base_label(
-                    ctxF, flab, lambda g: index.get((emu, ctxE.left_coset_key(g))),
-                    sup_spread)
+                key = self._base_keys.get(flab)
+                if key is None:
+                    key = self.on_base_label(ctxF, flab, ctxE.left_coset_key, sup_spread)
+                    self._base_keys[flab] = key
+                val = index.get((emu, key))
                 if val is not None and not self.field.is_zero(val):
                     terms.append((flab, val))
         return target.element(terms)

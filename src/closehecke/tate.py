@@ -46,16 +46,19 @@ def mat_sub(F, A, B):
 
 
 def mat_mul(F, A, B):
-    n, mid, m = len(A), len(B), len(B[0]) if B else 0
+    """A B, touching only pairs of nonzero entries: T and the actions are
+    mostly zeros."""
+    m = len(B[0]) if B else 0
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = F.zero()
-            for k in range(mid):
-                acc = F.add(acc, F.mul(A[i][k], B[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
+    for ra in A:
+        acc = [F.zero()] * m
+        for a, rb in zip(ra, B):
+            if F.is_zero(a):
+                continue
+            for j, b in enumerate(rb):
+                if not F.is_zero(b):
+                    acc[j] = F.add(acc[j], F.mul(a, b))
+        out.append(tuple(acc))
     return tuple(out)
 
 
@@ -72,7 +75,8 @@ def mat_apply(F, A, v):
 def _dot(F, row, v):
     acc = F.zero()
     for x, y in zip(row, v):
-        acc = F.add(acc, F.mul(x, y))
+        if not (F.is_zero(x) or F.is_zero(y)):
+            acc = F.add(acc, F.mul(x, y))
     return acc
 
 

@@ -215,8 +215,27 @@ class Report:
 
 def _sample_entry(kind, inputs, lhs, rhs):
     equal = lhs == rhs
-    return {"kind": kind, "input": inputs, "equal": equal,
-            "lhs": lhs.to_json(), "rhs": rhs.to_json()}
+    entry = {"kind": kind, "input": inputs, "equal": equal,
+             "lhs": lhs.to_json(), "rhs": rhs.to_json()}
+    if not equal:
+        entry["firstDiff"] = _first_diff(lhs, rhs)
+    return entry
+
+
+def _first_diff(lhs, rhs):
+    """The first label, in label order, whose coefficients in lhs and rhs
+    differ, with both coefficients."""
+    alg = lhs.algebra
+    zero = (None, alg.field.zero())
+    diffs = []
+    for fp in lhs.terms.keys() | rhs.terms.keys():
+        (la, a), (lb, b) = lhs.terms.get(fp, zero), rhs.terms.get(fp, zero)
+        if a != b:
+            label = la or lb
+            diffs.append((label.sort_key(), label, a, b))
+    _, label, a, b = min(diffs, key=lambda d: d[0])
+    return {"label": alg.context.label_to_json(label),
+            "lhs": alg.field.coords_json(a), "rhs": alg.field.coords_json(b)}
 
 
 def _random_residue_gl(ctx, rng):

@@ -4,11 +4,16 @@ These deliberately avoid the canonical-key machinery of the library: left
 cosets are enumerated by brute force over K_m/K_r (or, where that is too
 large to list, closed under its elementary generators) and compared by the
 definition x^{-1} y in K, and convolution coefficients come from the double
-sum over group/K points.
+sum over group/K points.  Two helpers use fingerprints: ``coeff_at``, which
+reads an element's terms by their key, and ``fingerprint_bfs_labels``, the
+fingerprint-set walk that ``enumerate_labels`` used before it tested
+membership with one key, kept to check that the two walks agree.
 """
 
 import itertools
+from collections import deque
 
+from closehecke.cartan import CosetLabel
 from closehecke.errors import InsufficientPrecisionError, SpecMismatchError
 from closehecke.matrices import FieldElement, GroupMatrix, spread
 
@@ -156,6 +161,71 @@ def k_elements(ctx, ring, r):
 def member_of_double_coset_brute(ctx, x, cosets):
     """x in union of the listed left cosets, definitionally."""
     return any(same_left_coset(ctx, x, rep) for rep in cosets)
+
+
+def same_double_coset(ctx, g, h):
+    """K g K = K h K by definition: h lies in one of the left cosets of
+    K g K, listed by brute force."""
+    return coset_matches(ctx, h, brute_left_cosets(ctx, g)) > 0
+
+
+def gamma_stabilizer(ctx, mu):
+    """Gamma_mu = {(x, y) : lift(x) pi^mu lift(y)^-1 in K pi^mu K} as a
+    list of residue-matrix pairs, every pair of G(o/pi^m) tested by
+    definition against the brute-force left cosets of K pi^mu K."""
+    ring = ctx.working_ring(ctx.default_pi_prec([mu]))
+    cosets = brute_left_cosets(ctx, ctx.lift_label(ctx.unif_label(mu), ring), mu)
+    els = ctx.group_elements()
+    return [(x, y) for x in els for y in els
+            if coset_matches(ctx, ctx.lift_label(CosetLabel(mu, x, y, ctx.m), ring),
+                             cosets) > 0]
+
+
+def coeff_at(f, label):
+    """Coefficient of the double coset of ``label`` in the Hecke element f."""
+    entry = f.terms.get(f.algebra.context.fingerprint(label))
+    return entry[1] if entry else f.algebra.field.zero()
+
+
+def fingerprint_bfs_labels(ctx, mu):
+    """Labels of invariant ``mu`` (spread > 0) by the breadth-first walk over
+    the residue generators acting on P and Q, a moved label being new when
+    its fingerprint is unseen; sorted by label order."""
+    start = ctx.unif_label(mu)
+    seen = {ctx.fingerprint(start)}
+    orbit = [start]
+    queue = deque([start])
+    gens = ctx._residue_gl_generators()
+    while queue:
+        lab = queue.popleft()
+        for s in gens:
+            for moved in (CosetLabel(mu, ctx._rmat_mul(s, lab.P), lab.Q, ctx.m),
+                          CosetLabel(mu, lab.P, ctx._rmat_mul(s, lab.Q), ctx.m)):
+                fp = ctx.fingerprint(moved)
+                if fp not in seen:
+                    seen.add(fp)
+                    orbit.append(moved)
+                    queue.append(moved)
+    return sorted(orbit, key=lambda lab: lab.sort_key())
+
+
+def dense_mat_mul(F, A, B):
+    """A B over a CoeffField, every product and sum written out."""
+    n, mid, m = len(A), len(B), len(B[0]) if B else 0
+    return tuple(tuple(_dense_sum(F, [F.mul(A[i][k], B[k][j]) for k in range(mid)])
+                       for j in range(m)) for i in range(n))
+
+
+def dense_mat_apply(F, A, v):
+    """A v over a CoeffField, every product and sum written out."""
+    return tuple(_dense_sum(F, [F.mul(x, y) for x, y in zip(row, v)]) for row in A)
+
+
+def _dense_sum(F, terms):
+    acc = F.zero()
+    for t in terms:
+        acc = F.add(acc, t)
+    return acc
 
 
 def conv_coeff_double_sum(ctx, la, lb, lc, pi_prec=None):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from closehecke import cartan
-from closehecke.cartan import CosetLabel, GroupContext, group_order, required_precision
+from closehecke.cartan import CosetLabel, GroupContext, group_order
 from closehecke.errors import (
     BudgetExceededError,
     InsufficientPrecisionError,
@@ -25,10 +25,13 @@ from helpers import (
     brute_left_cosets,
     closure_left_cosets,
     coset_matches,
+    fingerprint_bfs_labels,
+    gamma_stabilizer,
     k_elements,
     leibniz_det,
     minor_valuation_mu,
     random_field_matrix,
+    same_double_coset,
     same_left_coset,
 )
 
@@ -208,7 +211,7 @@ def test_same_double_coset_by_k_multiplication(ctx2):
     ring = ctx2.working_ring(6)
     g = GroupMatrix.unif_diagonal(ring, (0, 1))
     ks = k_elements(ctx2, ring, 3)
-    assert ctx2.same_double_coset(g, ks[1] * g * ks[-5])
+    assert same_double_coset(ctx2, g, ks[1] * g * ks[-5])
 
 
 def test_same_double_coset_diag_swap_is_oracle_false(ctx2):
@@ -221,13 +224,13 @@ def test_same_double_coset_diag_swap_is_oracle_false(ctx2):
     z = FieldElement.zero(ring)
     h = GroupMatrix(ring, [[fe(ring, 1, 1), z], [z, fe(ring, 0, 1)]])
     assert ctx2.smith_cartan(h)[0] == (0, 1)
-    assert not ctx2.same_double_coset(g, h)
+    assert not same_double_coset(ctx2, g, h)
 
 
 def test_same_double_coset_distinct_mu(ctx2):
     ring = ctx2.working_ring(6)
-    assert not ctx2.same_double_coset(GroupMatrix.identity(ring, 2),
-                                      GroupMatrix.unif_diagonal(ring, (0, 1)))
+    assert not same_double_coset(ctx2, GroupMatrix.identity(ring, 2),
+                                 GroupMatrix.unif_diagonal(ring, (0, 1)))
 
 
 def test_fingerprint_representative_independence(ctx3):
@@ -243,17 +246,12 @@ def test_fingerprint_representative_independence(ctx3):
 
 # -- required precision ---------------------------------------------------------------
 
-def test_required_precision_values():
-    assert required_precision([(0, 0)], 1) == 1
-    assert required_precision([(0, 1)], 1) == 2
-    assert required_precision([(-1, 1)], 1) == 3
-
-
 def test_required_precision_guarantee_exhaustive(ctx2):
-    # every generator 1 + pi^{n_C} c E_ab of the level-n_C subgroup
-    # conjugates into K_m under every g in the window
-    for mu in [(0, 1), (-1, 1)]:
-        n_c = required_precision([mu], ctx2.m)
+    # every generator 1 + pi^{n_C} c E_ab of the level-n_C subgroup, at
+    # congruence depth n_C = m + spread, conjugates into K_m under every g
+    # in the window
+    for mu, n_c in [((0, 1), 2), ((-1, 1), 3)]:
+        assert n_c == ctx2.m + spread(mu)
         ring = ctx2.working_ring(n_c + 4)
         ident = GroupMatrix.identity(ring, 2)
         for lab in ctx2.enumerate_labels([mu]):
@@ -331,6 +329,16 @@ def test_enumerate_labels_complete_and_distinct(ctx2):
             assert sum(1 for fp in fps if fp == ctx2.fingerprint(cand)) == 1
 
 
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2)])
+def test_enumerate_labels_matches_fingerprint_bfs(p, m):
+    # the one-key membership walk lists the labels, representatives and
+    # order of the walk that compared full fingerprints
+    for mu in [(0, 1), (0, 2)]:
+        side = base_side("F", MIXED, p, m)
+        expected = fingerprint_bfs_labels(GroupContext(side, 2), mu)
+        assert GroupContext(side, 2).enumerate_labels([mu]) == expected
+
+
 def test_enumerate_deterministic_order(ctx3):
     labs1 = ctx3.enumerate_labels([(0, 1), (0, 0)])
     ctx_fresh = GroupContext(base_side("F", MIXED, 3, 1), 2)
@@ -356,35 +364,30 @@ def test_enumeration_budget_guard():
 # -- stabilizer -------------------------------------------------------------------------
 
 def test_gamma_stabilizer_mu_zero_is_diagonal(ctx2):
-    stab = ctx2.gamma_stabilizer((0, 0))
-    assert len(stab.members) == 6
-    assert all(x == y for x, y in stab.members)
+    members = gamma_stabilizer(ctx2, (0, 0))
+    assert len(members) == 6
+    assert all(x == y for x, y in members)
     idm = tuple(tuple(ctx2.label_ring.one() if i == j else ctx2.label_ring.zero()
                       for j in range(2)) for i in range(2))
-    assert (idm, idm) in stab.members
+    assert (idm, idm) in members
 
 
 def test_gamma_stabilizer_closed_under_pair_product(ctx2):
-    stab = ctx2.gamma_stabilizer((0, 1))
-    members = set(stab.members)
-    for (x1, y1) in stab.members:
-        for (x2, y2) in stab.members:
+    members = gamma_stabilizer(ctx2, (0, 1))
+    member_set = set(members)
+    for (x1, y1) in members:
+        for (x2, y2) in members:
             prod = (ctx2._rmat_mul(x1, x2), ctx2._rmat_mul(y1, y2))
-            assert prod in members
+            assert prod in member_set
 
 
 def test_gamma_index_counts_labels(ctx2, ctx3):
+    # orbit-stabilizer: |Gamma_mu| * #labels = |G(o/pi)|^2, with Gamma_mu
+    # found by definition, independently of enumerate_labels
     for ctx, total in ((ctx2, 36), (ctx3, 48 * 48)):
         for mu in [(0, 0), (0, 1)]:
-            stab = ctx.gamma_stabilizer(mu)
             labs = ctx.enumerate_labels([mu])
-            assert len(stab.members) * len(labs) == total
-
-
-def test_gamma_budget_guard():
-    ctx = GroupContext(base_side("F", MIXED, 3, 2), 2, pair_budget=100)
-    with pytest.raises(BudgetExceededError):
-        ctx.gamma_stabilizer((0, 0))
+            assert len(gamma_stabilizer(ctx, mu)) * len(labs) == total
 
 
 # -- sigma on matrices ---------------------------------------------------------------
@@ -425,7 +428,7 @@ def test_sigma_on_group_zeta_scaling(ctx_ram):
     expected = GroupMatrix(ring, [
         [fe(ring, 0, 1), z],
         [z, FieldElement(ring, 1, ring.neg(ring.one()), ring.pi_level)]])
-    assert ctx_ram.same_double_coset(sg, expected)
+    assert same_double_coset(ctx_ram, sg, expected)
     assert sg.rows[1][1].unit == ring.neg(ring.one())
 
 

@@ -156,11 +156,18 @@ def _element(mu, P):
     (_LINKAGE, '{"generators": {"e": [1]}}'),
     (_LINKAGE, '{"generators": 5}'),
     (_TATE + ["--out", "missing-dir/r.json"], '{"l": 3, "k": 1, "dim": 1, "T": [[1]]}'),
+    (["cosets", "enumerate", "--p", "2", "--mu-lo", "2", "--mu-hi", "0"], None),
+    (["check", "kaz-hom", "--p", "2", "--precision-cap", "-5", "--window", "1",
+      "--samples", "1"], None),
+    (["check", "kaz-hom", "--p", "2", "--budget", "0", "--window", "1", "--samples", "1"],
+     None),
+    (["cosets", "enumerate", "--p", "2", "--pair-budget", "0"], None),
 ], ids=["missing-file", "not-json", "missing-key", "n-zero", "terms-not-list",
         "l-not-int", "P-not-matrix", "P-singular", "mu-decreasing", "negative-window",
         "negative-samples", "module-l-not-int", "module-T-not-matrix",
         "module-T-wrong-shape", "br-image-not-string", "br-not-object",
-        "out-unwritable"])
+        "out-unwritable", "mu-range-empty", "precision-cap-negative", "budget-zero",
+        "pair-budget-zero"])
 def test_bad_input_exits_two_with_typed_error(tmp_path, monkeypatch, capsys, argv, content):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "m.json").write_text(json.dumps(_RHO))

@@ -5,6 +5,7 @@ import pytest
 from closehecke.cartan import CosetLabel, GroupContext
 from closehecke.coeffs import CoeffField
 from closehecke.errors import (
+    InsufficientPrecisionError,
     InvariantViolationError,
     NotSigmaInvariantError,
     SideMismatchError,
@@ -14,7 +15,7 @@ from closehecke.hecke import HeckeAlgebra
 from closehecke.matrices import GroupMatrix
 from closehecke.rings import MIXED, RAMIFIED, UNRAMIFIED, base_side, extension_side
 
-from helpers import conv_coeff_double_sum, k_elements
+from helpers import coeff_at, conv_coeff_double_sum, k_elements, same_double_coset
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +120,7 @@ def test_convolution_against_double_sum_oracle(HF2, HF3):
             support = conv.support()
             for lc in support[:3]:
                 count = conv_coeff_double_sum(ctx, la, lb, lc)
-                assert H.field.from_int(count) == conv.coeff_at(lc)
+                assert H.field.from_int(count) == coeff_at(conv, lc)
                 assert count % H.field.l != 0
             # an absent label has zero oracle count mod l
             absent = ctx.identity_label()
@@ -190,8 +191,8 @@ def test_sigma_relabel_matches_matrix_oracle(ram_pair):
     lab = ctx.unif_label((0, 1))
     slab = HE.sigma_label(lab)
     ring = ctx.working_ring(8)
-    assert ctx.same_double_coset(ctx.lift_label(slab, ring),
-                                 ctx.sigma_on_group(ctx.lift_label(lab, ring)))
+    assert same_double_coset(ctx, ctx.lift_label(slab, ring),
+                             ctx.sigma_on_group(ctx.lift_label(lab, ring)))
 
 
 def test_sigma_label_moving_the_invariant_raises(monkeypatch):
@@ -264,7 +265,7 @@ def test_brauer_ramified_divisible_support(ram_pair):
     br = HE.brauer_restrict(f, HF)
     assert [lab.mu for lab in br.support()] and \
         all(lab.mu == (0, 1) for lab in br.support())
-    assert br.coeff_at(HF.context.unif_label((0, 1))) == HF.field.one()
+    assert coeff_at(br, HF.context.unif_label((0, 1))) == HF.field.one()
 
 
 def test_brauer_window_guard(ram_pair):
@@ -289,6 +290,62 @@ def test_brauer_multiplicative_samples(ram_pair, unram_pair):
                 rhs = HF.convolve(HE.brauer_restrict(f, HF),
                                   HE.brauer_restrict(g, HF))
                 assert lhs == rhs
+
+
+def _fresh_ram_pair():
+    F = base_side("F", MIXED, 3, 1)
+    k = CoeffField(2, 1)
+    return (HeckeAlgebra(GroupContext(extension_side("E", F, RAMIFIED, 2), 2), k),
+            HeckeAlgebra(GroupContext(F, 2), k))
+
+
+def _restrict_fresh(f):
+    HE, HF = _fresh_ram_pair()
+    return HE.brauer_restrict(HE.from_json(f.to_json()), HF).to_json()
+
+
+def test_brauer_memo_warm_equals_fresh(ram_pair):
+    # base-label keys memoized by an earlier restriction give the answer
+    # that an algebra with an empty memo computes
+    HE, HF = ram_pair
+    ctx = HE.context
+    rng = random.Random(21)
+    HE.brauer_restrict(HE.sigma_orbit_sum(ctx.unif_label((0, 2))), HF)
+    assert HE._base_keys
+    # orbit sums of embedded base labels restrict to nonzero values
+    flabs = rng.sample(HF.context.enumerate_labels([(0, 0), (0, 1)]), 3)
+    f = HE.sigma_orbit_sum(rand_label(ctx, rng, [(0, 2)]))
+    for flab in flabs:
+        f = f + HE.sigma_orbit_sum(HE.on_base_label(HF.context, flab, ctx.label_of_matrix, 0))
+    warm = HE.brauer_restrict(f, HF)
+    assert not warm.is_zero()
+    assert warm.to_json() == _restrict_fresh(f)
+
+
+def test_brauer_memo_keeps_the_escalated_key(monkeypatch):
+    # every key is refused at the first working precision: the memo holds
+    # what with_retry returned at the escalated one, never a partial result
+    HE, HF = _fresh_ram_pair()
+    ctxE = HE.context
+    f = HE.sigma_orbit_sum(ctxE.unif_label((0, 2)))
+    HE.is_sigma_invariant(f)         # fingerprints cached before the patch
+    real = ctxE.left_coset_key
+    levels = []
+
+    def flaky(g):
+        levels.append(g.ring.pi_level)
+        if g.ring.pi_level == levels[0]:
+            raise InsufficientPrecisionError("refused at the first precision")
+        return real(g)
+
+    monkeypatch.setattr(ctxE, "left_coset_key", flaky)
+    got = HE.brauer_restrict(f, HF)
+    monkeypatch.undo()
+    assert HE._base_keys and levels.count(levels[0]) == len(HE._base_keys)
+    assert all(level > levels[0] for level in levels if level != levels[0])
+    for flab, key in HE._base_keys.items():
+        assert key == HE.on_base_label(HF.context, flab, real, 0)
+    assert got.to_json() == _restrict_fresh(f)
 
 
 # -- serialization ---------------------------------------------------------------------

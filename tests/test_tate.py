@@ -19,6 +19,7 @@ from closehecke.tate import (
     image_basis,
     kernel_basis,
     linkage_check,
+    mat_apply,
     mat_identity,
     mat_mul,
     mat_sub,
@@ -31,9 +32,12 @@ from closehecke.tate import (
     transport_module,
 )
 
+from helpers import dense_mat_apply, dense_mat_mul
+
 F2 = CoeffField(2, 1)
 F3 = CoeffField(3, 1)
 F4 = CoeffField(2, 2)
+F9 = CoeffField(3, 2)
 
 
 def cyclic_shift(F, l):
@@ -55,6 +59,28 @@ def block_T(F, blocks):
                     T[off + i][off + j] = cyc[i][j]
         off += b
     return tuple(tuple(r) for r in T)
+
+
+def sparse_matrix(F, rng, rows, cols, density):
+    """Seeded random matrix, each entry nonzero with probability density."""
+    nonzero = [x for x in F.elements() if not F.is_zero(x)]
+    return tuple(tuple(rng.choice(nonzero) if rng.random() < density else F.zero()
+                       for _ in range(cols)) for _ in range(rows))
+
+
+# -- matrix kernels -----------------------------------------------------------
+
+@pytest.mark.parametrize("F", [F2, F3, F4, F9], ids=["F2", "F3", "F4", "F9"])
+def test_sparse_kernels_match_dense_oracle(F):
+    rng = random.Random(31 + F.l * F.k)
+    shapes = [(3, 3, 3), (2, 5, 4), (5, 1, 2), (1, 4, 1), (4, 3, 0), (0, 3, 2), (3, 0, 0)]
+    for density in (0.0, 0.15, 0.4, 1.0):
+        for n, mid, m in shapes:
+            A = sparse_matrix(F, rng, n, mid, density)
+            B = sparse_matrix(F, rng, mid, m, density)
+            assert mat_mul(F, A, B) == dense_mat_mul(F, A, B)
+            v = sparse_matrix(F, rng, 1, mid, density)[0] if mid else ()
+            assert mat_apply(F, A, v) == dense_mat_apply(F, A, v)
 
 
 # -- norm operator ------------------------------------------------------------

@@ -21,7 +21,7 @@ from closehecke.transfer import (
     random_label,
 )
 
-from helpers import k_elements
+from helpers import coeff_at, k_elements
 
 
 @pytest.fixture(scope="module")
@@ -242,7 +242,37 @@ def test_report_shape_and_failure_diagnostics(tower_ram):
     g = tower_ram.alg["F"].unif_basis((0, 1))
     entry = _sample_entry("forced", "demo", f, g)
     assert entry["equal"] is False and "lhs" in entry and "rhs" in entry
+    # t[(0,0)] and t[(0,1)] both differ; the first in label order is named
+    ctx, F = tower_ram.ctx["F"], tower_ram.alg["F"].field
+    assert entry["firstDiff"] == {"label": ctx.label_to_json(ctx.identity_label()),
+                                  "lhs": F.coords_json(F.one()),
+                                  "rhs": F.coords_json(F.zero())}
     assert all(("lhs" in s and "rhs" in s) for s in rep.samples)
+
+
+def test_failing_sample_names_its_first_differing_label(monkeypatch, tower_unram):
+    # a convolution on F' that adds the unit moves exactly the identity
+    # coset's coefficient, so every sample fails there and only there
+    HFp = tower_unram.alg["F'"]
+    ctx, F = HFp.context, HFp.field
+    convolve = HFp.convolve
+    monkeypatch.setattr(HFp, "convolve", lambda f, g: convolve(f, g) + HFp.one())
+    rep = check_kaz_hom(tower_unram, window_spread=1, samples=1, seed=1)
+    assert rep.samples and not rep.passed
+    for s in rep.samples:
+        assert s["equal"] is False
+        diff = s["firstDiff"]
+        assert set(diff) == {"label", "lhs", "rhs"}
+        label = ctx.label_from_json(diff["label"])
+        assert ctx.fingerprint(label) == ctx.fingerprint(ctx.identity_label())
+        c = coeff_at(HFp.from_json(s["lhs"]), label)
+        assert diff["lhs"] == F.coords_json(c)
+        assert diff["rhs"] == F.coords_json(F.add(c, F.one()))
+
+
+def test_passing_samples_carry_no_first_diff(tower_ram):
+    rep = check_kaz_hom(tower_ram, window_spread=1, samples=1, seed=0)
+    assert rep.passed and all("firstDiff" not in s for s in rep.samples)
 
 
 def test_reports_deterministic(tower_ram):
