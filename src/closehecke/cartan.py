@@ -6,8 +6,9 @@ the lower-triangular Hermite form H over the valuation ring (diagonal
 pi^{a_i}, below-diagonal entries reduced mod the diagonal of their row) and
 record (scaling, a, reduced entries, H^{-1} g mod pi^m).  The key determines
 the coset exactly, so the sorted tuple of keys over the cosets of K g K is a
-complete invariant of the double coset; label equality is membership of one
-key in the other's key set, never equality of representatives.
+complete invariant of the double coset.  Each context maps every key of the
+fingerprints it computed to its fingerprint: the one answer to which double
+coset holds a left coset, never equality of representatives.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ class GroupContext:
         else:
             self.residue_q = side.p
         self._fingerprints = {}
+        # left-coset key -> fingerprint of its double coset, written once
+        self._double_cosets = {}
         self._group_elements = None
         self._label_cache = {}
 
@@ -265,18 +268,30 @@ class GroupContext:
     # -- double cosets -----------------------------------------------------------
 
     def fingerprint(self, label):
-        """Complete double-coset invariant: (mu, sorted left-coset keys)."""
+        """Complete double-coset invariant: (mu, sorted left-coset keys).
+        Left cosets of distinct double cosets are disjoint, so one key finds a
+        known double coset; a new one lists its transversal (u = I first)."""
         fp = self._fingerprints.get(label)
         if fp is not None:
             return fp
 
         def run(pi_prec):
-            reps = self.left_coset_reps(label, self.working_ring(pi_prec))
-            return (label.mu, tuple(sorted(self.left_coset_key(g) for g in reps)))
+            ring = self.working_ring(pi_prec)
+            first = self.left_coset_key(self.lift_label(label, ring))
+            if first in self._double_cosets:
+                return self._double_cosets[first]
+            reps = self.left_coset_reps(label, ring)[1:]
+            return (label.mu, tuple(sorted([first, *map(self.left_coset_key, reps)])))
 
         fp = self.with_retry(run, self.default_pi_prec([label.mu]))
+        for key in fp[1]:
+            self._double_cosets.setdefault(key, fp)
         self._fingerprints[label] = fp
         return fp
+
+    def double_coset_of_key(self, key):
+        """The fingerprint holding this left-coset key, or None if none here does."""
+        return self._double_cosets.get(key)
 
     def label_of_matrix(self, g):
         mu, x, y = self.smith_cartan(g)
@@ -340,31 +355,22 @@ class GroupContext:
             if spread(mu) == 0:
                 # central pi-power times G(o): K is normal there, so double
                 # cosets biject with level-m classes
-                idm = tuple(tuple(self.label_ring.one() if i == j else self.label_ring.zero()
-                                  for j in range(self.n)) for i in range(self.n))
+                idm = self.identity_label().Q
                 orbit = [CosetLabel(mu, x, idm, self.m) for x in self.group_elements()]
             else:
                 if gens is None:
                     gens = self._residue_gl_generators()
-                # seen: the left cosets of the double cosets found so far, which
-                # are disjoint, so a label is new exactly when the key of its
-                # representative (u = I in left_coset_reps) is unseen
-                pi_prec = self.default_pi_prec([mu])
                 start = self.unif_label(mu)
-                seen = set(self.fingerprint(start)[1])
+                found = {self.fingerprint(start)}
                 orbit = [start]
-                queue = deque([start])
-                while queue:
-                    lab = queue.popleft()
+                for lab in orbit:       # breadth first: the loop reaches appended labels
                     for s in gens:
                         for moved in (CosetLabel(mu, self._rmat_mul(s, lab.P), lab.Q, self.m),
                                       CosetLabel(mu, lab.P, self._rmat_mul(s, lab.Q), self.m)):
-                            key = self.with_retry(lambda prec: self.left_coset_key(
-                                self.lift_label(moved, self.working_ring(prec))), pi_prec)
-                            if key not in seen:
-                                seen.update(self.fingerprint(moved)[1])
+                            fp = self.fingerprint(moved)
+                            if fp not in found:
+                                found.add(fp)
                                 orbit.append(moved)
-                                queue.append(moved)
             orbit.sort(key=lambda lab: lab.sort_key())
             self._label_cache[mu] = orbit
             out.extend(orbit)

@@ -4,7 +4,8 @@ Elements are finitely supported maps from double-coset labels to F_{l^k};
 support is keyed by the complete double-coset invariant, so no two stored
 labels name the same coset.  Convolution counts left cosets with the Haar
 normalization mu(K) = 1: the coefficient of t_c in t_a * t_b is
-#{(i, j) : a_i b_j K = c K} reduced mod l.
+#{(i, j) : a_i b_j K = c K} reduced mod l.  Which double coset holds a left
+coset is asked of the group context.
 """
 
 from __future__ import annotations
@@ -154,19 +155,21 @@ class HeckeAlgebra:
                         buckets[k][0] += 1
                     else:
                         buckets[k] = [1, prod]
+            # a double coset's first bucket names it; all its left cosets get one count
             per_dc = {}
-            for cnt, prod in buckets.values():
-                lab = ctx.label_of_matrix(prod)
-                fp = ctx.fingerprint(lab)
-                if fp in per_dc:
-                    # bi-invariance: every left coset of one double coset
-                    # receives the same count
-                    if per_dc[fp][1] != cnt:
-                        raise InvariantViolationError(
-                            f"inconsistent double-coset counts {per_dc[fp][1]} and {cnt}")
-                else:
-                    per_dc[fp] = (lab, cnt)
-            return tuple(per_dc.values())
+            for k, (cnt, prod) in buckets.items():
+                fp = ctx.double_coset_of_key(k)
+                if fp not in per_dc:
+                    lab = ctx.label_of_matrix(prod)
+                    fp = ctx.fingerprint(lab)
+                    per_dc[fp] = (lab, cnt, [])
+                per_dc[fp][2].append(cnt)
+            for fp, (lab, cnt, counts) in per_dc.items():
+                if counts != [cnt] * len(fp[1]):
+                    raise InvariantViolationError(
+                        f"the {len(fp[1])} left cosets of double coset {lab.mu} "
+                        f"received the counts {counts}")
+            return tuple((lab, cnt) for lab, cnt, _ in per_dc.values())
 
         result = ctx.with_retry(run, pi_prec)
         self._product_cache[key] = result
@@ -176,7 +179,6 @@ class HeckeAlgebra:
         self._check_same(f.algebra)
         self._check_same(g.algebra)
         F = self.field
-        out = self.zero()
         terms = []
         for la, ca in f.terms.values():
             for lb, cb in g.terms.values():
@@ -271,32 +273,23 @@ class HeckeAlgebra:
         if not self.is_sigma_invariant(f):
             raise NotSigmaInvariantError("restriction is only defined on sigma-invariant elements")
         e = side.e
-        nus = set()
-        for lab, _ in f.terms.values():
-            mu = lab.mu
-            if e == 1:
-                nus.add(mu)
-            elif all(x % e == 0 for x in mu):
-                nus.add(tuple(x // e for x in mu))
+        nus = {tuple(x // e for x in lab.mu) for lab, _ in f.terms.values()
+               if all(x % e == 0 for x in lab.mu)}
         if window is not None:
             for nu in nus:
                 if nu not in window:
                     raise WindowTooSmallError(f"support invariant {nu} outside window")
         sup_spread = max((spread(lab.mu) for lab, _ in f.terms.values()), default=0)
-        # distinct double cosets have disjoint left cosets, so a
-        # (mu, left-coset key) pair names at most one term
-        index = {(lab.mu, key): c for (_, keys), (lab, c) in f.terms.items() for key in keys}
         terms = []
-        for nu in sorted(nus):
-            emu = tuple(e * x for x in nu)
-            for flab in ctxF.enumerate_labels([nu]):
-                key = self._base_keys.get(flab)
-                if key is None:
-                    key = self.on_base_label(ctxF, flab, ctxE.left_coset_key, sup_spread)
-                    self._base_keys[flab] = key
-                val = index.get((emu, key))
-                if val is not None and not self.field.is_zero(val):
-                    terms.append((flab, val))
+        for flab in ctxF.enumerate_labels(nus):
+            if flab not in self._base_keys:
+                self._base_keys[flab] = self.on_base_label(ctxF, flab, ctxE.left_coset_key,
+                                                           sup_spread)
+            # the sigma-invariance check fingerprinted every term of f in this
+            # context, so the double coset of a term is found from any key
+            term = f.terms.get(ctxE.double_coset_of_key(self._base_keys[flab]))
+            if term is not None:
+                terms.append((flab, term[1]))
         return target.element(terms)
 
     # -- serialization ---------------------------------------------------------------

@@ -318,18 +318,6 @@ def frobenius_twist(M: CyclicModule) -> CyclicModule:
                         {name: tw(op) for name, op in M.action.items()})
 
 
-def transport_module(M: CyclicModule, label_map: dict) -> CyclicModule:
-    """Rename the generators along an algebra-isomorphism label map."""
-    if not M.action:
-        raise MissingActionError("module carries no named action to transport")
-    renamed = {}
-    for name, op in M.action.items():
-        renamed[label_map.get(name, name)] = op
-    if len(renamed) != len(M.action):
-        raise GeneratorNameMismatchError("label map collapses generator names")
-    return CyclicModule(M.field, M.dim, M.T, renamed)
-
-
 def _matrix_polynomial(F, f, A):
     """f(A) by Horner's rule."""
     d = len(A)

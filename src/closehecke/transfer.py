@@ -349,28 +349,6 @@ def check_main_diagram(tower: Tower, mu_spread=None, base_window=1, samples=25,
     return rep
 
 
-def check_brauer_multiplicative(tower: Tower, pairs=25, seed=0) -> Report:
-    """Br(f * g) = Br(f) * Br(g) on seeded sigma-invariant pairs."""
-    import random
-    rng = random.Random(seed)
-    rep = Report("check brauer-mult",
-                 {"p": tower.p, "m": tower.m, "n": tower.n, "case": tower.case,
-                  "pairs": pairs, "seed": seed})
-    HE, HF = tower.alg["E"], tower.alg["F"]
-    ctxE = tower.ctx["E"]
-    small = cochar_window(tower.n, 0, 1)
-    family = [HE.sigma_orbit_sum(ctxE.unif_label(mu))
-              for mu in cochar_window(tower.n, 0, tower.extpair.e)]
-    for i in range(pairs):
-        f = family[rng.randrange(len(family))] if rng.randrange(2) == 0 \
-            else HE.sigma_orbit_sum(random_label(ctxE, rng, small))
-        g = HE.sigma_orbit_sum(random_label(ctxE, rng, small))
-        lhs = tower.brauer(HE.convolve(f, g))
-        rhs = HF.convolve(tower.brauer(f), tower.brauer(g))
-        rep.add(**_sample_entry("brauer-mult", f"pair#{i}", lhs, rhs))
-    return rep
-
-
 def check_lemma_conv(tower_or_alg, window_spread=2, elements=20, seed=0) -> Report:
     """Both convolution identities: cocharacter additivity over the window,
     and the three-factor identity for unit-group window elements."""

@@ -5,17 +5,29 @@ cosets are enumerated by brute force over K_m/K_r (or, where that is too
 large to list, closed under its elementary generators) and compared by the
 definition x^{-1} y in K, and convolution coefficients come from the double
 sum over group/K points.  Two helpers use fingerprints: ``coeff_at``, which
-reads an element's terms by their key, and ``fingerprint_bfs_labels``, the
-fingerprint-set walk that ``enumerate_labels`` used before it tested
-membership with one key, kept to check that the two walks agree.
+reads an element's terms by their key, and ``fingerprint_bfs_labels``, a
+fingerprint-set walk written out apart from ``enumerate_labels``, kept to
+check its labels and their order.
+
+The last two helpers are no oracles: ``check_brauer_multiplicative`` samples
+Br(f * g) = Br(f) * Br(g) on seeded pairs, and ``transport_module`` renames
+a module's generators.  Only tests use them, so they live here.
 """
 
 import itertools
+import random
 from collections import deque
 
 from closehecke.cartan import CosetLabel
-from closehecke.errors import InsufficientPrecisionError, SpecMismatchError
-from closehecke.matrices import FieldElement, GroupMatrix, spread
+from closehecke.errors import (
+    GeneratorNameMismatchError,
+    InsufficientPrecisionError,
+    MissingActionError,
+    SpecMismatchError,
+)
+from closehecke.matrices import FieldElement, GroupMatrix, cochar_window, spread
+from closehecke.tate import CyclicModule
+from closehecke.transfer import Report, _sample_entry, random_label
 
 
 def minor_valuation_mu(g):
@@ -372,3 +384,36 @@ def brute_is_irreducible(f, p, low=(0,)):
             if not any(rem[:dg]):
                 return False
     return True
+
+
+def check_brauer_multiplicative(tower, pairs=25, seed=0):
+    """Br(f * g) = Br(f) * Br(g) on seeded sigma-invariant pairs."""
+    rng = random.Random(seed)
+    rep = Report("check brauer-mult",
+                 {"p": tower.p, "m": tower.m, "n": tower.n, "case": tower.case,
+                  "pairs": pairs, "seed": seed})
+    HE, HF = tower.alg["E"], tower.alg["F"]
+    ctxE = tower.ctx["E"]
+    small = cochar_window(tower.n, 0, 1)
+    family = [HE.sigma_orbit_sum(ctxE.unif_label(mu))
+              for mu in cochar_window(tower.n, 0, tower.extpair.e)]
+    for i in range(pairs):
+        f = family[rng.randrange(len(family))] if rng.randrange(2) == 0 \
+            else HE.sigma_orbit_sum(random_label(ctxE, rng, small))
+        g = HE.sigma_orbit_sum(random_label(ctxE, rng, small))
+        lhs = tower.brauer(HE.convolve(f, g))
+        rhs = HF.convolve(tower.brauer(f), tower.brauer(g))
+        rep.add(**_sample_entry("brauer-mult", f"pair#{i}", lhs, rhs))
+    return rep
+
+
+def transport_module(M: CyclicModule, label_map: dict) -> CyclicModule:
+    """Rename the generators along an algebra-isomorphism label map."""
+    if not M.action:
+        raise MissingActionError("module carries no named action to transport")
+    renamed = {}
+    for name, op in M.action.items():
+        renamed[label_map.get(name, name)] = op
+    if len(renamed) != len(M.action):
+        raise GeneratorNameMismatchError("label map collapses generator names")
+    return CyclicModule(M.field, M.dim, M.T, renamed)

@@ -27,11 +27,9 @@ from closehecke.tate import (
     mat_sub,
     norm_operator,
     tate_cohomology,
-    transport_module,
 )
 from closehecke.transfer import (
     Tower,
-    check_brauer_multiplicative,
     check_galois_equivariance,
     check_kaz_hom,
     check_lemma_conv,
@@ -39,7 +37,14 @@ from closehecke.transfer import (
     random_label,
 )
 
-from helpers import coeff_at, conv_coeff_double_sum, minor_valuation_mu, random_field_matrix
+from helpers import (
+    check_brauer_multiplicative,
+    coeff_at,
+    conv_coeff_double_sum,
+    minor_valuation_mu,
+    random_field_matrix,
+    transport_module,
+)
 
 
 def _report(criterion, passed, elapsed, budget, detail=""):

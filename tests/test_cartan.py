@@ -244,6 +244,38 @@ def test_fingerprint_representative_independence(ctx3):
         assert ctx3.fingerprint(relabeled) == ctx3.fingerprint(lab)
 
 
+def test_second_representative_costs_one_key(monkeypatch):
+    # label_of_matrix(k1 g k2) names the double coset of g by other residues
+    ctx = GroupContext(base_side("F", MIXED, 3, 1), 2)
+    rng = random.Random(23)
+    els = ctx.group_elements()
+    ring = ctx.working_ring(8)
+    ks = k_elements(ctx, ring, 3)
+    real = ctx.left_coset_key
+    for mu in [(0, 1), (0, 2), (-1, 1)]:
+        la = CosetLabel(mu, els[rng.randrange(len(els))], els[rng.randrange(len(els))], 1)
+        fp = ctx.fingerprint(la)
+        g = ctx.lift_label(la, ring)
+        alt = ctx.label_of_matrix(ks[rng.randrange(len(ks))] * g * ks[rng.randrange(len(ks))])
+        assert alt != la
+        calls = []
+        monkeypatch.setattr(ctx, "left_coset_key", lambda h: calls.append(h) or real(h))
+        assert ctx.fingerprint(alt) == fp
+        assert len(calls) == 1
+        monkeypatch.undo()
+
+
+def test_double_coset_of_key_covers_every_key_and_only_those():
+    ctx = GroupContext(base_side("F", MIXED, 2, 1), 2)
+    fp = ctx.fingerprint(ctx.unif_label((0, 2)))
+    assert all(ctx.double_coset_of_key(key) == fp for key in fp[1])
+    ring = ctx.working_ring(ctx.default_pi_prec([(0, 1)]))
+    other = ctx.left_coset_key(ctx.lift_label(ctx.unif_label((0, 1)), ring))
+    assert ctx.double_coset_of_key(other) is None
+    assert other in ctx.fingerprint(ctx.unif_label((0, 1)))[1]
+    assert ctx.double_coset_of_key(other) == ctx.fingerprint(ctx.unif_label((0, 1)))
+
+
 # -- required precision ---------------------------------------------------------------
 
 def test_required_precision_guarantee_exhaustive(ctx2):

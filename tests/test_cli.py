@@ -212,6 +212,7 @@ _TYPED_INVARIANT_TESTS = [
     "tests/test_transfer.py::test_extension_pair_guards_raise_typed_errors",
     "tests/test_transfer.py::test_close_pair_uniformizer_mismatch_raises_typed_error",
     "tests/test_hecke.py::test_inconsistent_double_coset_counts_raise",
+    "tests/test_hecke.py::test_a_double_coset_missing_left_cosets_raises",
     "tests/test_hecke.py::test_sigma_label_moving_the_invariant_raises",
     "tests/test_hecke.py::test_sigma_orbit_of_wrong_length_raises",
     "tests/test_rings.py::test_wrong_residue_inverse_raises_typed_error",

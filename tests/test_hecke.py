@@ -70,6 +70,43 @@ def test_inconsistent_double_coset_counts_raise(monkeypatch):
         H.convolve(f, f)
 
 
+def test_a_double_coset_missing_left_cosets_raises(monkeypatch):
+    # t_(0,1) * t_(0,1) over Z/2 reaches all nine left cosets of t_(0,2) at
+    # p = 3, each once.  A transversal of K pi^(0,1) K that drops a coset
+    # reaches four of them, still with one count each.
+    H = HeckeAlgebra(GroupContext(base_side("F", MIXED, 3, 1), 2), CoeffField(2, 1))
+    f = H.unif_basis((0, 1))
+    reps = H.context.left_coset_reps
+
+    def drop_last(label, ring):
+        out = reps(label, ring)
+        return out[:-1] if label.mu == (0, 1) else out
+
+    monkeypatch.setattr(H.context, "left_coset_reps", drop_last)
+    with pytest.raises(InvariantViolationError, match="the 9 left cosets"):
+        H.convolve(f, f)
+
+
+def test_basis_product_names_each_double_coset_once(monkeypatch):
+    H = HeckeAlgebra(GroupContext(base_side("F", MIXED, 2, 1), 2), CoeffField(3, 1))
+    ctx = H.context
+    rng = random.Random(31)
+    la, lb = rand_label(ctx, rng, [(0, 1)]), rand_label(ctx, rng, [(0, 1)])
+    real = ctx.label_of_matrix
+    named = []
+    monkeypatch.setattr(ctx, "label_of_matrix", lambda g: named.append(g) or real(g))
+    product = H._basis_product(la, lb)
+    monkeypatch.undo()
+    assert len(named) == len(product)
+    sizes = [len(ctx.fingerprint(lab)[1]) for lab, _ in product]
+    # every left coset of every double coset reached, each with its count
+    assert sum(cnt * size for (_, cnt), size in zip(product, sizes)) == \
+        len(ctx.fingerprint(la)[1]) * len(ctx.fingerprint(lb)[1])
+    assert max(sizes) > 1
+    for lab, cnt in product:
+        assert conv_coeff_double_sum(ctx, la, lb, lab) == cnt
+
+
 def test_unit_law(HF2):
     one = HF2.one()
     for mu in [(0, 0), (0, 1), (-1, 1)]:

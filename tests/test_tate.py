@@ -29,10 +29,9 @@ from closehecke.tate import (
     norm_operator,
     tate_cohomology,
     tate_quotient_module,
-    transport_module,
 )
 
-from helpers import dense_mat_apply, dense_mat_mul
+from helpers import dense_mat_apply, dense_mat_mul, transport_module
 
 F2 = CoeffField(2, 1)
 F3 = CoeffField(3, 1)

@@ -13,7 +13,6 @@ from closehecke.transfer import (
     _verify_extension_pair,
     build_close_pair,
     build_extension_pair,
-    check_brauer_multiplicative,
     check_galois_equivariance,
     check_kaz_hom,
     check_lemma_conv,
@@ -21,7 +20,7 @@ from closehecke.transfer import (
     random_label,
 )
 
-from helpers import coeff_at, k_elements
+from helpers import check_brauer_multiplicative, coeff_at, k_elements
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +223,21 @@ def test_main_diagram_small(tower_unram, tower_ram):
 def test_brauer_mult_small(tower_ram):
     rep = check_brauer_multiplicative(tower_ram, pairs=4, seed=5)
     assert rep.passed
+
+
+def test_brauer_restrict_on_a_second_tower_agrees(tower_ram):
+    # brauer_restrict finds the terms of f through its own context, so an
+    # element built on another tower with the same parameters restricts alike
+    other = Tower(3, 1, case="ramified", l=2, pair_mode="mixed-equal")
+    HE, HF = tower_ram.alg["E"], tower_ram.alg["F"]
+    ctxE = HE.context
+    rng = random.Random(19)
+    f = HE.sigma_orbit_sum(ctxE.unif_label((0, 2)))
+    for flab in rng.sample(HF.context.enumerate_labels([(0, 0), (0, 1)]), 3):
+        f = f + HE.sigma_orbit_sum(HE.on_base_label(HF.context, flab, ctxE.label_of_matrix, 0))
+    own = HE.brauer_restrict(f, HF)
+    assert len(own.terms) == 4
+    assert other.alg["E"].brauer_restrict(f, other.alg["F"]).to_json() == own.to_json()
 
 
 def test_lemma_conv_small(tower_unram):
