@@ -4,9 +4,10 @@ level m over a truncated local field side.
 Left cosets g K_m carry a canonical key: scale g integral, column-reduce to
 the lower-triangular Hermite form H over the valuation ring (diagonal
 pi^{a_i}, below-diagonal entries reduced mod the diagonal of their row) and
-record (scaling, a, reduced entries, H^{-1} g mod pi^m).  The key determines
-the coset exactly, so the sorted tuple of keys over the cosets of K g K is a
-complete invariant of the double coset.  Each context maps every key of the
+record (scaling, a, reduced entries, H^{-1} g mod pi^m), H^{-1} g being the
+inverse of the unimodular column operations.  The key determines the coset
+exactly, so the sorted tuple of keys over the cosets of K g K is a complete
+invariant of the double coset.  Each context maps every key of the
 fingerprints it computed to its fingerprint: the one answer to which double
 coset holds a left coset, never equality of representatives.
 """
@@ -38,18 +39,8 @@ class CosetLabel:
     level: int
 
     def sort_key(self):
-        return (self.mu, _flatten(self.P), _flatten(self.Q))
-
-
-def _flatten(data, out=None):
-    if out is None:
-        out = []
-    if isinstance(data, tuple):
-        for x in data:
-            _flatten(x, out)
-    else:
-        out.append(data)
-    return tuple(out)
+        # residues of one label ring share a shape: nested tuples sort as flat
+        return (self.mu, self.P, self.Q)
 
 
 def group_order(n, q, pi_level):
@@ -85,6 +76,7 @@ class GroupContext:
         self._double_cosets = {}
         self._group_elements = None
         self._label_cache = {}
+        self._q_inverses = {}
 
     # -- working precision ---------------------------------------------------
 
@@ -114,10 +106,16 @@ class GroupContext:
     def unif_power_matrix(self, mu, ring):
         return GroupMatrix.unif_diagonal(ring, mu, self.side.unif_unit_coords(ring))
 
+    def _lift_inverse(self, Q, ring):
+        """lift(Q)^{-1} over ``ring``, inverted once per (Q, ring)."""
+        inv = self._q_inverses.get((Q, ring))
+        if inv is None:
+            inv = self._q_inverses[(Q, ring)] = self.lift_residue_matrix(Q, ring).inverse()
+        return inv
+
     def lift_label(self, label, ring):
         P = self.lift_residue_matrix(label.P, ring)
-        Q = self.lift_residue_matrix(label.Q, ring)
-        return P * self.unif_power_matrix(label.mu, ring) * Q.inverse()
+        return P * self.unif_power_matrix(label.mu, ring) * self._lift_inverse(label.Q, ring)
 
     def identity_label(self):
         idm = GroupMatrix.identity(self.label_ring, self.n).residue_matrix(self.m)
@@ -135,11 +133,12 @@ class GroupContext:
 
         Pivots take the entry of globally minimal certified valuation with
         lexicographic (row, col) tie-breaking; transforms are accumulated
-        exactly and the distinguished-uniformizer unit is folded into y.
+        exactly (x undoes each row operation on its columns) and the
+        distinguished-uniformizer unit is folded into y.
         """
         R, n = g.ring, g.n
         a = [list(row) for row in g.rows]
-        P = [list(row) for row in GroupMatrix.identity(R, n).rows]
+        X = [list(row) for row in GroupMatrix.identity(R, n).rows]
         Q = [list(row) for row in GroupMatrix.identity(R, n).rows]
 
         def row_sub(mat, i, k, f):
@@ -156,7 +155,8 @@ class GroupContext:
             mu.append(v0)
             if pi_ != k:
                 a[k], a[pi_] = a[pi_], a[k]
-                P[k], P[pi_] = P[pi_], P[k]
+                for row in X:
+                    row[k], row[pi_] = row[pi_], row[k]
             if pj != k:
                 for mat in (a, Q):
                     for row in mat:
@@ -167,7 +167,7 @@ class GroupContext:
                 f = a[i][k] * inv_piv
                 if not f.is_zero_marker():
                     row_sub(a, i, k, f)
-                    row_sub(P, i, k, f)
+                    col_sub(X, k, i, -f)
             for j in range(k + 1, n):
                 f = a[k][j] * inv_piv
                 if not f.is_zero_marker():
@@ -181,10 +181,8 @@ class GroupContext:
         if any(mu[i] > mu[i + 1] for i in range(n - 1)):
             raise InvariantViolationError(
                 f"global min pivoting gave a decreasing invariant {tuple(mu)}")
-        Pm = GroupMatrix(R, P)
-        Qm = GroupMatrix(R, Q)
-        x = Pm.inverse()
-        y = Qm * GroupMatrix.diagonal(R, [u.inverse() for u in units])
+        x = GroupMatrix(R, X)
+        y = GroupMatrix(R, Q) * GroupMatrix.diagonal(R, [u.inverse() for u in units])
         return tuple(mu), x, y
 
     # -- canonical left-coset keys ----------------------------------------------
@@ -194,21 +192,30 @@ class GroupContext:
         c = -g.min_val()
         A = g.times_pi(c) if c else g
         cols = [[A.rows[i][j] for i in range(n)] for j in range(n)]
+        # the column operations are unimodular over o, so V = H^{-1} A undoes
+        # each on its rows; V is read mod pi^m, which a multiplier in pi^m o
+        # (a zero floor counting as its valuation) leaves unchanged
+        V = [list(row) for row in GroupMatrix.identity(R, n).rows]
         avals = []
         below = []
         for i in range(n):
             ai, jstar = certified_min((cols[j][i], j) for j in range(i, n))
             if jstar != i:
                 cols[i], cols[jstar] = cols[jstar], cols[i]
-            prec = cols[i][i].prec
-            u_inv = FieldElement(R, 0, R.inv(cols[i][i].unit), prec)
+                V[i], V[jstar] = V[jstar], V[i]
+            unit, prec = cols[i][i].unit, cols[i][i].prec
+            u_inv = FieldElement(R, 0, R.inv(unit), prec)
             cols[i] = [u_inv * x for x in cols[i]]
+            u = FieldElement(R, 0, unit, prec)
+            V[i] = [u * x for x in V[i]]
             # the pivot is now pi^ai times exactly R.one()
             inv_piv = FieldElement(R, -ai, R.one(), prec)
             for j in range(i + 1, n):
                 f = cols[j][i] * inv_piv
                 if not f.is_zero_marker():
                     cols[j] = [x - f * y for x, y in zip(cols[j], cols[i])]
+                if f.v < m:
+                    V[i] = [x + f * y for x, y in zip(V[i], V[j])]
             avals.append(ai)
         for i in range(1, n):
             for j in range(i):
@@ -218,10 +225,10 @@ class GroupContext:
                 q = (e - rlift).times_pi(-avals[i])
                 if not q.is_zero_marker():
                     cols[j] = [x - q * y for x, y in zip(cols[j], cols[i])]
+                if q.v < m:
+                    V[i] = [x + q * y for x, y in zip(V[i], V[j])]
                 below.append(rdata)
-        H = GroupMatrix(R, [[cols[j][i] for j in range(n)] for i in range(n)])
-        V = H.inverse() * A
-        return (c, tuple(avals), tuple(below), V.residue_matrix(m))
+        return (c, tuple(avals), tuple(below), GroupMatrix(R, V).residue_matrix(m))
 
     def _residue_basis(self, ring):
         """Lifts of an F_p-basis of the residue field: 1, or 1, T, ..., T^(l-1)
@@ -252,8 +259,7 @@ class GroupContext:
         """
         n, mu, m = self.n, label.mu, self.m
         P = self.lift_residue_matrix(label.P, ring)
-        right = self.unif_power_matrix(mu, ring) * \
-            self.lift_residue_matrix(label.Q, ring).inverse()
+        right = self.unif_power_matrix(mu, ring) * self._lift_inverse(label.Q, ring)
         below = [(i, j) for i in range(1, n) for j in range(i)]
         choices = [self._digits(ring, m, m + mu[i] - mu[j]) for i, j in below]
         ident = GroupMatrix.identity(ring, n)

@@ -28,7 +28,10 @@ from .transfer import (
 def _parse_lambda_image(text):
     if not text:
         return None
-    return tuple(int(c) for c in text.split(","))
+    try:
+        return tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise ConfigError(f"--lambda-image needs comma-separated integers, not {text!r}") from None
 
 
 def _add_tower_args(p, need_case=False):

@@ -211,8 +211,9 @@ class GroupMatrix:
         for i in range(n):
             row = []
             for j in range(n):
-                acc = FieldElement.zero(self.ring)
-                for k in range(n):
+                # an exact zero plus x is x, so the sum starts from the first product
+                acc = self.rows[i][0] * other.rows[0][j]
+                for k in range(1, n):
                     acc = acc + self.rows[i][k] * other.rows[k][j]
                 row.append(acc)
             rows.append(row)

@@ -4,10 +4,11 @@ These deliberately avoid the canonical-key machinery of the library: left
 cosets are enumerated by brute force over K_m/K_r (or, where that is too
 large to list, closed under its elementary generators) and compared by the
 definition x^{-1} y in K, and convolution coefficients come from the double
-sum over group/K points.  Two helpers use fingerprints: ``coeff_at``, which
-reads an element's terms by their key, and ``fingerprint_bfs_labels``, a
-fingerprint-set walk written out apart from ``enumerate_labels``, kept to
-check its labels and their order.
+sum over group/K points.  One helper uses fingerprints: ``coeff_at``, which
+reads an element's terms by their key.  Three keep an earlier formula of the
+library as an oracle for the faster one: ``flatten`` (the label order),
+``left_coset_key_by_inverse`` (V = H^{-1} A by a matrix inverse) and
+``smith_x_by_inverse`` (x = P^{-1} by a matrix inverse).
 
 The last two helpers are no oracles: ``check_brauer_multiplicative`` samples
 Br(f * g) = Br(f) * Br(g) on seeded pairs, and ``transport_module`` renames
@@ -16,7 +17,6 @@ a module's generators.  Only tests use them, so they live here.
 
 import itertools
 import random
-from collections import deque
 
 from closehecke.cartan import CosetLabel
 from closehecke.errors import (
@@ -25,7 +25,7 @@ from closehecke.errors import (
     MissingActionError,
     SpecMismatchError,
 )
-from closehecke.matrices import FieldElement, GroupMatrix, cochar_window, spread
+from closehecke.matrices import FieldElement, GroupMatrix, certified_min, cochar_window, spread
 from closehecke.tate import CyclicModule
 from closehecke.transfer import Report, _sample_entry, random_label
 
@@ -199,26 +199,92 @@ def coeff_at(f, label):
     return entry[1] if entry else f.algebra.field.zero()
 
 
-def fingerprint_bfs_labels(ctx, mu):
-    """Labels of invariant ``mu`` (spread > 0) by the breadth-first walk over
-    the residue generators acting on P and Q, a moved label being new when
-    its fingerprint is unseen; sorted by label order."""
-    start = ctx.unif_label(mu)
-    seen = {ctx.fingerprint(start)}
-    orbit = [start]
-    queue = deque([start])
-    gens = ctx._residue_gl_generators()
-    while queue:
-        lab = queue.popleft()
-        for s in gens:
-            for moved in (CosetLabel(mu, ctx._rmat_mul(s, lab.P), lab.Q, ctx.m),
-                          CosetLabel(mu, lab.P, ctx._rmat_mul(s, lab.Q), ctx.m)):
-                fp = ctx.fingerprint(moved)
-                if fp not in seen:
-                    seen.add(fp)
-                    orbit.append(moved)
-                    queue.append(moved)
-    return sorted(orbit, key=lambda lab: lab.sort_key())
+def distinct_double_cosets(ctx, labels, ring):
+    """Whether no two of ``labels`` name one double coset, by definition: no
+    label's representative lies in a left coset u A K of another's
+    transversal, tested as B^{-1} u A in K."""
+    invs = [ctx.lift_label(lab, ring).inverse() for lab in labels]
+    for a, lab in enumerate(labels):
+        for rep in ctx.left_coset_reps(lab, ring):
+            if any(b != a and _in_k(ctx, inv, rep) for b, inv in enumerate(invs)):
+                return False
+    return True
+
+
+def flatten(data, out=None):
+    """The leaves of a nested tuple, in order: (mu, flatten(P), flatten(Q))
+    spells the label order without relying on residues sharing one shape."""
+    if out is None:
+        out = []
+    if isinstance(data, tuple):
+        for x in data:
+            flatten(x, out)
+    else:
+        out.append(data)
+    return tuple(out)
+
+
+def left_coset_key_by_inverse(ctx, g):
+    """The left-coset key with its last entry taken as H^{-1} A mod pi^m, H
+    the Hermite form, by a full precision-tracked matrix inverse."""
+    R, n, m = g.ring, g.n, ctx.m
+    c = -g.min_val()
+    A = g.times_pi(c) if c else g
+    cols = [[A.rows[i][j] for i in range(n)] for j in range(n)]
+    avals = []
+    below = []
+    for i in range(n):
+        ai, jstar = certified_min((cols[j][i], j) for j in range(i, n))
+        if jstar != i:
+            cols[i], cols[jstar] = cols[jstar], cols[i]
+        prec = cols[i][i].prec
+        u_inv = FieldElement(R, 0, R.inv(cols[i][i].unit), prec)
+        cols[i] = [u_inv * x for x in cols[i]]
+        inv_piv = FieldElement(R, -ai, R.one(), prec)
+        for j in range(i + 1, n):
+            f = cols[j][i] * inv_piv
+            if not f.is_zero_marker():
+                cols[j] = [x - f * y for x, y in zip(cols[j], cols[i])]
+        avals.append(ai)
+    for i in range(1, n):
+        for j in range(i):
+            e = cols[j][i]
+            rdata = e.residue(avals[i])
+            rlift = FieldElement.from_residue(R, rdata, avals[i])
+            q = (e - rlift).times_pi(-avals[i])
+            if not q.is_zero_marker():
+                cols[j] = [x - q * y for x, y in zip(cols[j], cols[i])]
+            below.append(rdata)
+    H = GroupMatrix(R, [[cols[j][i] for j in range(n)] for i in range(n)])
+    return (c, tuple(avals), tuple(below), (H.inverse() * A).residue_matrix(m))
+
+
+def smith_x_by_inverse(g):
+    """x of the Smith/Cartan decomposition g = x pi^mu y^{-1} as the matrix
+    inverse of the accumulated row transform P: the same pivots and
+    operations, with P kept and inverted at the end."""
+    R, n = g.ring, g.n
+    a = [list(row) for row in g.rows]
+    P = [list(row) for row in GroupMatrix.identity(R, n).rows]
+    for k in range(n):
+        _, (pi_, pj) = certified_min((a[i][j], (i, j))
+                                     for i in range(k, n) for j in range(k, n))
+        a[k], a[pi_] = a[pi_], a[k]
+        P[k], P[pi_] = P[pi_], P[k]
+        for row in a:
+            row[k], row[pj] = row[pj], row[k]
+        inv_piv = a[k][k].inverse()
+        for i in range(k + 1, n):
+            f = a[i][k] * inv_piv
+            if not f.is_zero_marker():
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+                P[i] = [x - f * y for x, y in zip(P[i], P[k])]
+        for j in range(k + 1, n):
+            f = a[k][j] * inv_piv
+            if not f.is_zero_marker():
+                for row in a:
+                    row[j] = row[j] - f * row[k]
+    return GroupMatrix(R, P).inverse()
 
 
 def dense_mat_mul(F, A, B):

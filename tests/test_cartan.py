@@ -25,14 +25,17 @@ from helpers import (
     brute_left_cosets,
     closure_left_cosets,
     coset_matches,
-    fingerprint_bfs_labels,
+    distinct_double_cosets,
+    flatten,
     gamma_stabilizer,
     k_elements,
     leibniz_det,
+    left_coset_key_by_inverse,
     minor_valuation_mu,
     random_field_matrix,
     same_double_coset,
     same_left_coset,
+    smith_x_by_inverse,
 )
 
 
@@ -205,6 +208,99 @@ def test_left_coset_key_invariance_across_precision(ctx2):
     assert k1 == k2
 
 
+def _same_entries(x, y):
+    """Entry by entry the same valuation, unit and precision."""
+    return all((a.v, a.unit, a.prec) == (b.v, b.unit, b.prec)
+               for ra, rb in zip(x.rows, y.rows) for a, b in zip(ra, rb))
+
+
+def _agree_residues(x, y):
+    """x and y reduce alike at the least absolute precision of their entries,
+    which reaches at least the congruence level of the caller."""
+    level = min(min(e.abs_prec() for row in mat.rows for e in row) for mat in (x, y))
+    level = min(level, x.ring.pi_level)
+    return level, x.residue_matrix(level) == y.residue_matrix(level)
+
+
+_KEY_SIDES = {
+    "base-2": lambda: base_side("F", MIXED, 2, 1),
+    "base-3": lambda: base_side("F", MIXED, 3, 1),
+    "unramified": _TRANSVERSAL_SIDES["unramified"],
+    "ramified": _TRANSVERSAL_SIDES["ramified"],
+}
+
+
+@pytest.mark.parametrize("side", list(_KEY_SIDES))
+def test_left_coset_key_and_smith_x_match_their_inverse_formulas(side):
+    # every transversal member of two labels per mu, at two working
+    # precisions: the key equals the one with V = H^{-1} A by a matrix
+    # inverse, and smith_cartan's x the inverse of its row transform
+    ctx = GroupContext(_KEY_SIDES[side](), 2)
+    rng = random.Random(11)
+    for mu in [(0, 0), (0, 1), (0, 2)]:
+        labels = [ctx.unif_label(mu), _unipotent_label(ctx, mu, rng)]
+        for prec in (ctx.default_pi_prec([mu]), 2 * ctx.default_pi_prec([mu])):
+            ring = ctx.working_ring(prec)
+            for lab in labels:
+                for g in ctx.left_coset_reps(lab, ring):
+                    assert ctx.left_coset_key(g) == left_coset_key_by_inverse(ctx, g)
+                    level, same = _agree_residues(ctx.smith_cartan(g)[1],
+                                                  smith_x_by_inverse(g))
+                    assert same and level >= ctx.m
+
+
+def test_starved_key_raises_like_the_inverse_formula():
+    # an entry known only as O(pi^0) leaves V mod pi open, above or below
+    # the diagonal; and mu = (0, 2) at pi-level 1 cannot certify its reduction
+    ctx = GroupContext(base_side("F", MIXED, 2, 1), 2)
+    ring = ctx.working_ring(6)
+    one, unknown, zero = fe(ring, 0, 1), FieldElement.zero(ring, floor=0), FieldElement.zero(ring)
+    starved = [GroupMatrix(ring, [[one, unknown], [zero, one]]),
+               GroupMatrix(ring, [[one, zero], [unknown, one]])]
+    lab = _unipotent_label(ctx, (0, 2), random.Random(4))
+    starved += ctx.left_coset_reps(lab, ctx.working_ring(1))
+    for g in starved:
+        for key in (ctx.left_coset_key, lambda h: left_coset_key_by_inverse(ctx, h)):
+            with pytest.raises(InsufficientPrecisionError):
+                key(g)
+
+
+def test_q_inverse_is_taken_once_per_q_and_ring(monkeypatch):
+    ctx = GroupContext(base_side("F", MIXED, 3, 1), 2)
+    els = ctx.group_elements()[:4]
+    rings = [ctx.working_ring(6), ctx.working_ring(8)]
+    real = GroupMatrix.inverse
+    calls = []
+    monkeypatch.setattr(GroupMatrix, "inverse", lambda self: calls.append(self) or real(self))
+    for ring in rings:
+        for Q in els:
+            for P in els[:2]:
+                for mu in [(0, 1), (0, 2)]:
+                    ctx.lift_label(CosetLabel(mu, P, Q, 1), ring)
+                    ctx.left_coset_reps(CosetLabel(mu, P, Q, 1), ring)
+    assert len(calls) == len(els) * len(rings)
+    for ring in rings:
+        for Q in els:
+            assert _same_entries(ctx._lift_inverse(Q, ring),
+                                 real(ctx.lift_residue_matrix(Q, ring)))
+    assert len(calls) == len(els) * len(rings)
+
+
+def test_q_inverse_memo_keeps_no_failed_inverse(monkeypatch):
+    ctx = GroupContext(base_side("F", MIXED, 2, 1), 2)
+    ring, Q = ctx.working_ring(6), ctx.identity_label().Q
+    real = GroupMatrix.inverse
+
+    def refuse(self):
+        raise InsufficientPrecisionError("refused")
+
+    monkeypatch.setattr(GroupMatrix, "inverse", refuse)
+    with pytest.raises(InsufficientPrecisionError):
+        ctx._lift_inverse(Q, ring)
+    monkeypatch.setattr(GroupMatrix, "inverse", real)
+    assert _same_entries(ctx._lift_inverse(Q, ring), real(ctx.lift_residue_matrix(Q, ring)))
+
+
 # -- double cosets ----------------------------------------------------------------
 
 def test_same_double_coset_by_k_multiplication(ctx2):
@@ -363,12 +459,32 @@ def test_enumerate_labels_complete_and_distinct(ctx2):
 
 @pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2)])
 def test_enumerate_labels_matches_fingerprint_bfs(p, m):
-    # the one-key membership walk lists the labels, representatives and
-    # order of the walk that compared full fingerprints
+    # for n = 2 and spread >= 1 there are (q + 1) |G(o/pi^m)| / q double
+    # cosets, whatever the spread; the labels are as many and pairwise
+    # distinct by definition, so they are all of them
+    count = {(2, 1): 9, (3, 1): 64, (2, 2): 144}[(p, m)]
+    assert (p + 1) * group_order(2, p, m) // p == count
     for mu in [(0, 1), (0, 2)]:
-        side = base_side("F", MIXED, p, m)
-        expected = fingerprint_bfs_labels(GroupContext(side, 2), mu)
-        assert GroupContext(side, 2).enumerate_labels([mu]) == expected
+        ctx = GroupContext(base_side("F", MIXED, p, m), 2)
+        labels = ctx.enumerate_labels([mu])
+        assert len(labels) == count
+        assert distinct_double_cosets(ctx, labels, ctx.working_ring(ctx.default_pi_prec([mu])))
+
+
+@pytest.mark.parametrize("side, mus", [
+    (base_side("F", MIXED, 3, 1), cochar_window(2, 0, 2)),
+    (base_side("F", EQUAL, 3, 1), cochar_window(2, 0, 1)),
+    (extension_side("E", base_side("F", MIXED, 2, 1), UNRAMIFIED, 3), [(0, 0), (1, 1)]),
+    (extension_side("E", base_side("F", MIXED, 3, 1), RAMIFIED, 2), [(0, 0), (1, 1)]),
+    (extension_side("E", base_side("F", EQUAL, 3, 1), RAMIFIED, 2), [(0, 0)]),
+], ids=["base-mixed", "base-equal", "unramified", "ramified", "ramified-equal"])
+def test_sort_key_orders_like_flattened_residues(side, mus):
+    # the E sides enumerate their central windows only (spread is over budget)
+    labels = GroupContext(side, 2).enumerate_labels(mus)
+    assert len({lab.sort_key() for lab in labels}) == len(labels)
+    shuffled = random.Random(5).sample(labels, len(labels))
+    flat = sorted(shuffled, key=lambda lab: (lab.mu, flatten(lab.P), flatten(lab.Q)))
+    assert sorted(shuffled, key=CosetLabel.sort_key) == flat == labels
 
 
 def test_enumerate_deterministic_order(ctx3):

@@ -131,6 +131,7 @@ def test_hecke_sigma_orbit_sum(tmp_path, capsys):
 _KAZ_MAP = ["kaz", "map", "--p", "2", "--l", "3", "--in", "in.json"]
 _TATE = ["tate", "cohomology", "--module", "in.json", "--i", "0"]
 _LINKAGE = ["linkage", "check", "--xi", "m.json", "--rho", "m.json", "--br", "in.json"]
+_LAMBDA = ["check", "kaz-hom", "--p", "3", "--pair-mode", "equal-equal", "--lambda-image"]
 
 
 def _element(mu, P):
@@ -162,12 +163,14 @@ def _element(mu, P):
     (["check", "kaz-hom", "--p", "2", "--budget", "0", "--window", "1", "--samples", "1"],
      None),
     (["cosets", "enumerate", "--p", "2", "--pair-budget", "0"], None),
+    (_LAMBDA + ["a,b"], None),
+    (_LAMBDA + [","], None),
 ], ids=["missing-file", "not-json", "missing-key", "n-zero", "terms-not-list",
         "l-not-int", "P-not-matrix", "P-singular", "mu-decreasing", "negative-window",
         "negative-samples", "module-l-not-int", "module-T-not-matrix",
         "module-T-wrong-shape", "br-image-not-string", "br-not-object",
         "out-unwritable", "mu-range-empty", "precision-cap-negative", "budget-zero",
-        "pair-budget-zero"])
+        "pair-budget-zero", "lambda-image-not-int", "lambda-image-empty-entries"])
 def test_bad_input_exits_two_with_typed_error(tmp_path, monkeypatch, capsys, argv, content):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "m.json").write_text(json.dumps(_RHO))
@@ -175,6 +178,11 @@ def test_bad_input_exits_two_with_typed_error(tmp_path, monkeypatch, capsys, arg
         (tmp_path / "in.json").write_text(content)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error [CONFIG_INVALID]: ")
+
+
+def test_non_integer_lambda_image_names_the_flag(capsys):
+    assert main(_LAMBDA + ["a,b"]) == 2
+    assert "--lambda-image" in capsys.readouterr().err
 
 
 def test_optimized_run_is_byte_identical(tmp_path):
