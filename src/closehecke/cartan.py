@@ -10,6 +10,14 @@ exactly, so the sorted tuple of keys over the cosets of K g K is a complete
 invariant of the double coset.  Each context maps every key of the
 fingerprints it computed to its fingerprint: the one answer to which double
 coset holds a left coset, never equality of representatives.
+
+A label (mu, P, Q) names K P pi^mu Q^{-1} K, and since K_m is normal in
+GL_n(o), (P, Q) and (P', Q') name one double coset exactly when
+(P'^{-1} P, Q'^{-1} Q) lies in Gamma_mu = {(x, y) : x pi^mu y^{-1} in
+K pi^mu K}.  ``canonical_label`` picks one representative per double coset
+from that group's structure on the label ring alone, with no working
+precision; it is the identity the label walk of ``enumerate_labels`` keeps,
+and the walk is certified complete by the count |G|^2 / |Gamma_mu|.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from .errors import (
     SideMismatchError,
     json_field,
 )
-from .matrices import FieldElement, GroupMatrix, certified_min, check_antidominant, spread
+from .matrices import INF, FieldElement, GroupMatrix, certified_min, check_antidominant, spread
 from .rings import RAMIFIED
 
 
@@ -77,6 +85,10 @@ class GroupContext:
         self._group_elements = None
         self._label_cache = {}
         self._q_inverses = {}
+        self._label_unif_unit = side.unif_unit_coords(self.label_ring)
+        # (kind, t) -> the subgroup Y_mu or X0_mu, and its orbit table
+        self._subgroups = {}
+        self._orbits = {}
 
     # -- working precision ---------------------------------------------------
 
@@ -106,6 +118,11 @@ class GroupContext:
     def unif_power_matrix(self, mu, ring):
         return GroupMatrix.unif_diagonal(ring, mu, self.side.unif_unit_coords(ring))
 
+    def _unif_powers(self, mu, ring):
+        """The diagonal entries pi^mu_i of pi^mu, for scaling rows or columns."""
+        w = self.side.unif_unit_coords(ring)
+        return [FieldElement.unif_power(ring, k, w) for k in mu]
+
     def _lift_inverse(self, Q, ring):
         """lift(Q)^{-1} over ``ring``, inverted once per (Q, ring)."""
         inv = self._q_inverses.get((Q, ring))
@@ -114,8 +131,12 @@ class GroupContext:
         return inv
 
     def lift_label(self, label, ring):
+        # P pi^mu scales P's columns: the products with the off-diagonal
+        # exact zeros of pi^mu change no sum
+        powers = self._unif_powers(label.mu, ring)
         P = self.lift_residue_matrix(label.P, ring)
-        return P * self.unif_power_matrix(label.mu, ring) * self._lift_inverse(label.Q, ring)
+        Pd = GroupMatrix(ring, [[x * d for x, d in zip(row, powers)] for row in P.rows])
+        return Pd * self._lift_inverse(label.Q, ring)
 
     def identity_label(self):
         idm = GroupMatrix.identity(self.label_ring, self.n).residue_matrix(self.m)
@@ -165,12 +186,14 @@ class GroupContext:
             inv_piv = pivot.inverse()
             for i in range(k + 1, n):
                 f = a[i][k] * inv_piv
-                if not f.is_zero_marker():
+                # only an exact zero is skipped: a zero floor must reach
+                # a, x and y, or they would certify what g does not fix
+                if f.v != INF:
                     row_sub(a, i, k, f)
                     col_sub(X, k, i, -f)
             for j in range(k + 1, n):
                 f = a[k][j] * inv_piv
-                if not f.is_zero_marker():
+                if f.v != INF:
                     col_sub(a, j, k, f)
                     col_sub(Q, j, k, f)
         # later steps never touch a[k][k], so it is still the pivot pi^v u_k,
@@ -259,16 +282,21 @@ class GroupContext:
         """
         n, mu, m = self.n, label.mu, self.m
         P = self.lift_residue_matrix(label.P, ring)
-        right = self.unif_power_matrix(mu, ring) * self._lift_inverse(label.Q, ring)
+        # pi^mu Q^{-1} scales the rows of Q^{-1}, and P u adds c_ij times
+        # column i of P to column j: the terms left out are exact zeros
+        right = GroupMatrix(ring, [[d * x for x in row] for d, row in
+                                   zip(self._unif_powers(mu, ring),
+                                       self._lift_inverse(label.Q, ring).rows)])
+        pcols = list(zip(*P.rows))
         below = [(i, j) for i in range(1, n) for j in range(i)]
         choices = [self._digits(ring, m, m + mu[i] - mu[j]) for i, j in below]
-        ident = GroupMatrix.identity(ring, n)
         reps = []
         for entries in itertools.product(*choices):
-            rows = [list(row) for row in ident.rows]
+            cols = list(pcols)
             for (i, j), c in zip(below, entries):
-                rows[i][j] = FieldElement.make(ring, 0, c)
-            reps.append(P * GroupMatrix(ring, rows) * right)
+                f = FieldElement.make(ring, 0, c)
+                cols[j] = [x + y * f for x, y in zip(cols[j], pcols[i])]
+            reps.append(GroupMatrix(ring, zip(*cols)) * right)
         return reps
 
     # -- double cosets -----------------------------------------------------------
@@ -304,6 +332,104 @@ class GroupContext:
         return CosetLabel(mu, x.residue_matrix(self.m), y.residue_matrix(self.m),
                           self.m)
 
+    # -- canonical labels ------------------------------------------------------------
+
+    def canonical_label(self, label):
+        """One exact representative per double coset, from the residues alone.
+
+        (P, Q) and (P', Q') name one double coset exactly when
+        (P'^{-1} P, Q'^{-1} Q) lies in Gamma_mu.  With t_ij = min(m, mu_j - mu_i)
+        for i < j, Gamma_mu projects onto Y_mu (y_ij in pi^t_ij above the
+        diagonal) with kernel X0_mu (upper unitriangular, x_ij in
+        pi^(m - t_ij)), and (x0(y), y) lies in Gamma_mu for
+        x0(y) = pi^mu y pi^-mu.  So Q goes to the least member Q y0 of Q Y_mu,
+        and P x0(y0) to the least member of P x0(y0) X0_mu."""
+        t = self._t_pattern(label.mu)
+        Q, y0 = self._orbit_rep("Y", t, label.Q)
+        x0 = self._conjugate_by_unif(label.mu, y0)
+        P = self._orbit_rep("X", t, self._rmat_mul(label.P, x0))
+        return CosetLabel(label.mu, P, Q, self.m)
+
+    def _t_pattern(self, mu):
+        n, m = self.n, self.m
+        return tuple(min(m, mu[j] - mu[i]) for i in range(n) for j in range(i + 1, n))
+
+    def _conjugate_by_unif(self, mu, y):
+        """pi^mu y pi^-mu mod pi^m for y in Y_mu, entry by entry: y_ij times
+        pi^(mu_i - mu_j), exact division above the diagonal and 0 where
+        mu_j - mu_i >= m.  The distinguished uniformizer is pi times w."""
+        ring, m, w = self.label_ring, self.m, self._label_unif_unit
+        rows = []
+        for i, row in enumerate(y):
+            out = []
+            for j, e in enumerate(row):
+                k = mu[i] - mu[j]
+                if k and w != ring.one():
+                    e = ring.mul(e, ring.pow(w, k))
+                if k > 0:
+                    e = ring.mul_pi(e, k)
+                elif k < 0:
+                    e = ring.div_pi(e, -k) if -k < m else ring.zero()
+                out.append(e)
+            rows.append(tuple(out))
+        return tuple(rows)
+
+    def _subgroup(self, kind, t):
+        """Y_mu as (y, y^{-1}) pairs, or X0_mu as its members, for the
+        t-pattern ``t``, listed once from the label ring."""
+        group = self._subgroups.get((kind, t))
+        if group is not None:
+            return group
+        self._check_pair_budget()
+        ring, n, m = self.label_ring, self.n, self.m
+        steps = iter(t)
+        if kind == "Y":
+            free = sorted(ring.elements())
+            cells = [self._digits(ring, next(steps), m) if j > i else free
+                     for i in range(n) for j in range(n)]
+        else:
+            one, zero = [ring.one()], [ring.zero()]
+            cells = [self._digits(ring, m - next(steps), m) if j > i else
+                     one if j == i else zero for i in range(n) for j in range(n)]
+        group = []
+        for entries in itertools.product(*cells):
+            mat = tuple(entries[i * n:(i + 1) * n] for i in range(n))
+            if kind == "X":
+                group.append(mat)
+            elif residue_invertible(ring, mat):
+                inv = self.lift_residue_matrix(mat, ring).inverse().residue_matrix(m)
+                group.append((mat, inv))
+        self._subgroups[(kind, t)] = group
+        return group
+
+    def _orbit_rep(self, kind, t, M):
+        """The least member of M Y_mu with the y0 that carries M there, or the
+        least member of M X0_mu.  A new orbit is listed once, and each of its
+        members stored with the answer."""
+        table = self._orbits.setdefault((kind, t), {})
+        hit = table.get(M)
+        if hit is not None:
+            return hit
+        group = self._subgroup(kind, t)
+        if kind == "X":
+            members = [self._rmat_mul(M, x) for x in group]
+            rep = min(members)
+            for member in members:
+                table[member] = rep
+            return rep
+        members = [self._rmat_mul(M, y) for y, _ in group]
+        rep, y_best = min(zip(members, (y for y, _ in group)))
+        # M y lands on rep = M y_best through y^{-1} y_best
+        for member, (_, y_inv) in zip(members, group):
+            table[member] = (rep, self._rmat_mul(y_inv, y_best))
+        return table[M]
+
+    def _check_pair_budget(self):
+        if self.group_order() ** 2 > self.budget:
+            raise BudgetExceededError(
+                f"|G(o/p^m)|^2 = {self.group_order() ** 2} exceeds "
+                f"budget {self.budget}")
+
     # -- enumeration ---------------------------------------------------------------
 
     def group_order(self):
@@ -335,10 +461,9 @@ class GroupContext:
         return gens
 
     def _rmat_mul(self, A, B):
-        ring, n = self.label_ring, self.n
-        return tuple(tuple(
-            _ring_dot(ring, A[i], [B[k][j] for k in range(n)]) for j in range(n))
-            for i in range(n))
+        ring = self.label_ring
+        cols = list(zip(*B))
+        return tuple(tuple(_ring_dot(ring, row, col) for col in cols) for row in A)
 
     def enumerate_labels(self, mus):
         """One label per double coset with invariant in ``mus``; complete,
@@ -354,29 +479,36 @@ class GroupContext:
             if cached is not None:
                 out.extend(cached)
                 continue
-            if spread(mu) != 0 and self.group_order() ** 2 > self.budget:
-                raise BudgetExceededError(
-                    f"|G(o/p^m)|^2 = {self.group_order() ** 2} exceeds "
-                    f"budget {self.budget}")
             if spread(mu) == 0:
                 # central pi-power times G(o): K is normal there, so double
                 # cosets biject with level-m classes
                 idm = self.identity_label().Q
                 orbit = [CosetLabel(mu, x, idm, self.m) for x in self.group_elements()]
             else:
+                self._check_pair_budget()
                 if gens is None:
                     gens = self._residue_gl_generators()
                 start = self.unif_label(mu)
-                found = {self.fingerprint(start)}
+                found = {self.canonical_label(start)}
                 orbit = [start]
                 for lab in orbit:       # breadth first: the loop reaches appended labels
                     for s in gens:
                         for moved in (CosetLabel(mu, self._rmat_mul(s, lab.P), lab.Q, self.m),
                                       CosetLabel(mu, lab.P, self._rmat_mul(s, lab.Q), self.m)):
-                            fp = self.fingerprint(moved)
-                            if fp not in found:
-                                found.add(fp)
+                            canon = self.canonical_label(moved)
+                            if canon not in found:
+                                found.add(canon)
                                 orbit.append(moved)
+                # |Gamma_mu| = |Y_mu| |X0_mu|, X0_mu being the kernel of its
+                # projection on y: the walk is complete exactly when it
+                # found |G|^2 / |Gamma_mu| labels
+                t = self._t_pattern(mu)
+                expected = self.group_order() ** 2 // (
+                    len(self._subgroup("Y", t)) * len(self._subgroup("X", t)))
+                if len(orbit) != expected:
+                    raise InvariantViolationError(
+                        f"the walk found {len(orbit)} labels for {mu}, "
+                        f"|G|^2 / |Gamma_mu| = {expected}")
             orbit.sort(key=lambda lab: lab.sort_key())
             self._label_cache[mu] = orbit
             out.extend(orbit)
@@ -485,9 +617,9 @@ def residue_invertible(ring, mat):
 
 
 def _ring_dot(ring, row, col):
-    acc = ring.zero()
-    for x, y in zip(row, col):
-        acc = ring.add(acc, ring.mul(x, y))
+    acc = ring.mul(row[0], col[0])
+    for k in range(1, len(row)):
+        acc = ring.add(acc, ring.mul(row[k], col[k]))
     return acc
 
 

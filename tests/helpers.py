@@ -4,11 +4,15 @@ These deliberately avoid the canonical-key machinery of the library: left
 cosets are enumerated by brute force over K_m/K_r (or, where that is too
 large to list, closed under its elementary generators) and compared by the
 definition x^{-1} y in K, and convolution coefficients come from the double
-sum over group/K points.  One helper uses fingerprints: ``coeff_at``, which
-reads an element's terms by their key.  Three keep an earlier formula of the
-library as an oracle for the faster one: ``flatten`` (the label order),
-``left_coset_key_by_inverse`` (V = H^{-1} A by a matrix inverse) and
-``smith_x_by_inverse`` (x = P^{-1} by a matrix inverse).
+sum over group/K points.  Two helpers use fingerprints: ``coeff_at``, which
+reads an element's terms by their key, and ``fingerprint_bfs_labels``, the
+label walk with fingerprints as its identity, kept to check the walk of
+``enumerate_labels``, whose identity is the canonical label.  Four keep an
+earlier formula of the library as an oracle for the faster one: ``flatten``
+(the label order), ``left_coset_key_by_inverse`` (V = H^{-1} A by a matrix
+inverse), ``smith_x_by_inverse`` (x = P^{-1} by a matrix inverse) and
+``lift_label_by_products`` (P pi^mu Q^{-1} and the transversal by full
+matrix products).
 
 The last two helpers are no oracles: ``check_brauer_multiplicative`` samples
 Br(f * g) = Br(f) * Br(g) on seeded pairs, and ``transport_module`` renames
@@ -17,6 +21,7 @@ a module's generators.  Only tests use them, so they live here.
 
 import itertools
 import random
+from collections import deque
 
 from closehecke.cartan import CosetLabel
 from closehecke.errors import (
@@ -191,6 +196,62 @@ def gamma_stabilizer(ctx, mu):
     return [(x, y) for x in els for y in els
             if coset_matches(ctx, ctx.lift_label(CosetLabel(mu, x, y, ctx.m), ring),
                              cosets) > 0]
+
+
+def random_k_element(ctx, ring, rng):
+    """A seeded element 1 + pi^m A of K_m, A with small random integral
+    entries."""
+    one = FieldElement.make(ring, 0, ring.one())
+    units = [u for u in ring.elements() if ring.is_unit(u)][:8]
+    rows = []
+    for i in range(ctx.n):
+        row = []
+        for j in range(ctx.n):
+            a = FieldElement.make(ring, ctx.m + rng.randrange(3), units[rng.randrange(len(units))])
+            row.append(one + a if i == j else a)
+        rows.append(row)
+    return GroupMatrix(ring, rows)
+
+
+def fingerprint_bfs_labels(ctx, mu):
+    """Labels of invariant ``mu`` (spread > 0) by the breadth-first walk over
+    the residue generators acting on P and Q, a moved label being new when
+    its fingerprint is unseen; sorted by label order."""
+    start = ctx.unif_label(mu)
+    seen = {ctx.fingerprint(start)}
+    orbit = [start]
+    queue = deque([start])
+    gens = ctx._residue_gl_generators()
+    while queue:
+        lab = queue.popleft()
+        for s in gens:
+            for moved in (CosetLabel(mu, ctx._rmat_mul(s, lab.P), lab.Q, ctx.m),
+                          CosetLabel(mu, lab.P, ctx._rmat_mul(s, lab.Q), ctx.m)):
+                fp = ctx.fingerprint(moved)
+                if fp not in seen:
+                    seen.add(fp)
+                    orbit.append(moved)
+                    queue.append(moved)
+    return sorted(orbit, key=lambda lab: lab.sort_key())
+
+
+def lift_label_by_products(ctx, label, ring):
+    """P pi^mu Q^{-1} and its transversal P u pi^mu Q^{-1} with every factor
+    a full GroupMatrix product, u = I first."""
+    n, mu, m = ctx.n, label.mu, ctx.m
+    P = ctx.lift_residue_matrix(label.P, ring)
+    D = ctx.unif_power_matrix(mu, ring)
+    Q_inv = ctx.lift_residue_matrix(label.Q, ring).inverse()
+    right = D * Q_inv
+    below = [(i, j) for i in range(1, n) for j in range(i)]
+    choices = [ctx._digits(ring, m, m + mu[i] - mu[j]) for i, j in below]
+    reps = []
+    for entries in itertools.product(*choices):
+        rows = [list(row) for row in GroupMatrix.identity(ring, n).rows]
+        for (i, j), c in zip(below, entries):
+            rows[i][j] = FieldElement.make(ring, 0, c)
+        reps.append(P * GroupMatrix(ring, rows) * right)
+    return P * D * Q_inv, reps
 
 
 def coeff_at(f, label):

@@ -20,19 +20,23 @@ from closehecke.matrices import (
     spread,
 )
 from closehecke.rings import EQUAL, MIXED, RAMIFIED, UNRAMIFIED, base_side, extension_side
+from closehecke.transfer import random_label
 
 from helpers import (
     brute_left_cosets,
     closure_left_cosets,
     coset_matches,
     distinct_double_cosets,
+    fingerprint_bfs_labels,
     flatten,
     gamma_stabilizer,
     k_elements,
     leibniz_det,
     left_coset_key_by_inverse,
+    lift_label_by_products,
     minor_valuation_mu,
     random_field_matrix,
+    random_k_element,
     same_double_coset,
     same_left_coset,
     smith_x_by_inverse,
@@ -265,6 +269,41 @@ def test_starved_key_raises_like_the_inverse_formula():
                 key(g)
 
 
+def test_an_unknown_multiplier_reaches_the_smith_transforms():
+    # an entry known only as O(pi^0) below the pivot leaves x mod pi open,
+    # and one beside it leaves y mod pi open: neither label can be named
+    ctx = GroupContext(base_side("F", MIXED, 2, 1), 2)
+    ring = ctx.working_ring(6)
+    one, unknown, zero = fe(ring, 0, 1), FieldElement.zero(ring, floor=0), FieldElement.zero(ring)
+    for g in (GroupMatrix(ring, [[one, zero], [unknown, one]]),
+              GroupMatrix(ring, [[one, unknown], [zero, one]])):
+        with pytest.raises(InsufficientPrecisionError):
+            ctx.label_of_matrix(g)
+
+
+_PRODUCT_SIDES = {
+    **{(name, 2): side for name, side in _KEY_SIDES.items()},
+    ("twisted", 2): lambda: base_side("F'", EQUAL, 3, 1, unif_unit=(2, 1)),
+    ("base-2", 3): _KEY_SIDES["base-2"],
+}
+
+
+@pytest.mark.parametrize("side, n", list(_PRODUCT_SIDES), ids=lambda v: str(v))
+def test_lift_label_and_transversal_match_the_product_formula(side, n):
+    # scaling by pi^mu and building P u by column operations leave out
+    # exact zeros only: every entry keeps its valuation, unit and precision
+    ctx = GroupContext(_PRODUCT_SIDES[(side, n)](), n)
+    rng = random.Random(13)
+    for mu in [(0,) * n, (0,) * (n - 1) + (1,), (-1,) + (2,) * (n - 1)]:
+        ring = ctx.working_ring(ctx.default_pi_prec([mu]))
+        for lab in (ctx.unif_label(mu), _unipotent_label(ctx, mu, rng)):
+            g, reps = lift_label_by_products(ctx, lab, ring)
+            assert _same_entries(ctx.lift_label(lab, ring), g)
+            fast = ctx.left_coset_reps(lab, ring)
+            assert len(fast) == len(reps)
+            assert all(_same_entries(x, y) for x, y in zip(fast, reps))
+
+
 def test_q_inverse_is_taken_once_per_q_and_ring(monkeypatch):
     ctx = GroupContext(base_side("F", MIXED, 3, 1), 2)
     els = ctx.group_elements()[:4]
@@ -469,6 +508,102 @@ def test_enumerate_labels_matches_fingerprint_bfs(p, m):
         labels = ctx.enumerate_labels([mu])
         assert len(labels) == count
         assert distinct_double_cosets(ctx, labels, ctx.working_ring(ctx.default_pi_prec([mu])))
+        assert labels == fingerprint_bfs_labels(ctx, mu)
+
+
+@pytest.mark.parametrize("side, mu", [
+    (base_side("F", EQUAL, 3, 1), (0, 1)),
+    (base_side("F'", EQUAL, 3, 1, unif_unit=(2, 1)), (-1, 1)),
+    (base_side("F", MIXED, 2, 1), (0, 1, 2)),
+    (base_side("F", MIXED, 2, 1), (0, 0, 1)),
+], ids=["F_3[t]", "twisted", "n=3", "n=3-central-pair"])
+def test_walk_gives_the_fingerprint_walk_labels_in_its_order(side, mu):
+    ctx = GroupContext(side, len(mu))
+    assert ctx.enumerate_labels([mu]) == fingerprint_bfs_labels(ctx, mu)
+
+
+def test_walk_missing_a_generator_raises(monkeypatch):
+    # without the unit generator every move keeps det P / det Q, so the
+    # walk from (I, I) misses half the labels of GL_2(F_3); the count
+    # |G|^2 / |Gamma_mu| tells
+    ctx = GroupContext(base_side("F", MIXED, 3, 1), 2)
+    full = GroupContext._residue_gl_generators
+    monkeypatch.setattr(GroupContext, "_residue_gl_generators", lambda self: full(self)[:-1])
+    with pytest.raises(InvariantViolationError):
+        ctx.enumerate_labels([(0, 1)])
+
+
+# -- canonical labels ----------------------------------------------------------------
+
+_CANONICAL_WINDOWS = {
+    "Z/2": lambda: base_side("F", MIXED, 2, 1),
+    "Z/3": lambda: base_side("F", MIXED, 3, 1),
+    "Z/4": lambda: base_side("F", MIXED, 2, 2),
+    "F_3[t]": lambda: base_side("F", EQUAL, 3, 1),
+    "twisted": lambda: base_side("F'", EQUAL, 3, 1, unif_unit=(2,)),
+}
+
+
+@pytest.mark.parametrize("side", list(_CANONICAL_WINDOWS))
+def test_canonical_label_agrees_with_fingerprints_on_every_pair(side):
+    # over all |G|^2 labels of each mu, canonical(a) = canonical(b) exactly
+    # when fingerprint(a) = fingerprint(b): the two maps cut one partition
+    # when the pairs (fingerprint, canonical) are as many as either alone;
+    # and a canonical label names its own double coset
+    ctx = GroupContext(_CANONICAL_WINDOWS[side](), 2)
+    els, q = ctx.group_elements(), ctx.residue_q
+    for mu in [(0, 1), (0, 2), (-1, 1), (0, 3)]:
+        seen = {(ctx.fingerprint(lab), ctx.canonical_label(lab))
+                for lab in (CosetLabel(mu, P, Q, ctx.m) for P in els for Q in els)}
+        fps, canons = {fp for fp, _ in seen}, {c for _, c in seen}
+        assert len(seen) == len(fps) == len(canons) == (q + 1) * ctx.group_order() // q
+        assert all(ctx.fingerprint(c) == fp for fp, c in seen)
+
+
+@pytest.mark.parametrize("side, n, mus", [
+    (lambda: base_side("F", MIXED, 2, 1), 3, [(0, 0, 1), (0, 1, 1), (0, 1, 2)]),
+    (lambda: base_side("F'", MIXED, 2, 3, unif_unit=(1, 1)), 2, [(0, 1), (0, 2)]),
+    (lambda: base_side("F'", EQUAL, 3, 2, unif_unit=(2,)), 2, [(0, 1)]),
+], ids=["n=3", "twisted-Z/8", "twisted-F_3[t]/t^2"])
+def test_canonical_label_agrees_with_fingerprints_on_sampled_pairs(side, n, mus):
+    # b = k lift(a) k' with k, k' in K_m names a's double coset by
+    # definition, and c is a random label.  The twisted sides have a
+    # distinguished uniformizer pi w with w - 1 a unit or pi times a unit,
+    # so x0 = pi^mu y pi^-mu must carry w's powers below the diagonal.
+    ctx = GroupContext(side(), n, budget=10 ** 8)
+    rng = random.Random(29)
+    for mu in mus:
+        ring = ctx.working_ring(ctx.default_pi_prec([mu]))
+        for _ in range(40):
+            a, c = random_label(ctx, rng, [mu]), random_label(ctx, rng, [mu])
+            b = ctx.label_of_matrix(random_k_element(ctx, ring, rng) * ctx.lift_label(a, ring)
+                                    * random_k_element(ctx, ring, rng))
+            assert ctx.fingerprint(a) == ctx.fingerprint(b)
+            assert ctx.canonical_label(a) == ctx.canonical_label(b)
+            assert (ctx.canonical_label(a) == ctx.canonical_label(c)) \
+                == (ctx.fingerprint(a) == ctx.fingerprint(c))
+
+
+def test_canonical_label_of_a_central_mu_is_its_level_m_class():
+    # spread 0: Gamma_mu is the diagonal of G x G, so the canonical label
+    # depends on P Q^{-1} alone, and the |G|^2 labels fall into |G| classes
+    ctx = GroupContext(base_side("F", MIXED, 3, 1), 2)
+    els = ctx.group_elements()
+    classes = {}
+    for P in els:
+        for Q in els:
+            Q_inv = ctx.lift_residue_matrix(Q, ctx.label_ring).inverse().residue_matrix(1)
+            key = ctx._rmat_mul(P, Q_inv)
+            classes.setdefault(key, set()).add(ctx.canonical_label(CosetLabel((1, 1), P, Q, 1)))
+    assert len(classes) == len(els)
+    assert all(len(canons) == 1 for canons in classes.values())
+    assert len({c for canons in classes.values() for c in canons}) == len(els)
+
+
+def test_canonical_label_refuses_an_over_budget_group():
+    ctx = GroupContext(base_side("F", MIXED, 3, 2), 2)
+    with pytest.raises(BudgetExceededError):
+        ctx.canonical_label(ctx.unif_label((0, 1)))
 
 
 @pytest.mark.parametrize("side, mus", [

@@ -202,6 +202,8 @@ def test_optimized_run_is_byte_identical(tmp_path):
                   "--window", "1", "--samples", "1"],
                  ["cosets", "enumerate", "--side", "E", "--case", "unramified",
                   "--p", "2", "--l", "3", "--mu-lo", "0", "--mu-hi", "0"],
+                 ["cosets", "enumerate", "--side", "F", "--p", "2", "--n", "3",
+                  "--mu-lo", "0", "--mu-hi", "1", "--window", "1"],
                  ["tate", "cohomology", "--module", "m.json", "--i", "0"],
                  ["linkage", "check", "--xi", "m.json", "--rho", "r.json", "--br", "b.json"]):
         plain, optimized = run(argv), run(argv, "-O")
@@ -215,6 +217,8 @@ _TYPED_INVARIANT_TESTS = [
     "tests/test_cartan.py::test_group_elements_short_closure_raises",
     "tests/test_cartan.py::test_decreasing_cartan_invariant_raises_typed_error",
     "tests/test_cartan.py::test_label_ring_at_the_wrong_level_raises_typed_error",
+    "tests/test_cartan.py::test_walk_missing_a_generator_raises",
+    "tests/test_cartan.py::test_an_unknown_multiplier_reaches_the_smith_transforms",
     "tests/test_cartan.py::test_sigma_on_group_of_a_base_side_is_a_side_mismatch",
     "tests/test_cartan.py::test_inverse_refuses_a_pivot_under_a_zero_floor",
     "tests/test_transfer.py::test_extension_pair_guards_raise_typed_errors",
