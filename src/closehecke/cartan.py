@@ -5,19 +5,13 @@ Left cosets g K_m carry a canonical key: scale g integral, column-reduce to
 the lower-triangular Hermite form H over the valuation ring (diagonal
 pi^{a_i}, below-diagonal entries reduced mod the diagonal of their row) and
 record (scaling, a, reduced entries, H^{-1} g mod pi^m), H^{-1} g being the
-inverse of the unimodular column operations.  The key determines the coset
-exactly, so the sorted tuple of keys over the cosets of K g K is a complete
-invariant of the double coset.  Each context maps every key of the
-fingerprints it computed to its fingerprint: the one answer to which double
-coset holds a left coset, never equality of representatives.
+inverse of the unimodular column operations.  The key determines the left
+coset exactly; convolution buckets products by it.
 
-A label (mu, P, Q) names K P pi^mu Q^{-1} K, and since K_m is normal in
-GL_n(o), (P, Q) and (P', Q') name one double coset exactly when
-(P'^{-1} P, Q'^{-1} Q) lies in Gamma_mu = {(x, y) : x pi^mu y^{-1} in
-K pi^mu K}.  ``canonical_label`` picks one representative per double coset
-from that group's structure on the label ring alone, with no working
-precision; it is the identity the label walk of ``enumerate_labels`` keeps,
-and the walk is certified complete by the count |G|^2 / |Gamma_mu|.
+A label (mu, P, Q) names K P pi^mu Q^{-1} K.  ``canonical_label`` picks one
+representative per double coset by normal forms over the label ring alone:
+it is the one double-coset identity, and the label walk of
+``enumerate_labels`` is certified complete by the count |G|^2 / |Gamma_mu|.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ from .errors import (
     ConfigError,
     InsufficientPrecisionError,
     InvariantViolationError,
-    SideMismatchError,
     json_field,
 )
 from .matrices import INF, FieldElement, GroupMatrix, certified_min, check_antidominant, spread
@@ -79,16 +72,13 @@ class GroupContext:
             self.residue_q = side.p ** side.l
         else:
             self.residue_q = side.p
-        self._fingerprints = {}
-        # left-coset key -> fingerprint of its double coset, written once
-        self._double_cosets = {}
         self._group_elements = None
         self._label_cache = {}
         self._q_inverses = {}
         self._label_unif_unit = side.unif_unit_coords(self.label_ring)
-        # (kind, t) -> the subgroup Y_mu or X0_mu, and its orbit table
-        self._subgroups = {}
-        self._orbits = {}
+        self._canonical = {}                # label -> its canonical label
+        # (Q, mu) -> (Q y0, x0(y0)), shared by the labels with this Q
+        self._q_forms = {}
 
     # -- working precision ---------------------------------------------------
 
@@ -139,8 +129,7 @@ class GroupContext:
         return Pd * self._lift_inverse(label.Q, ring)
 
     def identity_label(self):
-        idm = GroupMatrix.identity(self.label_ring, self.n).residue_matrix(self.m)
-        return CosetLabel((0,) * self.n, idm, idm, self.m)
+        return self.unif_label((0,) * self.n)
 
     def unif_label(self, mu):
         mu = check_antidominant(mu)
@@ -299,33 +288,10 @@ class GroupContext:
             reps.append(GroupMatrix(ring, zip(*cols)) * right)
         return reps
 
-    # -- double cosets -----------------------------------------------------------
-
-    def fingerprint(self, label):
-        """Complete double-coset invariant: (mu, sorted left-coset keys).
-        Left cosets of distinct double cosets are disjoint, so one key finds a
-        known double coset; a new one lists its transversal (u = I first)."""
-        fp = self._fingerprints.get(label)
-        if fp is not None:
-            return fp
-
-        def run(pi_prec):
-            ring = self.working_ring(pi_prec)
-            first = self.left_coset_key(self.lift_label(label, ring))
-            if first in self._double_cosets:
-                return self._double_cosets[first]
-            reps = self.left_coset_reps(label, ring)[1:]
-            return (label.mu, tuple(sorted([first, *map(self.left_coset_key, reps)])))
-
-        fp = self.with_retry(run, self.default_pi_prec([label.mu]))
-        for key in fp[1]:
-            self._double_cosets.setdefault(key, fp)
-        self._fingerprints[label] = fp
-        return fp
-
-    def double_coset_of_key(self, key):
-        """The fingerprint holding this left-coset key, or None if none here does."""
-        return self._double_cosets.get(key)
+    def fingerprint(self, label, ring):
+        """The keys of the left cosets in the double coset of ``label``, in
+        the order of its transversal over ``ring``."""
+        return [self.left_coset_key(g) for g in self.left_coset_reps(label, ring)]
 
     def label_of_matrix(self, g):
         mu, x, y = self.smith_cartan(g)
@@ -342,17 +308,111 @@ class GroupContext:
         for i < j, Gamma_mu projects onto Y_mu (y_ij in pi^t_ij above the
         diagonal) with kernel X0_mu (upper unitriangular, x_ij in
         pi^(m - t_ij)), and (x0(y), y) lies in Gamma_mu for
-        x0(y) = pi^mu y pi^-mu.  So Q goes to the least member Q y0 of Q Y_mu,
-        and P x0(y0) to the least member of P x0(y0) X0_mu."""
-        t = self._t_pattern(label.mu)
-        Q, y0 = self._orbit_rep("Y", t, label.Q)
-        x0 = self._conjugate_by_unif(label.mu, y0)
-        P = self._orbit_rep("X", t, self._rmat_mul(label.P, x0))
-        return CosetLabel(label.mu, P, Q, self.m)
+        x0(y) = pi^mu y pi^-mu.  So Q goes to the normal form Q y0 of Q Y_mu,
+        and P x0(y0) to that of P x0(y0) X0_mu, in O(n^3) ring operations."""
+        canon = self._canonical.get(label)
+        if canon is not None:
+            return canon
+        mu = label.mu
+        q_form = self._q_forms.get((label.Q, mu))
+        if q_form is None:
+            Q, y0 = self._y_normal_form(label.Q, mu)
+            q_form = self._q_forms[(label.Q, mu)] = (Q, self._conjugate_by_unif(mu, y0))
+        Q, x0 = q_form
+        canon = CosetLabel(mu, self._x_normal_form(self._rmat_mul(label.P, x0), mu), Q, self.m)
+        self._canonical[label] = canon
+        return canon
 
-    def _t_pattern(self, mu):
-        n, m = self.n, self.m
-        return tuple(min(m, mu[j] - mu[i]) for i in range(n) for j in range(i + 1, n))
+    def _reduce(self, x, s):
+        """The canonical representative of x modulo pi^s."""
+        ring = self.label_ring
+        return x if s >= self.m else ring.lift_residue(ring.residue(x, s), s)
+
+    def _y_normal_form(self, Q, mu):
+        """(Q y0, y0) for the Bruhat normal form Q y0 of Q Y_mu, by column
+        operations of Y_mu mirrored on y0.  From the last block of equal mu_i
+        to the first: clear the later pivot rows, take the free rows holding
+        a unit top-down as the block's pivots, scale each to 1 and clear it
+        in the block.  Q y0 is then a row permutation of an upper
+        unitriangular matrix with each entry above a pivot reduced modulo
+        pi^t_ij."""
+        ring, n, m = self.label_ring, self.n, self.m
+        one, zero = ring.one(), ring.zero()
+        cols = [list(c) for c in zip(*Q)]
+        ys = [[one if i == j else zero for i in range(n)] for j in range(n)]
+
+        def add(j, c, i):               # column j += c column i
+            for M in (cols, ys):
+                M[j] = [ring.add(a, ring.mul(c, b)) for a, b in zip(M[j], M[i])]
+
+        pivot = [None] * n
+        free_rows = list(range(n))
+        hi = n
+        while hi:
+            lo = hi - 1
+            while lo and mu[lo - 1] == mu[hi - 1]:
+                lo -= 1
+            for j in range(lo, hi):
+                for i in range(n - 1, hi - 1, -1):
+                    c = cols[j][pivot[i]]
+                    if not ring.is_zero(c):
+                        add(j, ring.neg(c), i)
+            nxt = lo
+            for r in free_rows:
+                col = next((j for j in range(nxt, hi) if ring.is_unit(cols[j][r])), None)
+                if col is None:
+                    continue
+                u = ring.inv(cols[col][r])
+                for M in (cols, ys):
+                    M[col], M[nxt] = M[nxt], [ring.mul(u, a) for a in M[col]]
+                for k in range(lo, hi):
+                    c = cols[k][r]
+                    if k != nxt and not ring.is_zero(c):
+                        add(k, ring.neg(c), nxt)
+                pivot[nxt] = r
+                nxt += 1
+                if nxt == hi:
+                    break
+            if nxt != hi:
+                raise InvariantViolationError(f"{Q} is not invertible modulo pi")
+            free_rows = [r for r in free_rows if r not in pivot[lo:hi]]
+            hi = lo
+        for j in range(1, n):
+            for i in range(j - 1, -1, -1):
+                x = cols[j][pivot[i]]
+                d = ring.sub(self._reduce(x, min(m, mu[j] - mu[i])), x)
+                if not ring.is_zero(d):
+                    add(j, d, i)
+        return (tuple(zip(*cols)), tuple(zip(*ys)))
+
+    def _x_normal_form(self, M, mu):
+        """The normal form of M X0_mu.  Column j moves by the pi^(m - t_ij)
+        multiples of the columns i < j, or of an echelon basis of them (unit
+        pivot rows, each basis column zero on the earlier pivot rows): it is
+        reduced modulo pi^(m - t_ij) at each pivot row in turn."""
+        ring, n, m = self.label_ring, self.n, self.m
+        cols = [list(c) for c in zip(*M)]
+        basis = []                      # (pivot row, echelon column)
+        for j in range(n):
+            v = cols[j]
+            for i, (r, e) in enumerate(basis):
+                d = ring.sub(self._reduce(v[r], m - min(m, mu[j] - mu[i])), v[r])
+                if not ring.is_zero(d):
+                    v = [ring.add(a, ring.mul(d, b)) for a, b in zip(v, e)]
+            cols[j] = v
+            if j == n - 1:
+                break
+            for r, e in basis:
+                c = v[r]
+                if not ring.is_zero(c):
+                    v = [ring.sub(a, ring.mul(c, b)) for a, b in zip(v, e)]
+            used = {r for r, _ in basis}
+            r = next((r for r in range(n) if r not in used and ring.is_unit(v[r])), None)
+            if r is None:
+                raise InvariantViolationError(f"{M} is not invertible modulo pi")
+            inv = ring.inv(v[r])
+            basis.append((r, [ring.mul(inv, a) for a in v]))
+        return tuple(zip(*cols))
 
     def _conjugate_by_unif(self, mu, y):
         """pi^mu y pi^-mu mod pi^m for y in Y_mu, entry by entry: y_ij times
@@ -374,55 +434,21 @@ class GroupContext:
             rows.append(tuple(out))
         return tuple(rows)
 
-    def _subgroup(self, kind, t):
-        """Y_mu as (y, y^{-1}) pairs, or X0_mu as its members, for the
-        t-pattern ``t``, listed once from the label ring."""
-        group = self._subgroups.get((kind, t))
-        if group is not None:
-            return group
-        self._check_pair_budget()
-        ring, n, m = self.label_ring, self.n, self.m
-        steps = iter(t)
-        if kind == "Y":
-            free = sorted(ring.elements())
-            cells = [self._digits(ring, next(steps), m) if j > i else free
-                     for i in range(n) for j in range(n)]
-        else:
-            one, zero = [ring.one()], [ring.zero()]
-            cells = [self._digits(ring, m - next(steps), m) if j > i else
-                     one if j == i else zero for i in range(n) for j in range(n)]
-        group = []
-        for entries in itertools.product(*cells):
-            mat = tuple(entries[i * n:(i + 1) * n] for i in range(n))
-            if kind == "X":
-                group.append(mat)
-            elif residue_invertible(ring, mat):
-                inv = self.lift_residue_matrix(mat, ring).inverse().residue_matrix(m)
-                group.append((mat, inv))
-        self._subgroups[(kind, t)] = group
-        return group
+    def gamma_order(self, mu):
+        """|Gamma_mu| = |Y_mu| |X0_mu|: Y_mu is block lower triangular modulo
+        pi over the blocks of equal mu_i, with q^(m - t_ij) choices above the
+        blocks, and X0_mu has q^t_ij, so the t_ij cancel."""
+        q, n, m = self.residue_q, self.n, self.m
+        blocks = [len(list(run)) for _, run in itertools.groupby(mu)]
+        order = q ** (m * (n * n - sum(b * b for b in blocks)))
+        for b in blocks:
+            order *= group_order(b, q, m)
+        return order
 
-    def _orbit_rep(self, kind, t, M):
-        """The least member of M Y_mu with the y0 that carries M there, or the
-        least member of M X0_mu.  A new orbit is listed once, and each of its
-        members stored with the answer."""
-        table = self._orbits.setdefault((kind, t), {})
-        hit = table.get(M)
-        if hit is not None:
-            return hit
-        group = self._subgroup(kind, t)
-        if kind == "X":
-            members = [self._rmat_mul(M, x) for x in group]
-            rep = min(members)
-            for member in members:
-                table[member] = rep
-            return rep
-        members = [self._rmat_mul(M, y) for y, _ in group]
-        rep, y_best = min(zip(members, (y for y, _ in group)))
-        # M y lands on rep = M y_best through y^{-1} y_best
-        for member, (_, y_inv) in zip(members, group):
-            table[member] = (rep, self._rmat_mul(y_inv, y_best))
-        return table[M]
+    def coset_count(self, mu):
+        """|K pi^mu K / K| = q^(sum over i < j of mu_j - mu_i), the length of
+        a transversal from left_coset_reps."""
+        return self.residue_q ** sum(b - a for i, a in enumerate(mu) for b in mu[i + 1:])
 
     def _check_pair_budget(self):
         if self.group_order() ** 2 > self.budget:
@@ -436,29 +462,20 @@ class GroupContext:
         return group_order(self.n, self.residue_q, self.m)
 
     def _residue_gl_generators(self):
-        """Generators of GL_n(o/pi^m) as residue matrices of the label ring."""
+        """Generators of GL_n(o/pi^m) as residue matrices of the label ring:
+        I + c e_ab for a != b and c = pi^j times a residue basis element, then
+        diag(u, 1, ..., 1) for u in the unit group generators."""
         ring, n = self.label_ring, self.n
-        basis = self._residue_basis(ring)
-        gens = []
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                for j in range(ring.pi_level):
-                    for cb in basis:
-                        c = ring.mul_pi(cb, j)
-                        if ring.is_zero(c):
-                            continue
-                        mat = [[ring.one() if r == s else ring.zero() for s in range(n)]
-                               for r in range(n)]
-                        mat[a][b] = c
-                        gens.append(tuple(tuple(row) for row in mat))
-        for u in unit_group_generators(ring):
-            mat = [[ring.one() if r == s else ring.zero() for s in range(n)]
-                   for r in range(n)]
-            mat[0][0] = u
-            gens.append(tuple(tuple(row) for row in mat))
-        return gens
+
+        def with_entry(a, b, c):
+            mat = [[ring.one() if r == s else ring.zero() for s in range(n)] for r in range(n)]
+            mat[a][b] = c
+            return tuple(tuple(row) for row in mat)
+
+        cs = [ring.mul_pi(cb, j) for j in range(ring.pi_level) for cb in self._residue_basis(ring)]
+        return ([with_entry(a, b, c) for a in range(n) for b in range(n) if a != b
+                 for c in cs if not ring.is_zero(c)]
+                + [with_entry(0, 0, u) for u in unit_group_generators(ring)])
 
     def _rmat_mul(self, A, B):
         ring = self.label_ring
@@ -499,12 +516,9 @@ class GroupContext:
                             if canon not in found:
                                 found.add(canon)
                                 orbit.append(moved)
-                # |Gamma_mu| = |Y_mu| |X0_mu|, X0_mu being the kernel of its
-                # projection on y: the walk is complete exactly when it
-                # found |G|^2 / |Gamma_mu| labels
-                t = self._t_pattern(mu)
-                expected = self.group_order() ** 2 // (
-                    len(self._subgroup("Y", t)) * len(self._subgroup("X", t)))
+                # the walk is complete exactly when it found |G|^2 / |Gamma_mu|
+                # labels
+                expected = self.group_order() ** 2 // self.gamma_order(mu)
                 if len(orbit) != expected:
                     raise InvariantViolationError(
                         f"the walk found {len(orbit)} labels for {mu}, "
@@ -537,32 +551,6 @@ class GroupContext:
         self._group_elements = els
         return els
 
-    # -- Galois action ------------------------------------------------------------
-
-    def sigma_on_group(self, g):
-        """Entrywise Galois application at the matrix's working level.
-
-        With the ramified zeta-scaling rule, sigma(pi^v u) = pi^v zeta^v
-        sigma(u); the unramified Frobenius fixes the uniformizer."""
-        if not self.side.is_ext:
-            raise SideMismatchError("the Galois action lives on an extension side")
-        ring = g.ring
-        gen = self.side.sigma(ring.level)
-        zeta = ring.embed(gen.zeta) if gen.zeta is not None else None
-        rows = []
-        for row in g.rows:
-            new = []
-            for x in row:
-                if x.is_zero_marker():
-                    new.append(x)
-                    continue
-                u = gen.apply_coords(x.unit)
-                if zeta is not None and x.v % self.side.l:
-                    u = ring.mul(u, ring.pow(zeta, x.v % self.side.l))
-                new.append(FieldElement(ring, x.v, u, x.prec))
-            rows.append(new)
-        return GroupMatrix(ring, rows)
-
     # -- serialization --------------------------------------------------------------
 
     def label_to_json(self, label):
@@ -590,12 +578,15 @@ class GroupContext:
         mu = tuple(json_field(x, int, f"{field}.mu[{i}]") for i, x in enumerate(mu))
         if list(mu) != sorted(mu):
             raise ConfigError(f"{field}.mu must be non-decreasing, not {list(mu)}")
+        level = json_field(d["level"], int, f"{field}.level")
+        if level != self.m:
+            raise ConfigError(f"{field}.level must be the congruence level {self.m}, not {level}")
         P, Q = residues("P"), residues("Q")
         # the closed-form transversal needs P and Q in GL_n(o)
         for key, data in (("P", P), ("Q", Q)):
             if not residue_invertible(ring, data):
                 raise ConfigError(f"{field}.{key} is not invertible modulo pi")
-        return CosetLabel(mu, P, Q, json_field(d["level"], int, f"{field}.level"))
+        return CosetLabel(mu, P, Q, level)
 
 
 def residue_invertible(ring, mat):

@@ -1,16 +1,17 @@
 """The mod-l Hecke algebra H(G, K) at congruence level m.
 
 Elements are finitely supported maps from double-coset labels to F_{l^k};
-support is keyed by the complete double-coset invariant, so no two stored
-labels name the same coset.  Convolution counts left cosets with the Haar
-normalization mu(K) = 1: the coefficient of t_c in t_a * t_b is
-#{(i, j) : a_i b_j K = c K} reduced mod l.  Which double coset holds a left
-coset is asked of the group context.
+support is keyed by canonical label, so no two stored labels name the same
+coset.  Convolution counts left cosets with the Haar normalization
+mu(K) = 1: the coefficient of t_c in t_a * t_b is #{(i, j) : a_i b_j K = c K}
+reduced mod l.  Which double coset holds a left coset is read from a map of
+left-coset keys to canonical labels, written once per double coset reached
+from the keys of its transversal (``GroupContext.fingerprint``).
 """
 
 from __future__ import annotations
 
-from .cartan import GroupContext
+from .cartan import CosetLabel, GroupContext
 from .coeffs import CoeffField
 from .errors import (
     InvariantViolationError,
@@ -29,7 +30,7 @@ class HeckeElement:
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra, terms):
-        # terms: dict fingerprint -> (label, coeff); zero coeffs dropped
+        # terms: dict canonical label -> (label, coeff); zero coeffs dropped
         self.algebra = algebra
         self.terms = terms
 
@@ -49,7 +50,7 @@ class HeckeElement:
         if F.is_zero(c):
             return HeckeElement(self.algebra, {})
         return HeckeElement(self.algebra,
-                            {fp: (lab, F.mul(c, x)) for fp, (lab, x) in self.terms.items()})
+                            {key: (lab, F.mul(c, x)) for key, (lab, x) in self.terms.items()})
 
     def __neg__(self):
         return self.scale(self.algebra.field.neg(self.algebra.field.one()))
@@ -66,7 +67,7 @@ class HeckeElement:
         self.algebra._check_same(other.algebra)
         if set(self.terms) != set(other.terms):
             return False
-        return all(self.terms[fp][1] == other.terms[fp][1] for fp in self.terms)
+        return all(self.terms[key][1] == other.terms[key][1] for key in self.terms)
 
     def __repr__(self):
         parts = [f"{c}*t[{lab.mu}]" for lab, c in
@@ -93,10 +94,12 @@ class HeckeAlgebra:
         self.field = field
         self.side = side or context.side.name
         self._product_cache = {}
-        # base-side label -> left-coset key of its embedding in G(E), which
+        # left-coset key -> canonical label, written once a product returned
+        self._coset_labels = {}
+        # base-side label -> canonical label of its embedding in G(E), which
         # depends on neither the restricted element nor the precision it was
-        # certified at; only keys that with_retry returned are stored
-        self._base_keys = {}
+        # certified at; only labels that with_retry returned are stored
+        self._base_labels = {}
 
     def _check_same(self, other):
         if other is not self and (other.side != self.side or other.field != self.field):
@@ -112,15 +115,15 @@ class HeckeAlgebra:
         for lab, c in pairs:
             if F.is_zero(c):
                 continue
-            fp = self.context.fingerprint(lab)
-            if fp in out:
-                s = F.add(out[fp][1], c)
+            key = self.context.canonical_label(lab)
+            if key in out:
+                s = F.add(out[key][1], c)
                 if F.is_zero(s):
-                    del out[fp]
+                    del out[key]
                 else:
-                    out[fp] = (out[fp][0], s)
+                    out[key] = (out[key][0], s)
             else:
-                out[fp] = (lab, c)
+                out[key] = (lab, c)
         return HeckeElement(self, out)
 
     def basis(self, label):
@@ -135,7 +138,7 @@ class HeckeAlgebra:
     # -- convolution ---------------------------------------------------------
     def _basis_product(self, la, lb):
         ctx = self.context
-        key = (ctx.fingerprint(la), ctx.fingerprint(lb))
+        key = (ctx.canonical_label(la), ctx.canonical_label(lb))
         hit = self._product_cache.get(key)
         if hit is not None:
             return hit
@@ -155,23 +158,30 @@ class HeckeAlgebra:
                         buckets[k][0] += 1
                     else:
                         buckets[k] = [1, prod]
-            # a double coset's first bucket names it; all its left cosets get one count
+            # a double coset's first bucket names it; one not reached before
+            # lists the keys of its transversal once
+            fresh = {}
             per_dc = {}
             for k, (cnt, prod) in buckets.items():
-                fp = ctx.double_coset_of_key(k)
-                if fp not in per_dc:
+                canon = self._coset_labels.get(k) or fresh.get(k)
+                if canon is None or canon not in per_dc:
                     lab = ctx.label_of_matrix(prod)
-                    fp = ctx.fingerprint(lab)
-                    per_dc[fp] = (lab, cnt, [])
-                per_dc[fp][2].append(cnt)
-            for fp, (lab, cnt, counts) in per_dc.items():
-                if counts != [cnt] * len(fp[1]):
+                    if canon is None:
+                        canon = ctx.canonical_label(lab)
+                        fresh.update(dict.fromkeys(ctx.fingerprint(lab, ring), canon))
+                    per_dc.setdefault(canon, (lab, cnt, []))
+                per_dc[canon][2].append(cnt)
+            # all left cosets of a double coset get one count, and all are reached
+            for lab, cnt, counts in per_dc.values():
+                index = ctx.coset_count(lab.mu)
+                if counts != [cnt] * index:
                     raise InvariantViolationError(
-                        f"the {len(fp[1])} left cosets of double coset {lab.mu} "
+                        f"the {index} left cosets of double coset {lab.mu} "
                         f"received the counts {counts}")
-            return tuple((lab, cnt) for lab, cnt, _ in per_dc.values())
+            return tuple((lab, cnt) for lab, cnt, _ in per_dc.values()), fresh
 
-        result = ctx.with_retry(run, pi_prec)
+        result, fresh = ctx.with_retry(run, pi_prec)
+        self._coset_labels.update(fresh)    # keys of double cosets not reached before
         self._product_cache[key] = result
         return result
 
@@ -193,20 +203,17 @@ class HeckeAlgebra:
 
     # -- Galois action ---------------------------------------------------------
     def sigma_label(self, label):
-        """Image label of sigma . t_label: apply sigma to a representative and
-        re-run the Cartan decomposition."""
+        """Image label of sigma . t_label, on the residues: sigma(pi) = zeta pi
+        (zeta = 1 unramified) gives (mu, sigma(P) diag(zeta^mu_i), sigma(Q))."""
         ctx = self.context
-
-        def run(prec):
-            ring = ctx.working_ring(prec)
-            g = ctx.lift_label(label, ring)
-            return ctx.label_of_matrix(ctx.sigma_on_group(g))
-
-        out = ctx.with_retry(run, ctx.default_pi_prec([label.mu]))
-        if out.mu != label.mu:
-            raise InvariantViolationError(
-                f"Galois action moved the Cartan invariant {label.mu} to {out.mu}")
-        return out
+        ring = ctx.label_ring
+        gen = ctx.side.sigma(ring.level)
+        zeta = ring.one() if gen.zeta is None else ring.embed(gen.zeta)
+        scale = [ring.pow(zeta, k % ctx.side.l) for k in label.mu]
+        P = tuple(tuple(ring.mul(gen.apply_coords(x), z) for x, z in zip(row, scale))
+                  for row in label.P)
+        Q = tuple(tuple(gen.apply_coords(x) for x in row) for row in label.Q)
+        return CosetLabel(label.mu, P, Q, label.level)
 
     def sigma_act(self, f: HeckeElement) -> HeckeElement:
         self._check_same(f.algebra)
@@ -217,14 +224,14 @@ class HeckeAlgebra:
     def sigma_orbit(self, label):
         ctx = self.context
         orbit = [label]
-        fps = {ctx.fingerprint(label)}
+        seen = {ctx.canonical_label(label)}
         cur = label
         for _ in range(self.context.side.l - 1):
             cur = self.sigma_label(cur)
-            fp = ctx.fingerprint(cur)
-            if fp in fps:
+            canon = ctx.canonical_label(cur)
+            if canon in seen:
                 break
-            fps.add(fp)
+            seen.add(canon)
             orbit.append(cur)
         if len(orbit) not in (1, self.context.side.l):
             raise InvariantViolationError(
@@ -282,12 +289,11 @@ class HeckeAlgebra:
         sup_spread = max((spread(lab.mu) for lab, _ in f.terms.values()), default=0)
         terms = []
         for flab in ctxF.enumerate_labels(nus):
-            if flab not in self._base_keys:
-                self._base_keys[flab] = self.on_base_label(ctxF, flab, ctxE.left_coset_key,
-                                                           sup_spread)
-            # the sigma-invariance check fingerprinted every term of f in this
-            # context, so the double coset of a term is found from any key
-            term = f.terms.get(ctxE.double_coset_of_key(self._base_keys[flab]))
+            if flab not in self._base_labels:
+                self._base_labels[flab] = self.on_base_label(
+                    ctxF, flab, lambda g: ctxE.canonical_label(ctxE.label_of_matrix(g)),
+                    sup_spread)
+            term = f.terms.get(self._base_labels[flab])
             if term is not None:
                 terms.append((flab, term[1]))
         return target.element(terms)

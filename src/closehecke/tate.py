@@ -1,5 +1,5 @@
 """Tate cohomology of order-l operators over F_{l^k}, Frobenius twists,
-composition factors, module transport, and the linkage predicate.
+composition factors and the linkage predicate.
 
 Everything is exact linear algebra at desk dimension: vectors are coordinate
 tuples, operators act on column vectors, subspaces are row-echelon bases.

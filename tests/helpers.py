@@ -4,15 +4,18 @@ These deliberately avoid the canonical-key machinery of the library: left
 cosets are enumerated by brute force over K_m/K_r (or, where that is too
 large to list, closed under its elementary generators) and compared by the
 definition x^{-1} y in K, and convolution coefficients come from the double
-sum over group/K points.  Two helpers use fingerprints: ``coeff_at``, which
-reads an element's terms by their key, and ``fingerprint_bfs_labels``, the
-label walk with fingerprints as its identity, kept to check the walk of
-``enumerate_labels``, whose identity is the canonical label.  Four keep an
-earlier formula of the library as an oracle for the faster one: ``flatten``
+sum over group/K points.  ``fingerprint`` is the complete double-coset
+invariant (mu, sorted left-coset keys) that the library used before
+canonical labels: ``coeff_at`` finds an element's term by it, and
+``fingerprint_bfs_labels`` is the label walk with it as the identity, kept
+to check the walk of ``enumerate_labels``.  Several keep an earlier
+construction of the library as an oracle for the faster one: ``flatten``
 (the label order), ``left_coset_key_by_inverse`` (V = H^{-1} A by a matrix
-inverse), ``smith_x_by_inverse`` (x = P^{-1} by a matrix inverse) and
+inverse), ``smith_x_by_inverse`` (x = P^{-1} by a matrix inverse),
 ``lift_label_by_products`` (P pi^mu Q^{-1} and the transversal by full
-matrix products).
+matrix products), ``canonical_label_by_tables`` (the least orbit members
+over listed Y_mu and X0_mu) and ``sigma_label_by_lift`` (sigma applied to
+a lifted label by ``sigma_on_group``, then the Smith decomposition).
 
 The last two helpers are no oracles: ``check_brauer_multiplicative`` samples
 Br(f * g) = Br(f) * Br(g) on seeded pairs, and ``transport_module`` renames
@@ -21,13 +24,15 @@ a module's generators.  Only tests use them, so they live here.
 
 import itertools
 import random
+import weakref
 from collections import deque
 
-from closehecke.cartan import CosetLabel
+from closehecke.cartan import CosetLabel, residue_invertible
 from closehecke.errors import (
     GeneratorNameMismatchError,
     InsufficientPrecisionError,
     MissingActionError,
+    SideMismatchError,
     SpecMismatchError,
 )
 from closehecke.matrices import FieldElement, GroupMatrix, certified_min, cochar_window, spread
@@ -202,7 +207,7 @@ def random_k_element(ctx, ring, rng):
     """A seeded element 1 + pi^m A of K_m, A with small random integral
     entries."""
     one = FieldElement.make(ring, 0, ring.one())
-    units = [u for u in ring.elements() if ring.is_unit(u)][:8]
+    units = list(itertools.islice((u for u in ring.elements() if ring.is_unit(u)), 8))
     rows = []
     for i in range(ctx.n):
         row = []
@@ -213,12 +218,38 @@ def random_k_element(ctx, ring, rng):
     return GroupMatrix(ring, rows)
 
 
+_FINGERPRINTS = weakref.WeakKeyDictionary()
+
+
+def fingerprint(ctx, label):
+    """Complete double-coset invariant: (mu, sorted left-coset keys).
+    Left cosets of distinct double coset are disjoint, so one key finds a
+    known double coset; a new one lists its transversal (u = I first)."""
+    memo, by_key = _FINGERPRINTS.setdefault(ctx, ({}, {}))
+    fp = memo.get(label)
+    if fp is not None:
+        return fp
+
+    def run(pi_prec):
+        ring = ctx.working_ring(pi_prec)
+        first = ctx.left_coset_key(ctx.lift_label(label, ring))
+        if first in by_key:
+            return by_key[first]
+        return (label.mu, tuple(sorted(ctx.fingerprint(label, ring))))
+
+    fp = ctx.with_retry(run, ctx.default_pi_prec([label.mu]))
+    for key in fp[1]:
+        by_key.setdefault(key, fp)
+    memo[label] = fp
+    return fp
+
+
 def fingerprint_bfs_labels(ctx, mu):
     """Labels of invariant ``mu`` (spread > 0) by the breadth-first walk over
     the residue generators acting on P and Q, a moved label being new when
     its fingerprint is unseen; sorted by label order."""
     start = ctx.unif_label(mu)
-    seen = {ctx.fingerprint(start)}
+    seen = {fingerprint(ctx, start)}
     orbit = [start]
     queue = deque([start])
     gens = ctx._residue_gl_generators()
@@ -227,12 +258,116 @@ def fingerprint_bfs_labels(ctx, mu):
         for s in gens:
             for moved in (CosetLabel(mu, ctx._rmat_mul(s, lab.P), lab.Q, ctx.m),
                           CosetLabel(mu, lab.P, ctx._rmat_mul(s, lab.Q), ctx.m)):
-                fp = ctx.fingerprint(moved)
+                fp = fingerprint(ctx, moved)
                 if fp not in seen:
                     seen.add(fp)
                     orbit.append(moved)
                     queue.append(moved)
     return sorted(orbit, key=lambda lab: lab.sort_key())
+
+
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def canonical_label_by_tables(ctx, label):
+    """The canonical label by listing the groups: Q goes to the least member
+    Q y0 of Q Y_mu and P x0(y0) to the least member of P x0(y0) X0_mu, each
+    orbit listed in full from the members of Y_mu (with their inverses) or
+    X0_mu (t_ij = min(m, mu_j - mu_i), i < j)."""
+    n, m, mu = ctx.n, ctx.m, label.mu
+    t = tuple(min(m, mu[j] - mu[i]) for i in range(n) for j in range(i + 1, n))
+    Q, y0 = _orbit_rep(ctx, "Y", t, label.Q)
+    x0 = ctx._conjugate_by_unif(mu, y0)
+    P = _orbit_rep(ctx, "X", t, ctx._rmat_mul(label.P, x0))
+    return CosetLabel(mu, P, Q, m)
+
+
+def subgroup(ctx, kind, t):
+    """Y_mu as (y, y^{-1}) pairs, or X0_mu as its members, for the t-pattern
+    ``t``, listed once from the label ring."""
+    groups, _ = _TABLES.setdefault(ctx, ({}, {}))
+    group = groups.get((kind, t))
+    if group is not None:
+        return group
+    ring, n, m = ctx.label_ring, ctx.n, ctx.m
+    steps = iter(t)
+    if kind == "Y":
+        free = sorted(ring.elements())
+        cells = [ctx._digits(ring, next(steps), m) if j > i else free
+                 for i in range(n) for j in range(n)]
+    else:
+        one, zero = [ring.one()], [ring.zero()]
+        cells = [ctx._digits(ring, m - next(steps), m) if j > i else
+                 one if j == i else zero for i in range(n) for j in range(n)]
+    group = []
+    for entries in itertools.product(*cells):
+        mat = tuple(entries[i * n:(i + 1) * n] for i in range(n))
+        if kind == "X":
+            group.append(mat)
+        elif residue_invertible(ring, mat):
+            inv = ctx.lift_residue_matrix(mat, ring).inverse().residue_matrix(m)
+            group.append((mat, inv))
+    groups[(kind, t)] = group
+    return group
+
+
+def _orbit_rep(ctx, kind, t, M):
+    """The least member of M Y_mu with the y0 that carries M there, or the
+    least member of M X0_mu, each orbit listed once."""
+    _, orbits = _TABLES.setdefault(ctx, ({}, {}))
+    table = orbits.setdefault((kind, t), {})
+    hit = table.get(M)
+    if hit is not None:
+        return hit
+    group = subgroup(ctx, kind, t)
+    if kind == "X":
+        members = [ctx._rmat_mul(M, x) for x in group]
+        rep = min(members)
+        for member in members:
+            table[member] = rep
+        return rep
+    members = [ctx._rmat_mul(M, y) for y, _ in group]
+    rep, y_best = min(zip(members, (y for y, _ in group)))
+    # M y lands on rep = M y_best through y^{-1} y_best
+    for member, (_, y_inv) in zip(members, group):
+        table[member] = (rep, ctx._rmat_mul(y_inv, y_best))
+    return table[M]
+
+
+def sigma_on_group(ctx, g):
+    """Entrywise Galois application at the matrix's working level.
+
+    With the ramified zeta-scaling rule, sigma(pi^v u) = pi^v zeta^v
+    sigma(u); the unramified Frobenius fixes the uniformizer."""
+    side = ctx.side
+    if not side.is_ext:
+        raise SideMismatchError("the Galois action lives on an extension side")
+    ring = g.ring
+    gen = side.sigma(ring.level)
+    zeta = ring.embed(gen.zeta) if gen.zeta is not None else None
+    rows = []
+    for row in g.rows:
+        new = []
+        for x in row:
+            if x.is_zero_marker():
+                new.append(x)
+                continue
+            u = gen.apply_coords(x.unit)
+            if zeta is not None and x.v % side.l:
+                u = ring.mul(u, ring.pow(zeta, x.v % side.l))
+            new.append(FieldElement(ring, x.v, u, x.prec))
+        rows.append(new)
+    return GroupMatrix(ring, rows)
+
+
+def sigma_label_by_lift(ctx, label):
+    """sigma . t_label by lifting the label, applying sigma entrywise and
+    re-running the Cartan decomposition."""
+    def run(prec):
+        ring = ctx.working_ring(prec)
+        return ctx.label_of_matrix(sigma_on_group(ctx, ctx.lift_label(label, ring)))
+
+    return ctx.with_retry(run, ctx.default_pi_prec([label.mu]))
 
 
 def lift_label_by_products(ctx, label, ring):
@@ -255,9 +390,12 @@ def lift_label_by_products(ctx, label, ring):
 
 
 def coeff_at(f, label):
-    """Coefficient of the double coset of ``label`` in the Hecke element f."""
-    entry = f.terms.get(f.algebra.context.fingerprint(label))
-    return entry[1] if entry else f.algebra.field.zero()
+    """Coefficient of the double coset of ``label`` in the Hecke element f,
+    its term found by fingerprint."""
+    ctx = f.algebra.context
+    fp = fingerprint(ctx, label)
+    return next((c for lab, c in f.terms.values() if fingerprint(ctx, lab) == fp),
+                f.algebra.field.zero())
 
 
 def distinct_double_cosets(ctx, labels, ring):

@@ -5,6 +5,7 @@ import pytest
 
 from closehecke import cartan
 from closehecke.cartan import CosetLabel, GroupContext, group_order
+from closehecke.coeffs import CoeffField
 from closehecke.errors import (
     BudgetExceededError,
     InsufficientPrecisionError,
@@ -20,13 +21,16 @@ from closehecke.matrices import (
     spread,
 )
 from closehecke.rings import EQUAL, MIXED, RAMIFIED, UNRAMIFIED, base_side, extension_side
-from closehecke.transfer import random_label
+from closehecke.hecke import HeckeAlgebra
+from closehecke.transfer import Tower, random_label
 
 from helpers import (
     brute_left_cosets,
     closure_left_cosets,
     coset_matches,
+    canonical_label_by_tables,
     distinct_double_cosets,
+    fingerprint,
     fingerprint_bfs_labels,
     flatten,
     gamma_stabilizer,
@@ -39,7 +43,9 @@ from helpers import (
     random_k_element,
     same_double_coset,
     same_left_coset,
+    sigma_on_group,
     smith_x_by_inverse,
+    subgroup,
 )
 
 
@@ -144,7 +150,7 @@ def test_left_coset_count_conjugation_invariant(ctx2):
     ring = ctx2.working_ring(8)
     rng = random.Random(3)
     els = ctx2.group_elements()
-    base = len(ctx2.fingerprint(ctx2.unif_label((0, 2)))[1])
+    base = len(fingerprint(ctx2, ctx2.unif_label((0, 2)))[1])
     for _ in range(5):
         lab = CosetLabel((0, 2), els[rng.randrange(len(els))],
                          els[rng.randrange(len(els))], 1)
@@ -192,7 +198,7 @@ def test_transversal_matches_oracle(side, mu):
     for i in range(n):
         for j in range(i):
             count *= ctx.residue_q ** (mu[i] - mu[j])
-    assert len(reps) == count
+    assert len(reps) == ctx.coset_count(mu) == count
     g = ctx.lift_label(lab, ring)
     # list K_m/K_r when it is small; otherwise close {gK} under generators
     if ctx.residue_q ** (n * n * spread(mu)) <= 512:
@@ -376,7 +382,8 @@ def test_fingerprint_representative_independence(ctx3):
         lab = CosetLabel((0, 1), els[rng.randrange(len(els))],
                          els[rng.randrange(len(els))], 1)
         relabeled = ctx3.label_of_matrix(ctx3.lift_label(lab, ring))
-        assert ctx3.fingerprint(relabeled) == ctx3.fingerprint(lab)
+        assert fingerprint(ctx3, relabeled) == fingerprint(ctx3, lab)
+        assert ctx3.canonical_label(relabeled) == ctx3.canonical_label(lab)
 
 
 def test_second_representative_costs_one_key(monkeypatch):
@@ -389,26 +396,33 @@ def test_second_representative_costs_one_key(monkeypatch):
     real = ctx.left_coset_key
     for mu in [(0, 1), (0, 2), (-1, 1)]:
         la = CosetLabel(mu, els[rng.randrange(len(els))], els[rng.randrange(len(els))], 1)
-        fp = ctx.fingerprint(la)
+        fp = fingerprint(ctx, la)
         g = ctx.lift_label(la, ring)
         alt = ctx.label_of_matrix(ks[rng.randrange(len(ks))] * g * ks[rng.randrange(len(ks))])
         assert alt != la
         calls = []
         monkeypatch.setattr(ctx, "left_coset_key", lambda h: calls.append(h) or real(h))
-        assert ctx.fingerprint(alt) == fp
+        assert fingerprint(ctx, alt) == fp
         assert len(calls) == 1
         monkeypatch.undo()
 
 
-def test_double_coset_of_key_covers_every_key_and_only_those():
-    ctx = GroupContext(base_side("F", MIXED, 2, 1), 2)
-    fp = ctx.fingerprint(ctx.unif_label((0, 2)))
-    assert all(ctx.double_coset_of_key(key) == fp for key in fp[1])
+def test_coset_key_map_covers_every_key_and_only_those():
+    # the map names every left coset of each double coset a product of two
+    # labels reaches over Z/2, by its canonical label, and nothing else
+    H = HeckeAlgebra(GroupContext(base_side("F", MIXED, 2, 1), 2), CoeffField(3, 1))
+    ctx = H.context
+    rng = random.Random(31)
+    la, lb = random_label(ctx, rng, [(0, 1)]), random_label(ctx, rng, [(0, 1)])
+    product = H._basis_product(la, lb)
+    reached = {ctx.canonical_label(lab): lab for lab, _ in product}
+    assert len(reached) == len(product) > 1
+    assert set(H._coset_labels.values()) == set(reached)
+    for canon, lab in reached.items():
+        assert sorted(k for k, c in H._coset_labels.items() if c == canon) == \
+            list(fingerprint(ctx, lab)[1])
     ring = ctx.working_ring(ctx.default_pi_prec([(0, 1)]))
-    other = ctx.left_coset_key(ctx.lift_label(ctx.unif_label((0, 1)), ring))
-    assert ctx.double_coset_of_key(other) is None
-    assert other in ctx.fingerprint(ctx.unif_label((0, 1)))[1]
-    assert ctx.double_coset_of_key(other) == ctx.fingerprint(ctx.unif_label((0, 1)))
+    assert ctx.left_coset_key(ctx.lift_label(la, ring)) not in H._coset_labels
 
 
 # -- required precision ---------------------------------------------------------------
@@ -488,12 +502,12 @@ def test_enumerate_labels_complete_and_distinct(ctx2):
     els = ctx2.group_elements()
     for mu in [(0, 0), (0, 1)]:
         labs = ctx2.enumerate_labels([mu])
-        fps = [ctx2.fingerprint(lab) for lab in labs]
+        fps = [fingerprint(ctx2, lab) for lab in labs]
         assert len(set(fps)) == len(fps)
         for _ in range(12):
             cand = CosetLabel(mu, els[rng.randrange(len(els))],
                               els[rng.randrange(len(els))], 1)
-            assert sum(1 for fp in fps if fp == ctx2.fingerprint(cand)) == 1
+            assert sum(1 for fp in fps if fp == fingerprint(ctx2, cand)) == 1
 
 
 @pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2)])
@@ -553,35 +567,41 @@ def test_canonical_label_agrees_with_fingerprints_on_every_pair(side):
     ctx = GroupContext(_CANONICAL_WINDOWS[side](), 2)
     els, q = ctx.group_elements(), ctx.residue_q
     for mu in [(0, 1), (0, 2), (-1, 1), (0, 3)]:
-        seen = {(ctx.fingerprint(lab), ctx.canonical_label(lab))
+        seen = {(fingerprint(ctx, lab), ctx.canonical_label(lab))
                 for lab in (CosetLabel(mu, P, Q, ctx.m) for P in els for Q in els)}
         fps, canons = {fp for fp, _ in seen}, {c for _, c in seen}
         assert len(seen) == len(fps) == len(canons) == (q + 1) * ctx.group_order() // q
-        assert all(ctx.fingerprint(c) == fp for fp, c in seen)
+        assert all(fingerprint(ctx, c) == fp for fp, c in seen)
 
 
-@pytest.mark.parametrize("side, n, mus", [
-    (lambda: base_side("F", MIXED, 2, 1), 3, [(0, 0, 1), (0, 1, 1), (0, 1, 2)]),
-    (lambda: base_side("F'", MIXED, 2, 3, unif_unit=(1, 1)), 2, [(0, 1), (0, 2)]),
-    (lambda: base_side("F'", EQUAL, 3, 2, unif_unit=(2,)), 2, [(0, 1)]),
-], ids=["n=3", "twisted-Z/8", "twisted-F_3[t]/t^2"])
-def test_canonical_label_agrees_with_fingerprints_on_sampled_pairs(side, n, mus):
+@pytest.mark.parametrize("side, n, mus, samples", [
+    (lambda: base_side("F", MIXED, 2, 1), 3, [(0, 0, 1), (0, 1, 1), (0, 1, 2)], 40),
+    (lambda: base_side("F'", MIXED, 2, 3, unif_unit=(1, 1)), 2, [(0, 1), (0, 2)], 40),
+    (lambda: base_side("F'", EQUAL, 3, 2, unif_unit=(2,)), 2, [(0, 1)], 40),
+    # each fingerprint on an extension side lists a transversal over its
+    # larger working ring, so these sides take fewer samples
+    *((lambda tower=tower, name=name: Tower(*tower).ctx[name].side, 2, [(0, 1), (0, 2)], 12)
+      for tower in [(2, 1, 2, "unramified", 3), (3, 1, 2, "ramified", 2)]
+      for name in ("E", "E'")),
+], ids=["n=3", "twisted-Z/8", "twisted-F_3[t]/t^2",
+        "unramified-E", "unramified-E'", "ramified-E", "ramified-E'"])
+def test_canonical_label_agrees_with_fingerprints_on_sampled_pairs(side, n, mus, samples):
     # b = k lift(a) k' with k, k' in K_m names a's double coset by
     # definition, and c is a random label.  The twisted sides have a
     # distinguished uniformizer pi w with w - 1 a unit or pi times a unit,
     # so x0 = pi^mu y pi^-mu must carry w's powers below the diagonal.
-    ctx = GroupContext(side(), n, budget=10 ** 8)
+    ctx = GroupContext(side(), n)
     rng = random.Random(29)
     for mu in mus:
         ring = ctx.working_ring(ctx.default_pi_prec([mu]))
-        for _ in range(40):
+        for _ in range(samples):
             a, c = random_label(ctx, rng, [mu]), random_label(ctx, rng, [mu])
             b = ctx.label_of_matrix(random_k_element(ctx, ring, rng) * ctx.lift_label(a, ring)
                                     * random_k_element(ctx, ring, rng))
-            assert ctx.fingerprint(a) == ctx.fingerprint(b)
+            assert fingerprint(ctx, a) == fingerprint(ctx, b)
             assert ctx.canonical_label(a) == ctx.canonical_label(b)
             assert (ctx.canonical_label(a) == ctx.canonical_label(c)) \
-                == (ctx.fingerprint(a) == ctx.fingerprint(c))
+                == (fingerprint(ctx, a) == fingerprint(ctx, c))
 
 
 def test_canonical_label_of_a_central_mu_is_its_level_m_class():
@@ -600,10 +620,41 @@ def test_canonical_label_of_a_central_mu_is_its_level_m_class():
     assert len({c for canons in classes.values() for c in canons}) == len(els)
 
 
-def test_canonical_label_refuses_an_over_budget_group():
-    ctx = GroupContext(base_side("F", MIXED, 3, 2), 2)
-    with pytest.raises(BudgetExceededError):
-        ctx.canonical_label(ctx.unif_label((0, 1)))
+def test_canonical_label_answers_on_an_extension_side():
+    # |G|^2 is over the budget on both extension sides of the unramified
+    # tower, yet a label there gets its canonical label without any table,
+    # fixed by canonical_label and naming the double coset of its input
+    for name in ("E", "E'"):
+        ctx = Tower(2, 1, case="unramified", l=3).ctx[name]
+        assert ctx.group_order() ** 2 > ctx.budget
+        rng = random.Random(5)
+        for _ in range(6):
+            lab = random_label(ctx, rng, [(0, 1), (0, 2)])
+            canon = ctx.canonical_label(lab)
+            assert ctx.canonical_label(canon) == canon
+            assert fingerprint(ctx, canon) == fingerprint(ctx, lab)
+
+
+@pytest.mark.parametrize("side", list(_CANONICAL_WINDOWS))
+def test_canonical_label_agrees_with_the_table_construction(side):
+    # the tables list Y_mu and X0_mu and take the least member of each
+    # orbit; the normal forms must cut the same partition of all |G|^2 labels
+    ctx = GroupContext(_CANONICAL_WINDOWS[side](), 2)
+    els = ctx.group_elements()
+    for mu in [(0, 1), (0, 2), (-1, 1)]:
+        seen = {(canonical_label_by_tables(ctx, lab), ctx.canonical_label(lab))
+                for lab in (CosetLabel(mu, P, Q, ctx.m) for P in els for Q in els)}
+        assert len(seen) == len({a for a, _ in seen}) == len({b for _, b in seen})
+
+
+def test_gamma_order_is_the_size_of_the_listed_groups():
+    for side, n, mus in [(base_side("F", MIXED, 2, 2), 2, [(0, 0), (0, 1), (0, 2), (0, 3)]),
+                         (base_side("F", MIXED, 2, 1), 3, [(0, 0, 1), (0, 1, 1), (0, 1, 2)])]:
+        ctx = GroupContext(side, n)
+        for mu in mus:
+            t = tuple(min(ctx.m, mu[j] - mu[i]) for i in range(n) for j in range(i + 1, n))
+            assert ctx.gamma_order(mu) == \
+                len(subgroup(ctx, "Y", t)) * len(subgroup(ctx, "X", t))
 
 
 @pytest.mark.parametrize("side, mus", [
@@ -673,7 +724,7 @@ def test_gamma_index_counts_labels(ctx2, ctx3):
             assert len(gamma_stabilizer(ctx, mu)) * len(labs) == total
 
 
-# -- sigma on matrices ---------------------------------------------------------------
+# -- sigma on matrices (the oracle of the residue action) ------------------------
 
 @pytest.fixture(scope="module")
 def ctx_ram():
@@ -686,7 +737,7 @@ def test_sigma_on_group_fixes_base_points(ctx_ram):
     g = GroupMatrix.from_residue(
         ring, tuple(tuple(ring.from_int(c) for c in row) for row in ((1, 2), (1, 0))),
         2)
-    sg = ctx_ram.sigma_on_group(g)
+    sg = sigma_on_group(ctx_ram, g)
     assert sg.residue_matrix(4) == g.residue_matrix(4)
 
 
@@ -694,7 +745,7 @@ def test_sigma_on_group_order_l(ctx_ram):
     ring = ctx_ram.working_ring(6)
     rng = random.Random(9)
     g = random_field_matrix(ctx_ram, ring, rng)
-    s2 = ctx_ram.sigma_on_group(ctx_ram.sigma_on_group(g))
+    s2 = sigma_on_group(ctx_ram, sigma_on_group(ctx_ram, g))
     for row_a, row_b in zip(s2.rows, g.rows):
         for a, b in zip(row_a, row_b):
             assert a.is_zero_marker() == b.is_zero_marker()
@@ -706,7 +757,7 @@ def test_sigma_on_group_zeta_scaling(ctx_ram):
     # sigma(diag(1, pi)) = diag(1, -pi) = diag(1, pi) diag(1, -1)
     ring = ctx_ram.working_ring(6)
     g = GroupMatrix.unif_diagonal(ring, (0, 1))
-    sg = ctx_ram.sigma_on_group(g)
+    sg = sigma_on_group(ctx_ram, g)
     z = FieldElement.zero(ring)
     expected = GroupMatrix(ring, [
         [fe(ring, 0, 1), z],
@@ -772,9 +823,9 @@ def test_label_ring_at_the_wrong_level_raises_typed_error(monkeypatch):
         GroupContext(side, 2)
 
 
-def test_sigma_on_group_of_a_base_side_is_a_side_mismatch(ctx2):
+def test_sigma_label_of_a_base_side_is_a_side_mismatch(ctx2):
     with pytest.raises(SideMismatchError):
-        ctx2.sigma_on_group(GroupMatrix.identity(ctx2.working_ring(4), 2))
+        HeckeAlgebra(ctx2, CoeffField(3, 1)).sigma_label(ctx2.unif_label((0, 1)))
 
 
 def test_insufficient_precision_surfaces():

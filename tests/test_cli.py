@@ -128,14 +128,34 @@ def test_hecke_sigma_orbit_sum(tmp_path, capsys):
     assert code == 2  # not sigma-invariant: surfaced as a config-level error
 
 
+def test_hecke_sigma_prints_the_residue_action_labels(tmp_path, capsys):
+    # sigma(pi) = zeta pi with zeta = -1 = 2 mod 3, so sigma(t[(0,1), I, I])
+    # is printed as t[(0,1), diag(1, zeta), I], and the orbit sum as both
+    ident = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    twisted = [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]
+    lab = {"mu": [0, 1], "P": ident, "Q": ident, "level": 2}
+    image = {"mu": [0, 1], "P": twisted, "Q": ident, "level": 2}
+    fpath = tmp_path / "e.json"
+    fpath.write_text(json.dumps({"side": "E", "l": 2, "k": 1,
+                                 "terms": [{"label": lab, "coeff": [1]}]}))
+    args = ["hecke", "sigma", "--p", "3", "--m", "1", "--l", "2", "--case", "ramified",
+            "--in", str(fpath)]
+    code, out = run_cli(capsys, *args)
+    assert code == 0
+    assert [t["label"] for t in json.loads(out)["result"]["terms"]] == [image]
+    code, out = run_cli(capsys, *args, "--orbit-sum")
+    assert code == 0
+    assert [t["label"] for t in json.loads(out)["result"]["terms"]] == [lab, image]
+
+
 _KAZ_MAP = ["kaz", "map", "--p", "2", "--l", "3", "--in", "in.json"]
 _TATE = ["tate", "cohomology", "--module", "in.json", "--i", "0"]
 _LINKAGE = ["linkage", "check", "--xi", "m.json", "--rho", "m.json", "--br", "in.json"]
 _LAMBDA = ["check", "kaz-hom", "--p", "3", "--pair-mode", "equal-equal", "--lambda-image"]
 
 
-def _element(mu, P):
-    label = {"mu": mu, "P": P, "Q": [[1, 0], [0, 1]], "level": 1}
+def _element(mu, P, level=1):
+    label = {"mu": mu, "P": P, "Q": [[1, 0], [0, 1]], "level": level}
     return json.dumps({"l": 3, "terms": [{"label": label, "coeff": [1]}]})
 
 
@@ -149,6 +169,7 @@ def _element(mu, P):
     (_KAZ_MAP, _element(mu=[0, 0], P=1)),
     (_KAZ_MAP, _element(mu=[0, 0], P=[[1, 0], [0, 0]])),
     (_KAZ_MAP, _element(mu=[1, 0], P=[[1, 0], [0, 1]])),
+    (_KAZ_MAP, _element(mu=[0, 1], P=[[1, 0], [0, 1]], level=5)),
     (["check", "kaz-hom", "--p", "2", "--window", "-1", "--samples", "0"], None),
     (["check", "kaz-hom", "--p", "2", "--window", "0", "--samples", "-1"], None),
     (_TATE, '{"l": "x", "k": 1, "dim": 1, "T": [[1]]}'),
@@ -166,7 +187,8 @@ def _element(mu, P):
     (_LAMBDA + ["a,b"], None),
     (_LAMBDA + [","], None),
 ], ids=["missing-file", "not-json", "missing-key", "n-zero", "terms-not-list",
-        "l-not-int", "P-not-matrix", "P-singular", "mu-decreasing", "negative-window",
+        "l-not-int", "P-not-matrix", "P-singular", "mu-decreasing", "level-wrong",
+        "negative-window",
         "negative-samples", "module-l-not-int", "module-T-not-matrix",
         "module-T-wrong-shape", "br-image-not-string", "br-not-object",
         "out-unwritable", "mu-range-empty", "precision-cap-negative", "budget-zero",
@@ -219,13 +241,13 @@ _TYPED_INVARIANT_TESTS = [
     "tests/test_cartan.py::test_label_ring_at_the_wrong_level_raises_typed_error",
     "tests/test_cartan.py::test_walk_missing_a_generator_raises",
     "tests/test_cartan.py::test_an_unknown_multiplier_reaches_the_smith_transforms",
-    "tests/test_cartan.py::test_sigma_on_group_of_a_base_side_is_a_side_mismatch",
+    "tests/test_cartan.py::test_sigma_label_of_a_base_side_is_a_side_mismatch",
     "tests/test_cartan.py::test_inverse_refuses_a_pivot_under_a_zero_floor",
     "tests/test_transfer.py::test_extension_pair_guards_raise_typed_errors",
     "tests/test_transfer.py::test_close_pair_uniformizer_mismatch_raises_typed_error",
     "tests/test_hecke.py::test_inconsistent_double_coset_counts_raise",
     "tests/test_hecke.py::test_a_double_coset_missing_left_cosets_raises",
-    "tests/test_hecke.py::test_sigma_label_moving_the_invariant_raises",
+    "tests/test_hecke.py::test_a_transversal_short_for_every_label_raises",
     "tests/test_hecke.py::test_sigma_orbit_of_wrong_length_raises",
     "tests/test_rings.py::test_wrong_residue_inverse_raises_typed_error",
     "tests/test_rings.py::test_failed_frobenius_lift_raises_typed_error",

@@ -15,7 +15,17 @@ from closehecke.hecke import HeckeAlgebra
 from closehecke.matrices import GroupMatrix
 from closehecke.rings import MIXED, RAMIFIED, UNRAMIFIED, base_side, extension_side
 
-from helpers import coeff_at, conv_coeff_double_sum, k_elements, same_double_coset
+from closehecke.transfer import Tower, random_label
+
+from helpers import (
+    coeff_at,
+    conv_coeff_double_sum,
+    fingerprint,
+    k_elements,
+    same_double_coset,
+    sigma_label_by_lift,
+    sigma_on_group,
+)
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +97,17 @@ def test_a_double_coset_missing_left_cosets_raises(monkeypatch):
         H.convolve(f, f)
 
 
+def test_a_transversal_short_for_every_label_raises(monkeypatch):
+    # every transversal drops its last coset, the one listed for the
+    # double coset a product reaches as well: the closed-form index tells
+    H = HeckeAlgebra(GroupContext(base_side("F", MIXED, 3, 1), 2), CoeffField(2, 1))
+    f = H.unif_basis((0, 1))
+    reps = H.context.left_coset_reps
+    monkeypatch.setattr(H.context, "left_coset_reps", lambda label, ring: reps(label, ring)[:-1])
+    with pytest.raises(InvariantViolationError):
+        H.convolve(f, f)
+
+
 def test_basis_product_names_each_double_coset_once(monkeypatch):
     H = HeckeAlgebra(GroupContext(base_side("F", MIXED, 2, 1), 2), CoeffField(3, 1))
     ctx = H.context
@@ -98,10 +119,10 @@ def test_basis_product_names_each_double_coset_once(monkeypatch):
     product = H._basis_product(la, lb)
     monkeypatch.undo()
     assert len(named) == len(product)
-    sizes = [len(ctx.fingerprint(lab)[1]) for lab, _ in product]
+    sizes = [len(fingerprint(ctx, lab)[1]) for lab, _ in product]
     # every left coset of every double coset reached, each with its count
     assert sum(cnt * size for (_, cnt), size in zip(product, sizes)) == \
-        len(ctx.fingerprint(la)[1]) * len(ctx.fingerprint(lb)[1])
+        len(fingerprint(ctx, la)[1]) * len(fingerprint(ctx, lb)[1])
     assert max(sizes) > 1
     for lab, cnt in product:
         assert conv_coeff_double_sum(ctx, la, lb, lab) == cnt
@@ -161,7 +182,7 @@ def test_convolution_against_double_sum_oracle(HF2, HF3):
                 assert count % H.field.l != 0
             # an absent label has zero oracle count mod l
             absent = ctx.identity_label()
-            if all(ctx.fingerprint(absent) != ctx.fingerprint(s) for s in support):
+            if all(fingerprint(ctx, absent) != fingerprint(ctx, s) for s in support):
                 count = conv_coeff_double_sum(ctx, la, lb, absent)
                 assert count % H.field.l == 0
 
@@ -180,7 +201,7 @@ def test_structure_constants_representative_independent(HF2):
         k1 = ks[rng.randrange(len(ks))]
         k2 = ks[rng.randrange(len(ks))]
         alt = ctx.label_of_matrix(k1 * ctx.lift_label(la, ring) * k2)
-        assert ctx.fingerprint(alt) == ctx.fingerprint(la)
+        assert fingerprint(ctx, alt) == fingerprint(ctx, la)
         out = HF2.convolve(HF2.basis(alt), HF2.basis(alt))
         assert out == base
 
@@ -229,16 +250,41 @@ def test_sigma_relabel_matches_matrix_oracle(ram_pair):
     slab = HE.sigma_label(lab)
     ring = ctx.working_ring(8)
     assert same_double_coset(ctx, ctx.lift_label(slab, ring),
-                             ctx.sigma_on_group(ctx.lift_label(lab, ring)))
+                             sigma_on_group(ctx, ctx.lift_label(lab, ring)))
 
 
-def test_sigma_label_moving_the_invariant_raises(monkeypatch):
-    HE = HeckeAlgebra(GroupContext(extension_side("E", base_side("F", MIXED, 3, 1),
-                                                  RAMIFIED, 2), 2), CoeffField(2, 1))
-    ctx = HE.context
-    monkeypatch.setattr(ctx, "sigma_on_group", lambda g: g.times_pi(1))
-    with pytest.raises(InvariantViolationError):
-        HE.sigma_label(ctx.unif_label((0, 1)))
+_GALOIS_TOWERS = {
+    "unramified": lambda: Tower(2, 1, case="unramified", l=3),
+    "ramified": lambda: Tower(3, 1, case="ramified", l=2),
+    "equal-equal-ramified": lambda: Tower(3, 2, case="ramified", l=2,
+                                          pair_mode="equal-equal", unif_image=(2,)),
+    "equal-equal-unramified": lambda: Tower(3, 2, case="unramified", l=2,
+                                            pair_mode="equal-equal", unif_image=(2,)),
+}
+
+
+@pytest.mark.parametrize("tower", list(_GALOIS_TOWERS))
+def test_sigma_label_matches_the_lift_oracle(tower):
+    # the action on residues names the double coset that lifting the label,
+    # applying sigma entrywise and re-running the Smith decomposition names;
+    # the equal-equal towers carry a twisted uniformizer
+    tw = _GALOIS_TOWERS[tower]()
+    rng = random.Random(41)
+    for name in ("E", "E'"):
+        ctx, H = tw.ctx[name], tw.alg[name]
+        for _ in range(10):
+            lab = random_label(ctx, rng, [(0, 0), (0, 1), (0, 2), (-1, 1)])
+            assert ctx.canonical_label(H.sigma_label(lab)) == \
+                ctx.canonical_label(sigma_label_by_lift(ctx, lab))
+
+
+def test_sigma_label_keeps_the_invariant(ram_pair, unram_pair):
+    # sigma acts on the residues P and Q alone, so mu never moves
+    rng = random.Random(12)
+    for HE, _ in (ram_pair, unram_pair):
+        for _ in range(10):
+            lab = rand_label(HE.context, rng, [(0, 1), (0, 2), (1, 1)])
+            assert HE.sigma_label(lab).mu == lab.mu
 
 
 def test_sigma_orbit_of_wrong_length_raises(monkeypatch):
@@ -348,7 +394,7 @@ def test_brauer_memo_warm_equals_fresh(ram_pair):
     ctx = HE.context
     rng = random.Random(21)
     HE.brauer_restrict(HE.sigma_orbit_sum(ctx.unif_label((0, 2))), HF)
-    assert HE._base_keys
+    assert HE._base_labels
     # orbit sums of embedded base labels restrict to nonzero values
     flabs = rng.sample(HF.context.enumerate_labels([(0, 0), (0, 1)]), 3)
     f = HE.sigma_orbit_sum(rand_label(ctx, rng, [(0, 2)]))
@@ -360,13 +406,13 @@ def test_brauer_memo_warm_equals_fresh(ram_pair):
 
 
 def test_brauer_memo_keeps_the_escalated_key(monkeypatch):
-    # every key is refused at the first working precision: the memo holds
-    # what with_retry returned at the escalated one, never a partial result
+    # every Smith decomposition is refused at the first working precision:
+    # the memo holds what with_retry returned at the escalated one, never a
+    # partial result
     HE, HF = _fresh_ram_pair()
     ctxE = HE.context
     f = HE.sigma_orbit_sum(ctxE.unif_label((0, 2)))
-    HE.is_sigma_invariant(f)         # fingerprints cached before the patch
-    real = ctxE.left_coset_key
+    real = ctxE.label_of_matrix
     levels = []
 
     def flaky(g):
@@ -375,13 +421,14 @@ def test_brauer_memo_keeps_the_escalated_key(monkeypatch):
             raise InsufficientPrecisionError("refused at the first precision")
         return real(g)
 
-    monkeypatch.setattr(ctxE, "left_coset_key", flaky)
+    monkeypatch.setattr(ctxE, "label_of_matrix", flaky)
     got = HE.brauer_restrict(f, HF)
     monkeypatch.undo()
-    assert HE._base_keys and levels.count(levels[0]) == len(HE._base_keys)
+    assert HE._base_labels and levels.count(levels[0]) == len(HE._base_labels)
     assert all(level > levels[0] for level in levels if level != levels[0])
-    for flab, key in HE._base_keys.items():
-        assert key == HE.on_base_label(HF.context, flab, real, 0)
+    for flab, canon in HE._base_labels.items():
+        assert canon == HE.on_base_label(HF.context, flab,
+                                         lambda g: ctxE.canonical_label(real(g)), 0)
     assert got.to_json() == _restrict_fresh(f)
 
 

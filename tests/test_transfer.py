@@ -20,7 +20,7 @@ from closehecke.transfer import (
     random_label,
 )
 
-from helpers import check_brauer_multiplicative, coeff_at, k_elements
+from helpers import check_brauer_multiplicative, coeff_at, fingerprint, k_elements
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +182,7 @@ def test_kaz_well_defined_across_representatives(tower_ram):
     fps = set()
     for rep in reps:
         moved, target = tw.kaz_label("F", rep)
-        fps.add(ctxp.fingerprint(moved))
+        fps.add(fingerprint(ctxp, moved))
     assert len(fps) == 1
 
 
@@ -278,7 +278,7 @@ def test_failing_sample_names_its_first_differing_label(monkeypatch, tower_unram
         diff = s["firstDiff"]
         assert set(diff) == {"label", "lhs", "rhs"}
         label = ctx.label_from_json(diff["label"])
-        assert ctx.fingerprint(label) == ctx.fingerprint(ctx.identity_label())
+        assert fingerprint(ctx, label) == fingerprint(ctx, ctx.identity_label())
         c = coeff_at(HFp.from_json(s["lhs"]), label)
         assert diff["lhs"] == F.coords_json(c)
         assert diff["rhs"] == F.coords_json(F.add(c, F.one()))
