@@ -120,14 +120,6 @@ class GroupContext:
             inv = self._q_inverses[(Q, ring)] = self.lift_residue_matrix(Q, ring).inverse()
         return inv
 
-    def lift_label(self, label, ring):
-        # P pi^mu scales P's columns: the products with the off-diagonal
-        # exact zeros of pi^mu change no sum
-        powers = self._unif_powers(label.mu, ring)
-        P = self.lift_residue_matrix(label.P, ring)
-        Pd = GroupMatrix(ring, [[x * d for x, d in zip(row, powers)] for row in P.rows])
-        return Pd * self._lift_inverse(label.Q, ring)
-
     def identity_label(self):
         return self.unif_label((0,) * self.n)
 
@@ -135,6 +127,17 @@ class GroupContext:
         mu = check_antidominant(mu)
         idm = GroupMatrix.identity(self.label_ring, self.n).residue_matrix(self.m)
         return CosetLabel(mu, idm, idm, self.m)
+
+    def embed_base_label(self, flab):
+        """The label, on this extension side, of the double coset of G(E)
+        that holds the base-side label ``flab``.  The distinguished
+        uniformizers satisfy pi_F = pi_E^e, so lift(P) pi_F^nu lift(Q)^{-1}
+        is lift(P) pi_E^(e nu) lift(Q)^{-1}; the label ring of E has the base
+        side's label ring as its base and m = e m_F, so two lifts of P differ
+        by an element of K_F, which lies in K_E."""
+        e, embed = self.side.e, self.label_ring.embed
+        P, Q = (tuple(tuple(embed(x) for x in row) for row in R) for R in (flab.P, flab.Q))
+        return CosetLabel(tuple(e * x for x in flab.mu), P, Q, self.m)
 
     # -- Smith/Cartan ----------------------------------------------------------
 

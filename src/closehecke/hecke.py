@@ -21,7 +21,7 @@ from .errors import (
     WindowTooSmallError,
     json_field,
 )
-from .matrices import FieldElement, GroupMatrix, spread
+from .matrices import spread
 
 
 class HeckeElement:
@@ -96,9 +96,7 @@ class HeckeAlgebra:
         self._product_cache = {}
         # left-coset key -> canonical label, written once a product returned
         self._coset_labels = {}
-        # base-side label -> canonical label of its embedding in G(E), which
-        # depends on neither the restricted element nor the precision it was
-        # certified at; only labels that with_retry returned are stored
+        # base-side label -> canonical label of its double coset in G(E)
         self._base_labels = {}
 
     def _check_same(self, other):
@@ -246,35 +244,20 @@ class HeckeAlgebra:
         return self.sigma_act(f) == f
 
     # -- Brauer restriction -------------------------------------------------------
-    def on_base_label(self, ctxF, flab, fn, sup_spread):
-        """fn(g) for g the representative of the base-side label ``flab``
-        embedded in G(E), valuations rescaled by the ramification index, at a
-        working precision for supports of spread up to ``sup_spread``."""
-        ctxE = self.context
-        side = ctxE.side
-        e = side.e
-
-        def run(prec):
-            ringE = ctxE.working_ring(prec)
-            gF = ctxF.lift_label(flab, side.base_side.ring(ringE.level))
-            return fn(GroupMatrix(ringE, [
-                [FieldElement.zero(ringE, e * x.v) if x.is_zero_marker()
-                 else FieldElement(ringE, e * x.v, ringE.embed(x.unit), e * x.prec)
-                 for x in row] for row in gF.rows]))
-
-        return ctxE.with_retry(run, ctxE.m + 2 * e * (spread(flab.mu) + sup_spread) + 4)
-
     def brauer_restrict(self, f: HeckeElement, target: "HeckeAlgebra",
                         window=None) -> HeckeElement:
         """Restriction of a sigma-invariant function on G(E) to G(F), as a
         bi-K_F-invariant function: each base-side label takes the value of f
-        at its representative."""
+        at its double coset in G(E), which ``embed_base_label`` names from
+        the label's residues."""
         self._check_same(f.algebra)
         ctxE = self.context
         ctxF = target.context
         side = ctxE.side
         if not side.is_ext or side.base_side is not ctxF.side:
             raise SideMismatchError("target is not the fixed-field side of this tower")
+        if ctxF.n != ctxE.n:
+            raise SideMismatchError(f"target has rank {ctxF.n}, not {ctxE.n}")
         if self.field != target.field:
             raise SideMismatchError("coefficient fields differ")
         if not self.is_sigma_invariant(f):
@@ -286,14 +269,12 @@ class HeckeAlgebra:
             for nu in nus:
                 if nu not in window:
                     raise WindowTooSmallError(f"support invariant {nu} outside window")
-        sup_spread = max((spread(lab.mu) for lab, _ in f.terms.values()), default=0)
         terms = []
         for flab in ctxF.enumerate_labels(nus):
-            if flab not in self._base_labels:
-                self._base_labels[flab] = self.on_base_label(
-                    ctxF, flab, lambda g: ctxE.canonical_label(ctxE.label_of_matrix(g)),
-                    sup_spread)
-            term = f.terms.get(self._base_labels[flab])
+            canon = self._base_labels.get(flab)
+            if canon is None:
+                canon = self._base_labels[flab] = ctxE.canonical_label(ctxE.embed_base_label(flab))
+            term = f.terms.get(canon)
             if term is not None:
                 terms.append((flab, term[1]))
         return target.element(terms)

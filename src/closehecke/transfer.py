@@ -321,8 +321,7 @@ def structured_orbit_sums(tower: Tower, mu_spread, base_window, samples, seed):
         names.append(f"orbit-sum pi_{mu}")
     for nu in cochar_window(tower.n, 0, base_window, max_spread=base_window):
         for flab in ctxF.enumerate_labels([nu]):
-            elab = HE.on_base_label(ctxF, flab, ctxE.label_of_matrix, 1)
-            sums.append(HE.sigma_orbit_sum(elab))
+            sums.append(HE.sigma_orbit_sum(ctxE.embed_base_label(flab)))
             names.append(f"orbit-sum of F-label {flab.mu}")
     small = cochar_window(tower.n, 0, max(1, mu_spread - (e - 1)))
     for i in range(samples):

@@ -14,12 +14,15 @@ construction of the library as an oracle for the faster one: ``flatten``
 inverse), ``smith_x_by_inverse`` (x = P^{-1} by a matrix inverse),
 ``lift_label_by_products`` (P pi^mu Q^{-1} and the transversal by full
 matrix products), ``canonical_label_by_tables`` (the least orbit members
-over listed Y_mu and X0_mu) and ``sigma_label_by_lift`` (sigma applied to
-a lifted label by ``sigma_on_group``, then the Smith decomposition).
+over listed Y_mu and X0_mu), ``sigma_label_by_lift`` (sigma applied to
+a lifted label by ``sigma_on_group``, then the Smith decomposition) and
+``embedded_label_by_lift`` (a base-side label lifted, embedded in G(E) and
+Smith-decomposed).
 
-The last two helpers are no oracles: ``check_brauer_multiplicative`` samples
-Br(f * g) = Br(f) * Br(g) on seeded pairs, and ``transport_module`` renames
-a module's generators.  Only tests use them, so they live here.
+Three helpers are no oracles: ``lift_label`` builds the matrix
+lift(P) pi^mu lift(Q)^{-1} of a label, ``check_brauer_multiplicative``
+samples Br(f * g) = Br(f) * Br(g) on seeded pairs, and ``transport_module``
+renames a module's generators.  Only tests use them, so they live here.
 """
 
 import itertools
@@ -36,6 +39,7 @@ from closehecke.errors import (
     SpecMismatchError,
 )
 from closehecke.matrices import FieldElement, GroupMatrix, certified_min, cochar_window, spread
+from closehecke.rings import RAMIFIED
 from closehecke.tate import CyclicModule
 from closehecke.transfer import Report, _sample_entry, random_label
 
@@ -196,10 +200,10 @@ def gamma_stabilizer(ctx, mu):
     list of residue-matrix pairs, every pair of G(o/pi^m) tested by
     definition against the brute-force left cosets of K pi^mu K."""
     ring = ctx.working_ring(ctx.default_pi_prec([mu]))
-    cosets = brute_left_cosets(ctx, ctx.lift_label(ctx.unif_label(mu), ring), mu)
+    cosets = brute_left_cosets(ctx, lift_label(ctx, ctx.unif_label(mu), ring), mu)
     els = ctx.group_elements()
     return [(x, y) for x in els for y in els
-            if coset_matches(ctx, ctx.lift_label(CosetLabel(mu, x, y, ctx.m), ring),
+            if coset_matches(ctx, lift_label(ctx, CosetLabel(mu, x, y, ctx.m), ring),
                              cosets) > 0]
 
 
@@ -232,7 +236,7 @@ def fingerprint(ctx, label):
 
     def run(pi_prec):
         ring = ctx.working_ring(pi_prec)
-        first = ctx.left_coset_key(ctx.lift_label(label, ring))
+        first = ctx.left_coset_key(lift_label(ctx, label, ring))
         if first in by_key:
             return by_key[first]
         return (label.mu, tuple(sorted(ctx.fingerprint(label, ring))))
@@ -365,9 +369,45 @@ def sigma_label_by_lift(ctx, label):
     re-running the Cartan decomposition."""
     def run(prec):
         ring = ctx.working_ring(prec)
-        return ctx.label_of_matrix(sigma_on_group(ctx, ctx.lift_label(label, ring)))
+        return ctx.label_of_matrix(sigma_on_group(ctx, lift_label(ctx, label, ring)))
 
     return ctx.with_retry(run, ctx.default_pi_prec([label.mu]))
+
+
+def embedded_label_by_lift(ctxE, ctxF, flab):
+    """The label of the base-side label ``flab`` embedded in G(E): lift it
+    over F, embed the lift entrywise in G(E) with valuations scaled by the
+    ramification index, and run the Smith decomposition at a working
+    precision under ``with_retry``.
+
+    The natural uniformizers of an unramified extension agree; a ramified
+    one has T^e = pi_F w, w the unit of F's distinguished uniformizer, so
+    pi_F^v u embeds as T^(e v) w^-v u."""
+    side = ctxE.side
+    e = side.e
+
+    def run(prec):
+        ringE = ctxE.working_ring(prec)
+        ringF = side.base_side.ring(ringE.level)
+        w = side.base_side.unif_unit_coords(ringF) if side.kind == RAMIFIED else ringF.one()
+        gF = lift_label(ctxF, flab, ringF)
+        return ctxE.label_of_matrix(GroupMatrix(ringE, [
+            [FieldElement.zero(ringE, e * x.v) if x.is_zero_marker()
+             else FieldElement(ringE, e * x.v, ringE.embed(ringF.mul(x.unit, ringF.pow(w, -x.v))),
+                               e * x.prec)
+             for x in row] for row in gF.rows]))
+
+    return ctxE.with_retry(run, ctxE.m + 2 * e * spread(flab.mu) + 4)
+
+
+def lift_label(ctx, label, ring):
+    """lift(P) pi^mu lift(Q)^{-1} over ``ring``: P pi^mu scales P's columns,
+    as the products with the off-diagonal exact zeros of pi^mu change no
+    sum, and lift(Q)^{-1} is the context's, inverted once per (Q, ring)."""
+    powers = ctx._unif_powers(label.mu, ring)
+    P = ctx.lift_residue_matrix(label.P, ring)
+    Pd = GroupMatrix(ring, [[x * d for x, d in zip(row, powers)] for row in P.rows])
+    return Pd * ctx._lift_inverse(label.Q, ring)
 
 
 def lift_label_by_products(ctx, label, ring):
@@ -402,7 +442,7 @@ def distinct_double_cosets(ctx, labels, ring):
     """Whether no two of ``labels`` name one double coset, by definition: no
     label's representative lies in a left coset u A K of another's
     transversal, tested as B^{-1} u A in K."""
-    invs = [ctx.lift_label(lab, ring).inverse() for lab in labels]
+    invs = [lift_label(ctx, lab, ring).inverse() for lab in labels]
     for a, lab in enumerate(labels):
         for rep in ctx.left_coset_reps(lab, ring):
             if any(b != a and _in_k(ctx, inv, rep) for b, inv in enumerate(invs)):
@@ -511,9 +551,9 @@ def conv_coeff_double_sum(ctx, la, lb, lc, pi_prec=None):
     if pi_prec is None:
         pi_prec = ctx.m + 2 * (spread(la.mu) + spread(lb.mu) + spread(lc.mu)) + 4
     ring = ctx.working_ring(pi_prec)
-    A = ctx.lift_label(la, ring)
-    B = ctx.lift_label(lb, ring)
-    C = ctx.lift_label(lc, ring)
+    A = lift_label(ctx, la, ring)
+    B = lift_label(ctx, lb, ring)
+    C = lift_label(ctx, lc, ring)
     acosets = brute_left_cosets(ctx, A, la.mu)
     bcosets = brute_left_cosets(ctx, B, lb.mu)
     count = 0

@@ -5,7 +5,6 @@ import pytest
 from closehecke.cartan import CosetLabel, GroupContext
 from closehecke.coeffs import CoeffField
 from closehecke.errors import (
-    InsufficientPrecisionError,
     InvariantViolationError,
     NotSigmaInvariantError,
     SideMismatchError,
@@ -20,8 +19,10 @@ from closehecke.transfer import Tower, random_label
 from helpers import (
     coeff_at,
     conv_coeff_double_sum,
+    embedded_label_by_lift,
     fingerprint,
     k_elements,
+    lift_label,
     same_double_coset,
     sigma_label_by_lift,
     sigma_on_group,
@@ -200,7 +201,7 @@ def test_structure_constants_representative_independent(HF2):
     for _ in range(4):
         k1 = ks[rng.randrange(len(ks))]
         k2 = ks[rng.randrange(len(ks))]
-        alt = ctx.label_of_matrix(k1 * ctx.lift_label(la, ring) * k2)
+        alt = ctx.label_of_matrix(k1 * lift_label(ctx, la, ring) * k2)
         assert fingerprint(ctx, alt) == fingerprint(ctx, la)
         out = HF2.convolve(HF2.basis(alt), HF2.basis(alt))
         assert out == base
@@ -249,8 +250,8 @@ def test_sigma_relabel_matches_matrix_oracle(ram_pair):
     lab = ctx.unif_label((0, 1))
     slab = HE.sigma_label(lab)
     ring = ctx.working_ring(8)
-    assert same_double_coset(ctx, ctx.lift_label(slab, ring),
-                             sigma_on_group(ctx, ctx.lift_label(lab, ring)))
+    assert same_double_coset(ctx, lift_label(ctx, slab, ring),
+                             sigma_on_group(ctx, lift_label(ctx, lab, ring)))
 
 
 _GALOIS_TOWERS = {
@@ -388,48 +389,71 @@ def _restrict_fresh(f):
 
 
 def test_brauer_memo_warm_equals_fresh(ram_pair):
-    # base-label keys memoized by an earlier restriction give the answer
-    # that an algebra with an empty memo computes
+    # canonical labels memoized by an earlier restriction give the answer
+    # that a context with empty memos computes
     HE, HF = ram_pair
     ctx = HE.context
     rng = random.Random(21)
     HE.brauer_restrict(HE.sigma_orbit_sum(ctx.unif_label((0, 2))), HF)
-    assert HE._base_labels
+    assert ctx._canonical
     # orbit sums of embedded base labels restrict to nonzero values
     flabs = rng.sample(HF.context.enumerate_labels([(0, 0), (0, 1)]), 3)
     f = HE.sigma_orbit_sum(rand_label(ctx, rng, [(0, 2)]))
     for flab in flabs:
-        f = f + HE.sigma_orbit_sum(HE.on_base_label(HF.context, flab, ctx.label_of_matrix, 0))
+        f = f + HE.sigma_orbit_sum(embedded_label_by_lift(ctx, HF.context, flab))
     warm = HE.brauer_restrict(f, HF)
     assert not warm.is_zero()
     assert warm.to_json() == _restrict_fresh(f)
 
 
-def test_brauer_memo_keeps_the_escalated_key(monkeypatch):
-    # every Smith decomposition is refused at the first working precision:
-    # the memo holds what with_retry returned at the escalated one, never a
-    # partial result
+def test_brauer_restrict_needs_no_smith_or_retry(monkeypatch):
+    # base labels are named from their residues: with the Smith
+    # decomposition and the precision retry of G(E) refused, the restriction
+    # is the one a fresh pair computes
     HE, HF = _fresh_ram_pair()
     ctxE = HE.context
+    rng = random.Random(23)
     f = HE.sigma_orbit_sum(ctxE.unif_label((0, 2)))
-    real = ctxE.label_of_matrix
-    levels = []
+    for flab in rng.sample(HF.context.enumerate_labels([(0, 0), (0, 1)]), 3):
+        f = f + HE.sigma_orbit_sum(embedded_label_by_lift(ctxE, HF.context, flab))
 
-    def flaky(g):
-        levels.append(g.ring.pi_level)
-        if g.ring.pi_level == levels[0]:
-            raise InsufficientPrecisionError("refused at the first precision")
-        return real(g)
+    def refuse(*args):
+        raise AssertionError("brauer_restrict reached the Smith path")
 
-    monkeypatch.setattr(ctxE, "label_of_matrix", flaky)
+    monkeypatch.setattr(ctxE, "smith_cartan", refuse)
+    monkeypatch.setattr(ctxE, "with_retry", refuse)
     got = HE.brauer_restrict(f, HF)
     monkeypatch.undo()
-    assert HE._base_labels and levels.count(levels[0]) == len(HE._base_labels)
-    assert all(level > levels[0] for level in levels if level != levels[0])
-    for flab, canon in HE._base_labels.items():
-        assert canon == HE.on_base_label(HF.context, flab,
-                                         lambda g: ctxE.canonical_label(real(g)), 0)
+    assert len(got.terms) == 4
     assert got.to_json() == _restrict_fresh(f)
+
+
+def test_brauer_restrict_to_another_rank_is_a_side_mismatch():
+    # the target shares the fixed-field side but not the rank n
+    HE, HF = _fresh_ram_pair()
+    F, k = HF.context.side, HF.field
+    for n in (1, 3):
+        with pytest.raises(SideMismatchError):
+            HE.brauer_restrict(HE.one(), HeckeAlgebra(GroupContext(F, n), k))
+
+
+@pytest.mark.parametrize("tower", list(_GALOIS_TOWERS))
+def test_embed_base_label_matches_the_lift_oracle(tower):
+    # naming a base-side label in G(E) from its residues gives the double
+    # coset that lifting, embedding and Smith-decomposing it gives; the F'
+    # sides of the equal-equal towers carry a twisted uniformizer
+    tw = _GALOIS_TOWERS[tower]()
+    rng = random.Random(43)
+    for base, ext in (("F", "E"), ("F'", "E'")):
+        ctxF, ctxE = tw.ctx[base], tw.ctx[ext]
+        for nu in [(0, 0), (0, 1), (1, 1)]:
+            if ctxF.group_order() ** 2 // ctxF.gamma_order(nu) <= 500:
+                flabs = ctxF.enumerate_labels([nu])
+            else:
+                flabs = [random_label(ctxF, rng, [nu]) for _ in range(40)]
+            for flab in flabs:
+                assert ctxE.canonical_label(ctxE.embed_base_label(flab)) == \
+                    ctxE.canonical_label(embedded_label_by_lift(ctxE, ctxF, flab))
 
 
 # -- serialization ---------------------------------------------------------------------

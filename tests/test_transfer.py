@@ -20,7 +20,7 @@ from closehecke.transfer import (
     random_label,
 )
 
-from helpers import check_brauer_multiplicative, coeff_at, fingerprint, k_elements
+from helpers import check_brauer_multiplicative, coeff_at, fingerprint, k_elements, lift_label
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +178,7 @@ def test_kaz_well_defined_across_representatives(tower_ram):
     for _ in range(3):
         k1 = ks[rng.randrange(len(ks))]
         k2 = ks[rng.randrange(len(ks))]
-        reps.append(ctx.label_of_matrix(k1 * ctx.lift_label(lab, ring) * k2))
+        reps.append(ctx.label_of_matrix(k1 * lift_label(ctx, lab, ring) * k2))
     fps = set()
     for rep in reps:
         moved, target = tw.kaz_label("F", rep)
@@ -220,6 +220,17 @@ def test_main_diagram_small(tower_unram, tower_ram):
     assert rep.passed
 
 
+def test_main_diagram_over_a_twisted_ramified_base():
+    # F' has the distinguished uniformizer 2t, so T^2 = 2t on E': base labels
+    # of F' with entries of positive valuation name their double cosets of
+    # G(E') only with that unit accounted for
+    tw = Tower(3, 2, case="ramified", l=2, pair_mode="equal-equal", unif_image=(2,))
+    HE, ctxE = tw.alg["E"], tw.ctx["E"]
+    for flab in tw.ctx["F"].enumerate_labels([(0, 0)])[::300]:
+        h = HE.sigma_orbit_sum(ctxE.embed_base_label(flab))
+        assert tw.kaz(tw.brauer(h)) == tw.brauer(tw.kaz(h))
+
+
 def test_brauer_mult_small(tower_ram):
     rep = check_brauer_multiplicative(tower_ram, pairs=4, seed=5)
     assert rep.passed
@@ -234,7 +245,7 @@ def test_brauer_restrict_on_a_second_tower_agrees(tower_ram):
     rng = random.Random(19)
     f = HE.sigma_orbit_sum(ctxE.unif_label((0, 2)))
     for flab in rng.sample(HF.context.enumerate_labels([(0, 0), (0, 1)]), 3):
-        f = f + HE.sigma_orbit_sum(HE.on_base_label(HF.context, flab, ctxE.label_of_matrix, 0))
+        f = f + HE.sigma_orbit_sum(ctxE.embed_base_label(flab))
     own = HE.brauer_restrict(f, HF)
     assert len(own.terms) == 4
     assert other.alg["E"].brauer_restrict(f, other.alg["F"]).to_json() == own.to_json()
