@@ -388,20 +388,33 @@ def _restrict_fresh(f):
     return HE.brauer_restrict(HE.from_json(f.to_json()), HF).to_json()
 
 
-def test_brauer_memo_warm_equals_fresh(ram_pair):
-    # canonical labels memoized by an earlier restriction give the answer
-    # that a context with empty memos computes
+def test_brauer_memo_warm_equals_fresh(ram_pair, monkeypatch):
+    # base-label keys memoized by an earlier restriction are read back, not
+    # recomputed, and give the answer that an algebra with an empty memo
+    # computes
     HE, HF = ram_pair
     ctx = HE.context
     rng = random.Random(21)
     HE.brauer_restrict(HE.sigma_orbit_sum(ctx.unif_label((0, 2))), HF)
-    assert ctx._canonical
+    assert HE._base_labels
+    memoized = dict(HE._base_labels)
     # orbit sums of embedded base labels restrict to nonzero values
     flabs = rng.sample(HF.context.enumerate_labels([(0, 0), (0, 1)]), 3)
     f = HE.sigma_orbit_sum(rand_label(ctx, rng, [(0, 2)]))
     for flab in flabs:
         f = f + HE.sigma_orbit_sum(embedded_label_by_lift(ctx, HF.context, flab))
+    embedded = []
+    real = ctx.embed_base_label
+
+    def recording(flab):
+        embedded.append(flab)
+        return real(flab)
+
+    monkeypatch.setattr(ctx, "embed_base_label", recording)
     warm = HE.brauer_restrict(f, HF)
+    monkeypatch.undo()
+    assert not any(flab in memoized for flab in embedded)
+    assert all(HE._base_labels[flab] == canon for flab, canon in memoized.items())
     assert not warm.is_zero()
     assert warm.to_json() == _restrict_fresh(f)
 
