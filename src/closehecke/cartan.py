@@ -139,6 +139,15 @@ class GroupContext:
         P, Q = (tuple(tuple(embed(x) for x in row) for row in R) for R in (flab.P, flab.Q))
         return CosetLabel(tuple(e * x for x in flab.mu), P, Q, self.m)
 
+    def base_label(self, label):
+        """The inverse of ``embed_base_label``: the base-side label that it
+        maps to ``label`` (coordinate 0 of each residue, mu divided by e), or
+        None when there is none."""
+        e = self.side.e
+        P, Q = (tuple(tuple(x[0] for x in row) for row in R) for R in (label.P, label.Q))
+        flab = CosetLabel(tuple(x // e for x in label.mu), P, Q, self.side.base_level_m)
+        return flab if self.embed_base_label(flab) == label else None
+
     # -- Smith/Cartan ----------------------------------------------------------
 
     def smith_cartan(self, g):
@@ -453,12 +462,6 @@ class GroupContext:
         a transversal from left_coset_reps."""
         return self.residue_q ** sum(b - a for i, a in enumerate(mu) for b in mu[i + 1:])
 
-    def _check_pair_budget(self):
-        if self.group_order() ** 2 > self.budget:
-            raise BudgetExceededError(
-                f"|G(o/p^m)|^2 = {self.group_order() ** 2} exceeds "
-                f"budget {self.budget}")
-
     # -- enumeration ---------------------------------------------------------------
 
     def group_order(self):
@@ -491,46 +494,56 @@ class GroupContext:
 
         Central invariants reduce to level-m classes (K is normal there) and
         are only bounded by the group order; windows with spread walk the
-        pair-group orbit and carry the |G(o/p^m)|^2 guard."""
+        pair-group orbit and carry the |G(o/p^m)|^2 guard.  Each window is
+        kept as a map from canonical label to listed label, in listed order."""
         out = []
-        gens = None
         for mu in sorted(set(check_antidominant(mu) for mu in mus)):
-            cached = self._label_cache.get(mu)
-            if cached is not None:
-                out.extend(cached)
-                continue
-            if spread(mu) == 0:
-                # central pi-power times G(o): K is normal there, so double
-                # cosets biject with level-m classes
-                idm = self.identity_label().Q
-                orbit = [CosetLabel(mu, x, idm, self.m) for x in self.group_elements()]
-            else:
-                self._check_pair_budget()
-                if gens is None:
-                    gens = self._residue_gl_generators()
-                start = self.unif_label(mu)
-                found = {self.canonical_label(start)}
-                orbit = [start]
-                for lab in orbit:       # breadth first: the loop reaches appended labels
-                    for s in gens:
-                        for moved in (CosetLabel(mu, self._rmat_mul(s, lab.P), lab.Q, self.m),
-                                      CosetLabel(mu, lab.P, self._rmat_mul(s, lab.Q), self.m)):
-                            canon = self.canonical_label(moved)
-                            if canon not in found:
-                                found.add(canon)
-                                orbit.append(moved)
-                # the walk is complete exactly when it found |G|^2 / |Gamma_mu|
-                # labels
-                expected = self.group_order() ** 2 // self.gamma_order(mu)
-                if len(orbit) != expected:
-                    raise InvariantViolationError(
-                        f"the walk found {len(orbit)} labels for {mu}, "
-                        f"|G|^2 / |Gamma_mu| = {expected}")
-            orbit.sort(key=lambda lab: lab.sort_key())
-            self._label_cache[mu] = orbit
-            out.extend(orbit)
-        out.sort(key=lambda lab: lab.sort_key())
+            window = self._label_cache.get(mu)
+            if window is None:
+                window = self._label_cache[mu] = self._walk(mu)
+            out.extend(window.values())
         return out
+
+    def representative(self, canon):
+        """The label that ``enumerate_labels`` lists for the double coset
+        whose canonical label is ``canon``."""
+        if canon.mu not in self._label_cache:
+            self.enumerate_labels([canon.mu])
+        label = self._label_cache[canon.mu].get(canon)
+        if label is None:
+            raise InvariantViolationError(f"{canon} is not a canonical label of its window")
+        return label
+
+    def _walk(self, mu):
+        """The window of mu: canonical label -> listed label, in label order."""
+        if spread(mu) == 0:
+            # central pi-power times G(o): K is normal there, so double
+            # cosets biject with level-m classes, and (mu, x, I) is canonical
+            idm = self.identity_label().Q
+            return {lab: lab for lab in (CosetLabel(mu, x, idm, self.m)
+                                         for x in self.group_elements())}
+        if self.group_order() ** 2 > self.budget:
+            raise BudgetExceededError(
+                f"|G(o/p^m)|^2 = {self.group_order() ** 2} exceeds budget {self.budget}")
+        gens = self._residue_gl_generators()
+        start = self.unif_label(mu)
+        found = {self.canonical_label(start): start}
+        orbit = [start]
+        for lab in orbit:       # breadth first: the loop reaches appended labels
+            for s in gens:
+                for moved in (CosetLabel(mu, self._rmat_mul(s, lab.P), lab.Q, self.m),
+                              CosetLabel(mu, lab.P, self._rmat_mul(s, lab.Q), self.m)):
+                    canon = self.canonical_label(moved)
+                    if canon not in found:
+                        found[canon] = moved
+                        orbit.append(moved)
+        # the walk is complete exactly when it found |G|^2 / |Gamma_mu| labels
+        expected = self.group_order() ** 2 // self.gamma_order(mu)
+        if len(found) != expected:
+            raise InvariantViolationError(
+                f"the walk found {len(found)} labels for {mu}, "
+                f"|G|^2 / |Gamma_mu| = {expected}")
+        return dict(sorted(found.items(), key=lambda kv: kv[1].sort_key()))
 
     def group_elements(self):
         """All residue matrices of GL_n(o/pi^m), in sorted order (budgeted):

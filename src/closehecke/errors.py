@@ -52,10 +52,6 @@ class NotSigmaInvariantError(CloseHeckeError):
     code = "NOT_SIGMA_INVARIANT"
 
 
-class WindowTooSmallError(CloseHeckeError):
-    code = "WINDOW_TOO_SMALL"
-
-
 class NotOrderLError(CloseHeckeError):
     code = "NOT_ORDER_L"
 

@@ -6,7 +6,9 @@ coset.  Convolution counts left cosets with the Haar normalization
 mu(K) = 1: the coefficient of t_c in t_a * t_b is #{(i, j) : a_i b_j K = c K}
 reduced mod l.  Which double coset holds a left coset is read from a map of
 left-coset keys to canonical labels, written once per double coset reached
-from the keys of its transversal (``GroupContext.fingerprint``).
+from the keys of its transversal (``GroupContext.fingerprint``).  Brauer
+restriction reads the terms of f alone: a canonical label of G(E) that
+``GroupContext.base_label`` de-embeds names the one double coset of G(F) in it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .errors import (
     NotSigmaInvariantError,
     SideMismatchError,
     SpecMismatchError,
-    WindowTooSmallError,
     json_field,
 )
 from .matrices import spread
@@ -96,8 +97,6 @@ class HeckeAlgebra:
         self._product_cache = {}
         # left-coset key -> canonical label, written once a product returned
         self._coset_labels = {}
-        # base-side label -> canonical label of its double coset in G(E)
-        self._base_labels = {}
 
     def _check_same(self, other):
         if other is not self and (other.side != self.side or other.field != self.field):
@@ -244,12 +243,13 @@ class HeckeAlgebra:
         return self.sigma_act(f) == f
 
     # -- Brauer restriction -------------------------------------------------------
-    def brauer_restrict(self, f: HeckeElement, target: "HeckeAlgebra",
-                        window=None) -> HeckeElement:
-        """Restriction of a sigma-invariant function on G(E) to G(F), as a
-        bi-K_F-invariant function: each base-side label takes the value of f
-        at its double coset in G(E), which ``embed_base_label`` names from
-        the label's residues."""
+    def brauer_restrict(self, f: HeckeElement, target: "HeckeAlgebra") -> HeckeElement:
+        """Restriction of a sigma-invariant function on G(E) to G(F), read
+        off the terms of f.  Stabilizers in K_E x K_E are pro-p and sigma has
+        order l != p, so (K_E g K_E)^sigma = K_F g K_F: a double coset of G(E)
+        holds at most one of G(F), and that one takes f's value there.
+        ``canonical_label`` commutes with the embedding (pi_F = pi_E^e), so
+        ``base_label`` de-embeds a canonical term to F's canonical label."""
         self._check_same(f.algebra)
         ctxE = self.context
         ctxF = target.context
@@ -262,22 +262,11 @@ class HeckeAlgebra:
             raise SideMismatchError("coefficient fields differ")
         if not self.is_sigma_invariant(f):
             raise NotSigmaInvariantError("restriction is only defined on sigma-invariant elements")
-        e = side.e
-        nus = {tuple(x // e for x in lab.mu) for lab, _ in f.terms.values()
-               if all(x % e == 0 for x in lab.mu)}
-        if window is not None:
-            for nu in nus:
-                if nu not in window:
-                    raise WindowTooSmallError(f"support invariant {nu} outside window")
-        terms = []
-        for flab in ctxF.enumerate_labels(nus):
-            canon = self._base_labels.get(flab)
-            if canon is None:
-                canon = self._base_labels[flab] = ctxE.canonical_label(ctxE.embed_base_label(flab))
-            term = f.terms.get(canon)
-            if term is not None:
-                terms.append((flab, term[1]))
-        return target.element(terms)
+        flabs = ((ctxE.base_label(canon), c) for canon, (_, c) in f.terms.items())
+        terms = [(ctxF.representative(flab), c) for flab, c in flabs if flab is not None]
+        # in label order: a later sum or product keeps the first label it
+        # meets for each double coset, and documents print that label
+        return target.element(sorted(terms, key=lambda t: t[0].sort_key()))
 
     # -- serialization ---------------------------------------------------------------
     def from_json(self, d):

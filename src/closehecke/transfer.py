@@ -180,12 +180,12 @@ class Tower:
             terms.append((moved, c))
         return target.element(terms)
 
-    def brauer(self, f: HeckeElement, window=None) -> HeckeElement:
+    def brauer(self, f: HeckeElement) -> HeckeElement:
         side = f.algebra.side
         if side == "E":
-            return f.algebra.brauer_restrict(f, self.alg["F"], window)
+            return f.algebra.brauer_restrict(f, self.alg["F"])
         if side == "E'":
-            return f.algebra.brauer_restrict(f, self.alg["F'"], window)
+            return f.algebra.brauer_restrict(f, self.alg["F'"])
         raise SideMismatchError("Brauer restriction starts on an extension side")
 
 

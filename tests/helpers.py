@@ -17,7 +17,8 @@ matrix products), ``canonical_label_by_tables`` (the least orbit members
 over listed Y_mu and X0_mu), ``sigma_label_by_lift`` (sigma applied to
 a lifted label by ``sigma_on_group``, then the Smith decomposition) and
 ``embedded_label_by_lift`` (a base-side label lifted, embedded in G(E) and
-Smith-decomposed).
+Smith-decomposed), with ``brauer_restrict_by_window`` (Br(f) by walking
+every base-side label of f's windows and naming each that way).
 
 Three helpers are no oracles: ``lift_label`` builds the matrix
 lift(P) pi^mu lift(Q)^{-1} of a label, ``check_brauer_multiplicative``
@@ -398,6 +399,29 @@ def embedded_label_by_lift(ctxE, ctxF, flab):
              for x in row] for row in gF.rows]))
 
     return ctxE.with_retry(run, ctxE.m + 2 * e * spread(flab.mu) + 4)
+
+
+_EMBEDDED = weakref.WeakKeyDictionary()
+
+
+def brauer_restrict_by_window(HE, f, HF):
+    """Br(f) by walking every base-side label of the windows that f's support
+    reaches: each takes f's value at the canonical label of its double coset
+    in G(E), which ``embedded_label_by_lift`` names.  The names are kept per
+    extension context."""
+    ctxE, ctxF = HE.context, HF.context
+    e = ctxE.side.e
+    nus = {tuple(x // e for x in lab.mu) for lab, _ in f.terms.values()
+           if all(x % e == 0 for x in lab.mu)}
+    names = _EMBEDDED.setdefault(ctxE, {})
+    terms = []
+    for flab in ctxF.enumerate_labels(nus):
+        if flab not in names:
+            names[flab] = ctxE.canonical_label(embedded_label_by_lift(ctxE, ctxF, flab))
+        term = f.terms.get(names[flab])
+        if term is not None:
+            terms.append((flab, term[1]))
+    return HF.element(terms)
 
 
 def lift_label(ctx, label, ring):

@@ -648,6 +648,28 @@ def test_canonical_label_agrees_with_the_table_construction(side):
         assert len(seen) == len({a for a, _ in seen}) == len({b for _, b in seen})
 
 
+@pytest.mark.parametrize("side", list(_CANONICAL_WINDOWS))
+def test_representative_names_the_listed_label_of_each_double_coset(side):
+    # each window maps canonical labels to the labels enumerate_labels
+    # lists, built on first use; a central label (mu, x, I) is its own
+    # canonical label
+    ctx, fresh = (GroupContext(_CANONICAL_WINDOWS[side](), 2) for _ in range(2))
+    for mu in [(0, 0), (1, 1), (0, 1), (-1, 1)]:
+        listed = ctx.enumerate_labels([mu])
+        if spread(mu) == 0:
+            assert all(ctx.canonical_label(lab) == lab for lab in listed)
+        assert [fresh.representative(ctx.canonical_label(lab)) for lab in listed] == listed
+
+
+def test_representative_of_a_label_outside_its_window_raises():
+    # a label that its window does not hold as a canonical label is an
+    # invariant violation naming it, not a KeyError
+    ctx = GroupContext(base_side("F", MIXED, 3, 1), 2)
+    lab = next(lab for lab in ctx.enumerate_labels([(0, 1)]) if ctx.canonical_label(lab) != lab)
+    with pytest.raises(InvariantViolationError, match="not a canonical label"):
+        ctx.representative(lab)
+
+
 def test_gamma_order_is_the_size_of_the_listed_groups():
     for side, n, mus in [(base_side("F", MIXED, 2, 2), 2, [(0, 0), (0, 1), (0, 2), (0, 3)]),
                          (base_side("F", MIXED, 2, 1), 3, [(0, 0, 1), (0, 1, 1), (0, 1, 2)])]:

@@ -243,6 +243,7 @@ _TYPED_INVARIANT_TESTS = [
     "tests/test_cartan.py::test_an_unknown_multiplier_reaches_the_smith_transforms",
     "tests/test_cartan.py::test_sigma_label_of_a_base_side_is_a_side_mismatch",
     "tests/test_cartan.py::test_inverse_refuses_a_pivot_under_a_zero_floor",
+    "tests/test_cartan.py::test_representative_of_a_label_outside_its_window_raises",
     "tests/test_transfer.py::test_extension_pair_guards_raise_typed_errors",
     "tests/test_transfer.py::test_close_pair_uniformizer_mismatch_raises_typed_error",
     "tests/test_hecke.py::test_inconsistent_double_coset_counts_raise",

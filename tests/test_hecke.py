@@ -8,7 +8,6 @@ from closehecke.errors import (
     InvariantViolationError,
     NotSigmaInvariantError,
     SideMismatchError,
-    WindowTooSmallError,
 )
 from closehecke.hecke import HeckeAlgebra
 from closehecke.matrices import GroupMatrix
@@ -17,6 +16,7 @@ from closehecke.rings import MIXED, RAMIFIED, UNRAMIFIED, base_side, extension_s
 from closehecke.transfer import Tower, random_label
 
 from helpers import (
+    brauer_restrict_by_window,
     coeff_at,
     conv_coeff_double_sum,
     embedded_label_by_lift,
@@ -352,15 +352,6 @@ def test_brauer_ramified_divisible_support(ram_pair):
     assert coeff_at(br, HF.context.unif_label((0, 1))) == HF.field.one()
 
 
-def test_brauer_window_guard(ram_pair):
-    HE, HF = ram_pair
-    f = HE.sigma_orbit_sum(HE.context.unif_label((0, 2)))
-    with pytest.raises(WindowTooSmallError):
-        HE.brauer_restrict(f, HF, window=[(0, 0)])
-    ok = HE.brauer_restrict(f, HF, window=[(0, 0), (0, 1)])
-    assert not ok.is_zero()
-
-
 def test_brauer_multiplicative_samples(ram_pair, unram_pair):
     rng = random.Random(12)
     for HE, HF in (ram_pair, unram_pair):
@@ -388,35 +379,26 @@ def _restrict_fresh(f):
     return HE.brauer_restrict(HE.from_json(f.to_json()), HF).to_json()
 
 
-def test_brauer_memo_warm_equals_fresh(ram_pair, monkeypatch):
-    # base-label keys memoized by an earlier restriction are read back, not
-    # recomputed, and give the answer that an algebra with an empty memo
-    # computes
-    HE, HF = ram_pair
-    ctx = HE.context
+def test_brauer_restrict_reads_only_the_terms_of_f(monkeypatch):
+    # a restriction of k terms de-embeds at most k labels and, once the
+    # windows it reaches are listed, lists no window again
+    HE, HF = _fresh_ram_pair()
+    ctxE, ctxF = HE.context, HF.context
     rng = random.Random(21)
-    HE.brauer_restrict(HE.sigma_orbit_sum(ctx.unif_label((0, 2))), HF)
-    assert HE._base_labels
-    memoized = dict(HE._base_labels)
-    # orbit sums of embedded base labels restrict to nonzero values
-    flabs = rng.sample(HF.context.enumerate_labels([(0, 0), (0, 1)]), 3)
-    f = HE.sigma_orbit_sum(rand_label(ctx, rng, [(0, 2)]))
-    for flab in flabs:
-        f = f + HE.sigma_orbit_sum(embedded_label_by_lift(ctx, HF.context, flab))
-    embedded = []
-    real = ctx.embed_base_label
-
-    def recording(flab):
-        embedded.append(flab)
-        return real(flab)
-
-    monkeypatch.setattr(ctx, "embed_base_label", recording)
-    warm = HE.brauer_restrict(f, HF)
+    f = HE.sigma_orbit_sum(ctxE.unif_label((0, 2))) + \
+        HE.sigma_orbit_sum(rand_label(ctxE, rng, [(0, 1)]))
+    for flab in rng.sample(ctxF.enumerate_labels([(0, 0), (0, 1)]), 3):
+        f = f + HE.sigma_orbit_sum(embedded_label_by_lift(ctxE, ctxF, flab))
+    calls = []
+    for ctx, name in ((ctxE, "base_label"), (ctxF, "enumerate_labels")):
+        real = getattr(ctx, name)
+        monkeypatch.setattr(ctx, name, lambda *a, _r=real, _n=name: calls.append(_n) or _r(*a))
+    got = HE.brauer_restrict(f, HF)
     monkeypatch.undo()
-    assert not any(flab in memoized for flab in embedded)
-    assert all(HE._base_labels[flab] == canon for flab, canon in memoized.items())
-    assert not warm.is_zero()
-    assert warm.to_json() == _restrict_fresh(f)
+    assert calls.count("base_label") <= len(f.terms)
+    assert "enumerate_labels" not in calls
+    assert len(got.terms) == 4
+    assert got.to_json() == brauer_restrict_by_window(HE, f, HF).to_json()
 
 
 def test_brauer_restrict_needs_no_smith_or_retry(monkeypatch):
@@ -467,6 +449,40 @@ def test_embed_base_label_matches_the_lift_oracle(tower):
             for flab in flabs:
                 assert ctxE.canonical_label(ctxE.embed_base_label(flab)) == \
                     ctxE.canonical_label(embedded_label_by_lift(ctxE, ctxF, flab))
+                # canonical labels commute with the embedding, which is what
+                # lets brauer_restrict de-embed the terms of f
+                assert ctxE.canonical_label(ctxE.embed_base_label(flab)) == \
+                    ctxE.embed_base_label(ctxF.canonical_label(flab))
+
+
+@pytest.mark.parametrize("tower", list(_GALOIS_TOWERS))
+def test_brauer_restrict_matches_the_window_walk(tower):
+    # reading the terms of f gives what walking every base-side label of
+    # f's windows gives, label for label, on both extension sides; the
+    # equal-equal towers walk their (0, 0) window of 3,888 labels only, as
+    # their spread windows are over the pair budget
+    tw = _GALOIS_TOWERS[tower]()
+    rng = random.Random(47)
+    for base, ext in (("F", "E"), ("F'", "E'")):
+        HE, HF = tw.alg[ext], tw.alg[base]
+        ctxE, ctxF = HE.context, HF.context
+        e = ctxE.side.e
+        nus = [(0, 0), (0, 1), (1, 1)] if ctxF.group_order() ** 2 <= ctxF.budget else [(0, 0)]
+        mus = [tuple(e * x for x in nu) for nu in nus]
+        cochars = [HE.sigma_orbit_sum(ctxE.unif_label(mu)) for mu in mus]
+        embedded = [HE.sigma_orbit_sum(embedded_label_by_lift(ctxE, ctxF, flab))
+                    for flab in rng.sample(ctxF.enumerate_labels(nus), 4)]
+        # on a ramified E, labels of indivisible mu restrict to 0
+        rmus = mus + [(0, 1)] if e > 1 else mus
+        randoms = [HE.sigma_orbit_sum(random_label(ctxE, rng, rmus)) for _ in range(3)]
+        sums = [sum(embedded[1:], embedded[0]), cochars[-1] + randoms[0] + embedded[0],
+                sum(randoms[1:], cochars[0])]
+        restricted = []
+        for f in cochars + embedded + randoms + sums:
+            got = HE.brauer_restrict(f, HF)
+            assert got.to_json() == brauer_restrict_by_window(HE, f, HF).to_json()
+            restricted.append(len(got.terms))
+        assert max(restricted) >= 4
 
 
 # -- serialization ---------------------------------------------------------------------
