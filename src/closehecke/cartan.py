@@ -63,8 +63,7 @@ class GroupContext:
         self.budget = budget
         self.pair_budget = pair_budget
         self.precision_cap = precision_cap
-        self._ring_e = side.l if (side.is_ext and side.kind == RAMIFIED) else 1
-        self.label_ring = side.ring(side.base_level_m if side.is_ext else side.m)
+        self.label_ring = side.ring(side.base_level_m)
         if self.label_ring.pi_level != self.m:
             raise InvariantViolationError(
                 f"label ring has pi-level {self.label_ring.pi_level}, not m = {self.m}")
@@ -83,7 +82,7 @@ class GroupContext:
     # -- working precision ---------------------------------------------------
 
     def working_ring(self, pi_prec):
-        base_level = max(-(-pi_prec // self._ring_e), 1)
+        base_level = max(-(-pi_prec // self.side.e), 1)
         return self.side.ring(base_level)
 
     def default_pi_prec(self, mus):

@@ -86,6 +86,8 @@ class RunConfig:
     precision_cap: int
 
     def validate(self):
+        if self.case is not None and self.l is None:
+            raise ConfigError("--case needs --l, the extension degree")
         if self.l is not None and self.l == self.p:
             raise ConfigError("l must differ from p")
         if self.pair_mode == "mixed-equal" and self.m != 1:
@@ -200,7 +202,7 @@ def _cmd_fields_build(args):
         "F'": tower.pair.Fp.to_json(),
         "E": tower.extpair.E.to_json(),
         "E'": tower.extpair.Ep.to_json(),
-        "e": tower.extpair.e,
+        "e": tower.extpair.E.e,
         "lambda": tower.pair.lam.to_json(),
         "pi": tower.extpair.pi.to_json(),
     }}

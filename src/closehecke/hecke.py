@@ -53,15 +53,6 @@ class HeckeElement:
         return HeckeElement(self.algebra,
                             {key: (lab, F.mul(c, x)) for key, (lab, x) in self.terms.items()})
 
-    def __neg__(self):
-        return self.scale(self.algebra.field.neg(self.algebra.field.one()))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return self.algebra.convolve(self, other)
-
     def __eq__(self, other):
         if not isinstance(other, HeckeElement):
             return NotImplemented
@@ -103,9 +94,6 @@ class HeckeAlgebra:
             raise SideMismatchError(f"sides {self.side} and {other.side} differ")
 
     # -- constructors -------------------------------------------------------
-    def zero(self):
-        return HeckeElement(self, {})
-
     def element(self, pairs):
         F = self.field
         out = {}

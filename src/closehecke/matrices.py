@@ -141,11 +141,6 @@ class FieldElement:
             return f"O(pi^{self.v})"
         return f"pi^{self.v}*{self.unit!r}(+O(pi^{self.v + self.prec}))"
 
-    def to_json(self):
-        if self.unit is None:
-            return {"zero": True, "floor": None if self.v == INF else self.v}
-        return {"v": self.v, "unit": self.ring.coords_json(self.unit)}
-
 
 def certified_min(cells):
     """(valuation, tag) of the first of the (element, tag) ``cells`` whose
@@ -254,11 +249,6 @@ class GroupMatrix:
 
     def __repr__(self):
         return f"GroupMatrix({self.rows!r})"
-
-    def to_json(self, level=None):
-        return {"n": self.n,
-                "level": level,
-                "entries": [[x.to_json() for x in row] for row in self.rows]}
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ layer up, by :class:`closehecke.matrices.FieldElement`.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
 
 from .coeffs import CoeffField, is_irreducible, is_prime, power, smallest_irreducible
 from .errors import (
@@ -44,89 +44,38 @@ def _ceil_div(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Specs
-
-@dataclass(frozen=True)
-class BaseRingSpec:
-    model: str
-    p: int
-    level: int
-
-    def __post_init__(self):
-        if self.model not in (MIXED, EQUAL):
-            raise SpecMismatchError(f"unknown model {self.model!r}")
-        if not is_prime(self.p):
-            raise SpecMismatchError(f"p = {self.p} is not prime")
-        if self.level < 1:
-            raise SpecMismatchError("level must be >= 1")
-
-    def to_json(self):
-        return {"model": self.model, "p": self.p, "N": self.level}
-
-
-@dataclass(frozen=True)
-class ExtensionSpec:
-    base: BaseRingSpec
-    kind: str
-    l: int
-    minimal_poly: tuple | None  # low-degree F_p coefficients, leading 1 implicit
-    e: int
-
-    def to_json(self):
-        d = self.base.to_json()
-        ext = {"kind": self.kind, "l": self.l}
-        if self.minimal_poly is not None:
-            ext["minimalPoly"] = list(self.minimal_poly) + [1]
-        d["ext"] = ext
-        return d
-
-
-def build_extension(base: BaseRingSpec, kind: str, l: int, minimal_poly=None):
-    """Extension spec of prime degree l over a truncated base."""
-    if not is_prime(l):
-        raise SpecMismatchError(f"l = {l} is not prime")
-    if l == base.p:
-        raise SamePrimeError(f"l = p = {l}")
-    if kind == UNRAMIFIED:
-        if minimal_poly is None:
-            minimal_poly = smallest_irreducible(base.p, l)
-        else:
-            minimal_poly = tuple(c % base.p for c in minimal_poly)
-            F = CoeffField(base.p, 1)
-            if not is_irreducible(F, [F.from_int(c) for c in minimal_poly + (1,)]):
-                raise SpecMismatchError("minimalPoly is not irreducible mod p")
-        return ExtensionSpec(base, UNRAMIFIED, l, minimal_poly, 1)
-    if kind == RAMIFIED:
-        if (base.p - 1) % l != 0:
-            raise GaloisConditionError(f"l = {l} does not divide p - 1 = {base.p - 1}")
-        return ExtensionSpec(base, RAMIFIED, l, None, l)
-    raise SpecMismatchError(f"unknown extension kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # Rings on raw coordinates
 
 class BaseRing:
     """Z/p^N or F_p[t]/(t^N) on raw coordinates."""
 
-    def __init__(self, spec: BaseRingSpec):
-        self.spec = spec
-        self.model = spec.model
-        self.p = spec.p
-        self.level = spec.level
-        self.pi_level = spec.level
-        if self.model == MIXED:
-            self.modulus = spec.p ** spec.level
+    def __init__(self, model, p, level):
+        if model not in (MIXED, EQUAL):
+            raise SpecMismatchError(f"unknown model {model!r}")
+        if not is_prime(p):
+            raise SpecMismatchError(f"p = {p} is not prime")
+        if level < 1:
+            raise SpecMismatchError("level must be >= 1")
+        self.model = model
+        self.p = p
+        self.level = level
+        self.pi_level = level
+        if model == MIXED:
+            self.modulus = p ** level
         self._one = self.from_int(1)
         self._inverses = {}   # unit -> its verified inverse
 
     # -- structural equality so rings can key caches; rings are shared, so
     # identity settles almost every comparison
     def __eq__(self, other):
-        return self is other or (isinstance(other, BaseRing) and self.spec == other.spec)
+        return self is other or (isinstance(other, BaseRing) and self.model == other.model
+                                 and self.p == other.p and self.level == other.level)
 
     def __hash__(self):
-        return hash(("base", self.spec))
+        return hash((self.model, self.p, self.level))
+
+    def to_json(self):
+        return {"model": self.model, "p": self.p, "N": self.level}
 
     def __repr__(self):
         if self.model == MIXED:
@@ -282,48 +231,82 @@ class BaseRing:
         return coords
 
 
+@functools.lru_cache(maxsize=None)
+def _minimal_poly(p, l, coeffs):
+    """The low-degree F_p coefficients of a monic irreducible f of degree l,
+    leading 1 implicit: the smallest such f when ``coeffs`` is None, else
+    ``coeffs`` reduced mod p and checked.  Memoized, because every ring of
+    a side is built from the side's one polynomial."""
+    if coeffs is None:
+        return smallest_irreducible(p, l)
+    coeffs = tuple(c % p for c in coeffs)
+    F = CoeffField(p, 1)
+    if len(coeffs) != l or not is_irreducible(F, [F.from_int(c) for c in coeffs + (1,)]):
+        raise SpecMismatchError(f"minimalPoly is not irreducible of degree {l} mod p")
+    return coeffs
+
+
 class ExtensionRing:
     """base[T]/(f) with f monic irreducible (unramified) or T^l - w (ramified)."""
 
-    def __init__(self, spec: ExtensionSpec, base_ring: BaseRing, unif_class=None):
-        if base_ring.spec.model != spec.base.model or base_ring.spec.p != spec.base.p:
-            raise SpecMismatchError("base ring does not match extension spec")
-        self.spec = spec
+    def __init__(self, base_ring: BaseRing, kind, l, minimal_poly=None, unif_class=None):
+        p = base_ring.p
+        if not is_prime(l):
+            raise SpecMismatchError(f"l = {l} is not prime")
+        if l == p:
+            raise SamePrimeError(f"l = p = {l}")
         self.base = base_ring
-        self.kind = spec.kind
-        self.l = spec.l
-        self.p = base_ring.p
+        self.kind = kind
+        self.l = l
+        self.p = p
         self.level = base_ring.level          # base truncation level
-        self.e = spec.e
-        self.pi_level = base_ring.level * spec.e
-        if self.kind == UNRAMIFIED:
+        if kind == UNRAMIFIED:
+            self.minimal_poly = _minimal_poly(
+                p, l, None if minimal_poly is None else tuple(minimal_poly))
+            self.e = 1
             # T^l = -(f_0 + f_1 T + ... + f_{l-1} T^{l-1})
-            self.head = tuple(base_ring.neg(base_ring.from_int(c)) for c in spec.minimal_poly)
+            self.head = tuple(base_ring.neg(base_ring.from_int(c)) for c in self.minimal_poly)
             self.w = None
-        else:
+        elif kind == RAMIFIED:
+            if (p - 1) % l != 0:
+                raise GaloisConditionError(f"l = {l} does not divide p - 1 = {p - 1}")
             # T^l = w, the distinguished uniformizer class of the base field.
             # At base level 1 the class is 0 and T-division cannot recover the
             # top coordinate; the canonical lift 0 is used there.
             if unif_class is None:
                 raise SpecMismatchError("ramified ring needs a uniformizer class")
+            self.minimal_poly = None
+            self.e = l
             self.w = unif_class
             if not base_ring.is_zero(unif_class) and base_ring.val(unif_class) == 1:
                 self.w_unit_inv = base_ring.inv(base_ring.div_pi(unif_class, 1))
             else:
                 self.w_unit_inv = None
             self.head = None
+        else:
+            raise SpecMismatchError(f"unknown extension kind {kind!r}")
+        self.pi_level = base_ring.level * self.e
         # Over Z/p^N the convolution runs on plain ints, reduced once
         self._int_coords = base_ring.model == MIXED
-        self._one = (base_ring.one(),) + (base_ring.zero(),) * (self.l - 1)
+        self._one = (base_ring.one(),) + (base_ring.zero(),) * (l - 1)
         self._inverses = {}   # unit -> its verified inverse
 
     def __eq__(self, other):
         return self is other or (
-            isinstance(other, ExtensionRing) and self.spec == other.spec
+            isinstance(other, ExtensionRing) and self.kind == other.kind
+            and self.l == other.l and self.minimal_poly == other.minimal_poly
             and self.base == other.base and self.w == other.w)
 
     def __hash__(self):
-        return hash(("ext", self.spec, self.base.spec, self.w))
+        return hash((self.kind, self.l, self.minimal_poly, self.base, self.w))
+
+    def to_json(self):
+        d = self.base.to_json()
+        ext = {"kind": self.kind, "l": self.l}
+        if self.minimal_poly is not None:
+            ext["minimalPoly"] = list(self.minimal_poly) + [1]
+        d["ext"] = ext
+        return d
 
     def __repr__(self):
         rel = f"T^{self.l}-pi" if self.kind == RAMIFIED else "f(T)"
@@ -593,13 +576,12 @@ def _equal_substitution(dom, cod, image_coeffs):
     return apply
 
 
-def _revert_series(p, image_coeffs, m):
-    """Compositional inverse of phi = sum_{j>=1} c_j t^j modulo t^m,
-    returned in the same c_1-first convention.  Solves psi(phi(t)) = t
-    degree by degree; correcting psi at degree k moves the composite by
-    c_1^k t^k plus higher order."""
-    spec = BaseRingSpec(EQUAL, p, m)
-    ring = BaseRing(spec)
+def _revert_series(ring, image_coeffs):
+    """Compositional inverse of phi = sum_{j>=1} c_j t^j in the equal ring
+    F_p[t]/t^m, returned in the same c_1-first convention.  Solves
+    psi(phi(t)) = t degree by degree; correcting psi at degree k moves the
+    composite by c_1^k t^k plus higher order."""
+    p, m = ring.p, ring.level
     fwd = _equal_substitution(ring, ring, image_coeffs)
     inv_c1 = pow(image_coeffs[0], -1, p)
     psi = [inv_c1] + [0] * (m - 2)
@@ -612,23 +594,22 @@ def _revert_series(p, image_coeffs, m):
     return tuple(psi)
 
 
-def build_lambda(F: BaseRingSpec, Fp: BaseRingSpec, m: int, unif_image=None) -> RingIso:
-    """Level-m closeness isomorphism between two base truncations.
+def build_lambda(dom: BaseRing, cod: BaseRing, unif_image=None) -> RingIso:
+    """Level-m closeness isomorphism between two base truncations o/p^m.
 
     ``unif_image`` (equal/equal only) gives the image of t as F_p
     coefficients (c_1, c_2, ...); default is the identity t -> t.
     """
-    if F.p != Fp.p:
+    if dom.p != cod.p:
         raise NotMCloseError("different residue characteristics")
-    if m < 1 or m > F.level or m > Fp.level:
-        raise SpecMismatchError("level m out of range")
-    dom = BaseRing(BaseRingSpec(F.model, F.p, m))
-    cod = BaseRing(BaseRingSpec(Fp.model, Fp.p, m))
-    if F.model != Fp.model and m >= 2:
+    if dom.level != cod.level:
+        raise SpecMismatchError("truncations at different levels")
+    m = dom.level
+    if dom.model != cod.model and m >= 2:
         raise NotMCloseError(
             f"o/p^{m} truncations of mixed and equal characteristic are not isomorphic")
-    desc = {"p": F.p, "m": m, "from": F.model, "to": Fp.model}
-    if m == 1 or F.model == MIXED:
+    desc = {"p": dom.p, "m": m, "from": dom.model, "to": cod.model}
+    if m == 1 or dom.model == MIXED:
         # Residue-level transport, or identity on Z/p^m.  At m = 1 any
         # uniformizer image is invisible (the t-class is 0), so it is ignored.
         if m >= 2 and unif_image is not None and tuple(unif_image) != (1,):
@@ -642,12 +623,12 @@ def build_lambda(F: BaseRingSpec, Fp: BaseRingSpec, m: int, unif_image=None) -> 
 
         return RingIso(dom, cod, fwd, bwd, desc)
     # equal/equal at level m >= 2
-    image = tuple(int(c) % F.p for c in (unif_image or (1,)))
-    if not image or image[0] % F.p == 0:
+    image = tuple(int(c) % dom.p for c in (unif_image or (1,)))
+    if not image or image[0] % dom.p == 0:
         raise SpecMismatchError("uniformizer image must have valuation exactly 1")
     desc["unifImage"] = list(image)
     fwd = _equal_substitution(dom, cod, image)
-    bwd = _equal_substitution(cod, dom, _revert_series(F.p, image, m))
+    bwd = _equal_substitution(cod, dom, _revert_series(dom, image))
     return RingIso(dom, cod, fwd, bwd, desc)
 
 
@@ -719,7 +700,7 @@ class GaloisGenerator:
             return s
         # the root of the minimal polynomial congruent to T^p mod p (the mixed
         # model has p-th powers only at the residue level)
-        f = [ring.embed(ring.base.from_int(c)) for c in ring.spec.minimal_poly]
+        f = [ring.embed(ring.base.from_int(c)) for c in ring.minimal_poly]
         return hensel_root(ring, f + [ring.one()], s)
 
     def apply_coords(self, coords):
@@ -770,40 +751,29 @@ class LocalFieldSide:
             self.l = l
             self.minimal_poly = minimal_poly
             self.zeta_residue = zeta_residue
-            spec = build_extension(BaseRingSpec(self.model, self.p, max(base_side.m, 1)),
-                                   kind, l, minimal_poly)
-            self.minimal_poly = spec.minimal_poly
-            self.e = spec.e
             self.base_level_m = base_side.m
-            self.m = spec.e * base_side.m
+            # the level-m ring checks the degree and kind, and picks the
+            # default minimal polynomial
+            ring = self.ring(base_side.m)
+            self.minimal_poly = ring.minimal_poly
+            self.e = ring.e
+            self.m = ring.pi_level
             if kind == RAMIFIED and zeta_residue is None:
                 self.zeta_residue = primitive_root_residue(self.p, l)
 
     def __repr__(self):
         return f"<side {self.name}>"
 
-    def spec(self, level=None):
-        level = self.base_level_m if level is None else level
-        base = BaseRingSpec(self.model, self.p, level)
-        if not self.is_ext:
-            return base
-        return ExtensionSpec(base, self.kind, self.l, self.minimal_poly, self.e)
-
     def ring(self, base_level):
         """Ring of this side truncated at the given base level (memoized)."""
         if base_level in self._rings:
             return self._rings[base_level]
-        base_spec = BaseRingSpec(self.model, self.p, base_level)
         if not self.is_ext:
-            r = BaseRing(base_spec)
+            r = BaseRing(self.model, self.p, base_level)
         else:
             base_ring = self.base_side.ring(base_level)
-            spec = ExtensionSpec(base_spec, self.kind, self.l, self.minimal_poly, self.e)
-            if self.kind == RAMIFIED:
-                w = self.base_side.unif_class(base_ring)
-                r = ExtensionRing(spec, base_ring, unif_class=w)
-            else:
-                r = ExtensionRing(spec, base_ring)
+            w = self.base_side.unif_class(base_ring) if self.kind == RAMIFIED else None
+            r = ExtensionRing(base_ring, self.kind, self.l, self.minimal_poly, w)
         self._rings[base_level] = r
         return r
 
@@ -830,7 +800,7 @@ class LocalFieldSide:
         return self._sigmas[base_level]
 
     def to_json(self):
-        d = self.spec().to_json()
+        d = self.ring(self.base_level_m).to_json()
         d["name"] = self.name
         d["m"] = self.m
         if not self.is_ext and self.unif_unit != (1,):

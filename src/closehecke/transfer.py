@@ -45,7 +45,6 @@ class ExtensionPair:
     base: ClosePair
     E: LocalFieldSide
     Ep: LocalFieldSide
-    e: int
     pi: RingIso
 
 
@@ -57,17 +56,15 @@ def build_close_pair(p, m, pair_mode="mixed-equal", unif_image=None) -> ClosePai
             raise ConfigError("mixed/equal pairs exist only at closeness level m = 1")
         F = base_side("F", MIXED, p, m)
         Fp = base_side("F'", EQUAL, p, m)
-        lam = build_lambda(F.spec(), Fp.spec(), m)
+        lam = build_lambda(F.ring(m), Fp.ring(m))
     elif pair_mode == "equal-equal":
         image = tuple(unif_image) if unif_image else (1,)
         F = base_side("F", EQUAL, p, m)
         Fp = base_side("F'", EQUAL, p, m, unif_unit=image)
-        lam = build_lambda(F.spec(), Fp.spec(), m,
-                           unif_image=image if m >= 2 else None)
+        lam = build_lambda(F.ring(m), Fp.ring(m), unif_image=image if m >= 2 else None)
     else:
         raise ConfigError(f"unknown pair mode {pair_mode!r}")
-    ringF, ringFp = F.ring(m), Fp.ring(m)
-    if lam.apply(F.unif_class(ringF)) != Fp.unif_class(ringFp):
+    if lam.apply(F.unif_class(lam.domain)) != Fp.unif_class(lam.codomain):
         raise InvariantViolationError(
             "closeness iso must match the distinguished uniformizer classes")
     return ClosePair(F, Fp, m, lam)
@@ -82,7 +79,7 @@ def build_extension_pair(pair: ClosePair, kind, l) -> ExtensionPair:
     mb = pair.m
     pi = build_pi(pair.lam, E.ring(mb), Ep.ring(mb))
     _verify_extension_pair(pair, E, Ep, pi)
-    return ExtensionPair(pair, E, Ep, E.e, pi)
+    return ExtensionPair(pair, E, Ep, pi)
 
 
 def _verify_extension_pair(pair, E, Ep, pi):
@@ -313,7 +310,7 @@ def structured_orbit_sums(tower: Tower, mu_spread, base_window, samples, seed):
     rng = random.Random(seed)
     HE = tower.alg["E"]
     ctxE, ctxF = tower.ctx["E"], tower.ctx["F"]
-    e = tower.extpair.e
+    e = tower.extpair.E.e
     sums = []
     names = []
     for mu in cochar_window(tower.n, 0, mu_spread, max_spread=mu_spread):
@@ -348,14 +345,11 @@ def check_main_diagram(tower: Tower, mu_spread=None, base_window=1, samples=25,
     return rep
 
 
-def check_lemma_conv(tower_or_alg, window_spread=2, elements=20, seed=0) -> Report:
-    """Both convolution identities: cocharacter additivity over the window,
-    and the three-factor identity for unit-group window elements."""
+def check_lemma_conv(tower: Tower, window_spread=2, elements=20, seed=0) -> Report:
+    """Both convolution identities on the F side: cocharacter additivity over
+    the window, and the three-factor identity for unit-group window elements."""
     import random
-    if isinstance(tower_or_alg, Tower):
-        alg = tower_or_alg.alg["F"]
-    else:
-        alg = tower_or_alg
+    alg = tower.alg["F"]
     ctx = alg.context
     rng = random.Random(seed)
     rep = Report("check lemma-conv",

@@ -569,6 +569,25 @@ def _dense_sum(F, terms):
     return acc
 
 
+def dense_spin(F, mats, vectors):
+    """The smallest subspace of F^d that holds ``vectors`` and that every
+    matrix of ``mats`` maps into itself, as the set of all its vectors: the
+    span grows by every multiple of each new generator, and the images of a
+    generator are generators too.  A brute-force oracle for ``tate.spin``,
+    cheap while |F|^d stays in the hundreds."""
+    scalars = list(F.elements())
+    span = {tuple(F.zero() for _ in vectors[0])} if vectors else set()
+    queue = [tuple(v) for v in vectors]
+    while queue:
+        v = queue.pop()
+        if v in span:
+            continue
+        span = {tuple(F.add(x, F.mul(c, y)) for x, y in zip(s, v))
+                for s in span for c in scalars}
+        queue.extend(dense_mat_apply(F, A, v) for A in mats)
+    return span
+
+
 def conv_coeff_double_sum(ctx, la, lb, lc, pi_prec=None):
     """Coefficient of t_{lc} in t_{la} * t_{lb} by the double sum over G/K:
     #{ y K in K a K : y^{-1} c in K b K }."""
@@ -643,13 +662,14 @@ def random_field_matrix(ctx, ring, rng, n=None, val_range=(-1, 2), zero_prob=0.2
 def schoolbook_ext_mul(ring, a, b):
     """Product in base[T]/(f) from the full polynomial product and long
     division by the monic modulus f, using only the base ring's add, neg
-    and mul.  The modulus is rebuilt from the spec: T^l + minimalPoly for
-    an unramified ring, T^l - w for a ramified one."""
+    and mul.  The modulus is rebuilt from the ring's minimal polynomial and
+    uniformizer class: T^l + minimalPoly for an unramified ring, T^l - w for
+    a ramified one."""
     B, l = ring.base, ring.l
     if ring.kind == "ramified":
         low = [B.neg(ring.w)] + [B.zero()] * (l - 1)
     else:
-        low = [B.from_int(c) for c in ring.spec.minimal_poly]
+        low = [B.from_int(c) for c in ring.minimal_poly]
     prod = [B.zero()] * (2 * l - 1)
     for i in range(l):
         for j in range(l):
@@ -725,7 +745,7 @@ def check_brauer_multiplicative(tower, pairs=25, seed=0):
     ctxE = tower.ctx["E"]
     small = cochar_window(tower.n, 0, 1)
     family = [HE.sigma_orbit_sum(ctxE.unif_label(mu))
-              for mu in cochar_window(tower.n, 0, tower.extpair.e)]
+              for mu in cochar_window(tower.n, 0, tower.extpair.E.e)]
     for i in range(pairs):
         f = family[rng.randrange(len(family))] if rng.randrange(2) == 0 \
             else HE.sigma_orbit_sum(random_label(ctxE, rng, small))

@@ -270,7 +270,7 @@ def _linkage_instance(tower, rng, dim, match_scalar):
     F = tower.field
     l = F.l
     HE, ctxE = tower.alg["E"], tower.ctx["E"]
-    e = tower.extpair.e
+    e = tower.extpair.E.e
     gens = [HE.one(), HE.sigma_orbit_sum(ctxE.unif_label((0, e)))]
     # order-l block operator on dim = fixed + l-cycles
     T = [[F.zero()] * dim for _ in range(dim)]

@@ -186,13 +186,15 @@ def _element(mu, P, level=1):
     (["cosets", "enumerate", "--p", "2", "--pair-budget", "0"], None),
     (_LAMBDA + ["a,b"], None),
     (_LAMBDA + [","], None),
+    (["fields", "build", "--p", "2", "--case", "unramified"], None),
 ], ids=["missing-file", "not-json", "missing-key", "n-zero", "terms-not-list",
         "l-not-int", "P-not-matrix", "P-singular", "mu-decreasing", "level-wrong",
         "negative-window",
         "negative-samples", "module-l-not-int", "module-T-not-matrix",
         "module-T-wrong-shape", "br-image-not-string", "br-not-object",
         "out-unwritable", "mu-range-empty", "precision-cap-negative", "budget-zero",
-        "pair-budget-zero", "lambda-image-not-int", "lambda-image-empty-entries"])
+        "pair-budget-zero", "lambda-image-not-int", "lambda-image-empty-entries",
+        "case-without-l"])
 def test_bad_input_exits_two_with_typed_error(tmp_path, monkeypatch, capsys, argv, content):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "m.json").write_text(json.dumps(_RHO))
@@ -251,6 +253,7 @@ _TYPED_INVARIANT_TESTS = [
     "tests/test_hecke.py::test_a_transversal_short_for_every_label_raises",
     "tests/test_hecke.py::test_sigma_orbit_of_wrong_length_raises",
     "tests/test_hecke.py::test_brauer_restrict_to_another_rank_is_a_side_mismatch",
+    "tests/test_rings.py::test_bad_ring_parameters_raise_typed_errors",
     "tests/test_rings.py::test_wrong_residue_inverse_raises_typed_error",
     "tests/test_rings.py::test_failed_frobenius_lift_raises_typed_error",
     "tests/test_tate.py::test_wrong_quotient_dimension_raises_typed_error",

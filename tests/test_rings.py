@@ -9,6 +9,7 @@ from closehecke.errors import (
     NotAUnitError,
     NotMCloseError,
     SamePrimeError,
+    SpecMismatchError,
 )
 from closehecke.rings import (
     EQUAL,
@@ -16,12 +17,10 @@ from closehecke.rings import (
     RAMIFIED,
     UNRAMIFIED,
     BaseRing,
-    BaseRingSpec,
     FROBENIUS,
     ExtensionRing,
     GaloisGenerator,
     base_side,
-    build_extension,
     build_lambda,
     build_pi,
     extension_side,
@@ -33,35 +32,33 @@ from helpers import check_ring_hom, schoolbook_ext_mul, truncated_poly_mul
 
 
 def test_mixed_arithmetic_z8():
-    R = BaseRing(BaseRingSpec(MIXED, 2, 3))
+    R = BaseRing(MIXED, 2, 3)
     assert R.mul(5, 5) == 1
     assert R.add(3, 7) == 2
     assert R.sub(3, 7) == 4
 
 
 def test_equal_char2_square():
-    R = BaseRing(BaseRingSpec(EQUAL, 2, 2))
+    R = BaseRing(EQUAL, 2, 2)
     assert R.mul((1, 1), (1, 1)) == (1, 0)
 
 
 def test_ramified_defining_relation():
-    B = BaseRing(BaseRingSpec(EQUAL, 3, 2))
-    spec = build_extension(BaseRingSpec(EQUAL, 3, 2), RAMIFIED, 2)
-    E = ExtensionRing(spec, B, unif_class=B.unif())
+    B = BaseRing(EQUAL, 3, 2)
+    E = ExtensionRing(B, RAMIFIED, 2, unif_class=B.unif())
     T = E.gen()
     assert E.mul(T, T) == E.embed(B.unif())
 
 
 def test_inv_unit_and_error():
-    R = BaseRing(BaseRingSpec(MIXED, 3, 3))
+    R = BaseRing(MIXED, 3, 3)
     assert R.mul(5, R.inv(5)) == 1
     with pytest.raises(NotAUnitError):
         R.inv(3)
 
 
 def test_ring_axioms_sampled():
-    for spec in [BaseRingSpec(MIXED, 3, 2), BaseRingSpec(EQUAL, 2, 3)]:
-        R = BaseRing(spec)
+    for R in [BaseRing(MIXED, 3, 2), BaseRing(EQUAL, 2, 3)]:
         els = list(R.elements())
         for a in els:
             for b in els:
@@ -73,51 +70,71 @@ def test_ring_axioms_sampled():
 # -- closeness isomorphisms ---------------------------------------------------
 
 def test_lambda_mixed_equal_m1():
-    lam = build_lambda(BaseRingSpec(MIXED, 2, 3), BaseRingSpec(EQUAL, 2, 3), 1)
+    lam = build_lambda(BaseRing(MIXED, 2, 1), BaseRing(EQUAL, 2, 1))
     assert lam.apply(1) == (1,)
     check_ring_hom(lam)
 
 
 def test_lambda_characteristic_obstruction():
     with pytest.raises(NotMCloseError):
-        build_lambda(BaseRingSpec(MIXED, 3, 2), BaseRingSpec(EQUAL, 3, 2), 2)
+        build_lambda(BaseRing(MIXED, 3, 2), BaseRing(EQUAL, 3, 2))
 
 
 def test_lambda_equal_equal_m2_exhaustive():
-    lam = build_lambda(BaseRingSpec(EQUAL, 3, 2), BaseRingSpec(EQUAL, 3, 2), 2,
-                       unif_image=(2,))
+    lam = build_lambda(BaseRing(EQUAL, 3, 2), BaseRing(EQUAL, 3, 2), unif_image=(2,))
     check_ring_hom(lam)
     # t maps to the distinguished uniformizer class 2t'
     assert lam.apply(lam.domain.unif()) == (0, 2)
 
 
 def test_lambda_reversion_deeper_level():
-    lam = build_lambda(BaseRingSpec(EQUAL, 2, 4), BaseRingSpec(EQUAL, 2, 4), 4,
-                       unif_image=(1, 1))
+    lam = build_lambda(BaseRing(EQUAL, 2, 4), BaseRing(EQUAL, 2, 4), unif_image=(1, 1))
     check_ring_hom(lam)
 
 
 # -- extensions ----------------------------------------------------------------
 
 def test_unramified_minimal_poly_choice():
-    spec = build_extension(BaseRingSpec(EQUAL, 2, 1), UNRAMIFIED, 3)
-    assert spec.minimal_poly == (1, 1, 0)  # T^3 + T + 1
-    assert spec.e == 1
+    E = ExtensionRing(BaseRing(EQUAL, 2, 1), UNRAMIFIED, 3)
+    assert E.minimal_poly == (1, 1, 0)  # T^3 + T + 1
+    assert E.e == 1
     assert smallest_irreducible(3, 2) == (1, 0)  # T^2 + 1 over F_3
 
 
 def test_ramified_spec_and_errors():
-    spec = build_extension(BaseRingSpec(EQUAL, 3, 1), RAMIFIED, 2)
-    assert spec.e == 2
+    B = BaseRing(EQUAL, 3, 1)
+    assert ExtensionRing(B, RAMIFIED, 2, unif_class=B.unif()).e == 2
     with pytest.raises(GaloisConditionError):
-        build_extension(BaseRingSpec(EQUAL, 2, 1), RAMIFIED, 3)
+        ExtensionRing(BaseRing(EQUAL, 2, 1), RAMIFIED, 3, unif_class=(0,))
     with pytest.raises(SamePrimeError):
-        build_extension(BaseRingSpec(EQUAL, 3, 1), UNRAMIFIED, 3)
+        ExtensionRing(B, UNRAMIFIED, 3)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: BaseRing("adic", 3, 1), SpecMismatchError),
+    (lambda: BaseRing(EQUAL, 4, 1), SpecMismatchError),
+    (lambda: BaseRing(MIXED, 3, 0), SpecMismatchError),
+    (lambda: ExtensionRing(BaseRing(EQUAL, 3, 1), UNRAMIFIED, 4), SpecMismatchError),
+    (lambda: ExtensionRing(BaseRing(MIXED, 3, 1), UNRAMIFIED, 3), SamePrimeError),
+    # T^2 - 1 = (T - 1)(T + 1) over F_3
+    (lambda: ExtensionRing(BaseRing(EQUAL, 3, 1), UNRAMIFIED, 2, (2, 0)), SpecMismatchError),
+    # T + 1 is irreducible, but of degree 1
+    (lambda: ExtensionRing(BaseRing(EQUAL, 3, 1), UNRAMIFIED, 2, (1,)), SpecMismatchError),
+    (lambda: ExtensionRing(BaseRing(EQUAL, 5, 1), RAMIFIED, 3, unif_class=(0,)),
+     GaloisConditionError),
+    (lambda: ExtensionRing(BaseRing(EQUAL, 3, 1), "wild", 2), SpecMismatchError),
+    (lambda: ExtensionRing(BaseRing(EQUAL, 3, 1), RAMIFIED, 2), SpecMismatchError),
+], ids=["unknown-model", "p-not-prime", "level-zero", "l-not-prime", "l-equals-p",
+        "reducible-minimal-poly", "minimal-poly-of-wrong-degree", "ramified-l-not-dividing-p-1", "unknown-kind",
+        "ramified-without-uniformizer"])
+def test_bad_ring_parameters_raise_typed_errors(build, error):
+    with pytest.raises(error) as info:
+        build()
+    assert info.type is error
 
 
 def test_unramified_is_field_at_level_one():
-    spec = build_extension(BaseRingSpec(EQUAL, 2, 1), UNRAMIFIED, 3)
-    F8 = ExtensionRing(spec, BaseRing(BaseRingSpec(EQUAL, 2, 1)))
+    F8 = ExtensionRing(BaseRing(EQUAL, 2, 1), UNRAMIFIED, 3)
     nonzero = [a for a in F8.elements() if not F8.is_zero(a)]
     assert len(nonzero) == 7
     for a in nonzero:
@@ -150,7 +167,7 @@ def ramified_tower():
     Fp = base_side("F'", EQUAL, 3, 1)
     E = extension_side("E", F, RAMIFIED, 2)
     Ep = extension_side("E'", Fp, RAMIFIED, 2)
-    lam = build_lambda(F.spec(), Fp.spec(), 1)
+    lam = build_lambda(F.ring(1), Fp.ring(1))
     return F, Fp, E, Ep, lam
 
 
@@ -160,7 +177,7 @@ def unramified_tower():
     Fp = base_side("F'", EQUAL, 2, 1)
     E = extension_side("E", F, UNRAMIFIED, 3)
     Ep = extension_side("E'", Fp, UNRAMIFIED, 3)
-    lam = build_lambda(F.spec(), Fp.spec(), 1)
+    lam = build_lambda(F.ring(1), Fp.ring(1))
     return F, Fp, E, Ep, lam
 
 
@@ -263,22 +280,21 @@ def test_mixed_frobenius_deep_level(unramified_tower):
 
 # -- roots of unity ----------------------------------------------------------------
 
-def _primitive_root(spec, l):
+def _primitive_root(ring, l):
     """Hensel lift of the smallest nontrivial residue-field l-th root of 1."""
-    return hensel_root_of_unity(BaseRing(spec), l, primitive_root_residue(spec.p, l))
+    return hensel_root_of_unity(ring, l, primitive_root_residue(ring.p, l))
 
 
 def test_primitive_root_examples():
-    assert _primitive_root(BaseRingSpec(MIXED, 3, 4), 2) == 3 ** 4 - 1  # the lift of -1
-    assert _primitive_root(BaseRingSpec(EQUAL, 7, 1), 3) == (2,)
+    assert _primitive_root(BaseRing(MIXED, 3, 4), 2) == 3 ** 4 - 1  # the lift of -1
+    assert _primitive_root(BaseRing(EQUAL, 7, 1), 3) == (2,)
     with pytest.raises(GaloisConditionError):
-        _primitive_root(BaseRingSpec(MIXED, 2, 1), 3)
+        _primitive_root(BaseRing(MIXED, 2, 1), 3)
 
 
 def test_primitive_root_is_hensel_unique():
-    spec = BaseRingSpec(MIXED, 7, 3)
-    z = _primitive_root(spec, 3)
-    R = BaseRing(spec)
+    R = BaseRing(MIXED, 7, 3)
+    z = _primitive_root(R, 3)
     assert R.pow(z, 3) == R.one()
     assert z % 7 == 2
     # uniqueness of the lift with this residue
@@ -289,8 +305,7 @@ def test_primitive_root_is_hensel_unique():
 # -- serialization -------------------------------------------------------------------
 
 def test_spec_json_roundtrip():
-    spec = build_extension(BaseRingSpec(EQUAL, 2, 1), UNRAMIFIED, 3)
-    d = spec.to_json()
+    d = ExtensionRing(BaseRing(EQUAL, 2, 1), UNRAMIFIED, 3).to_json()
     assert d["ext"]["minimalPoly"] == [1, 1, 0, 1]
     assert d["model"] == EQUAL and d["p"] == 2
 
@@ -305,8 +320,7 @@ def test_element_coords_bit_exact():
 # -- arithmetic fast paths against independent references ----------------------
 
 def _unram_z4(minimal_poly=(1, 1, 0)):
-    base = BaseRingSpec(MIXED, 2, 2)
-    return ExtensionRing(build_extension(base, UNRAMIFIED, 3, minimal_poly), BaseRing(base))
+    return ExtensionRing(BaseRing(MIXED, 2, 2), UNRAMIFIED, 3, minimal_poly)
 
 
 def _unram_z4_t2():
@@ -316,17 +330,16 @@ def _unram_z4_t2():
 
 
 def _ram_z9():
-    base = BaseRingSpec(MIXED, 3, 2)
-    B = BaseRing(base)
-    return ExtensionRing(build_extension(base, RAMIFIED, 2), B, unif_class=B.unif())
+    B = BaseRing(MIXED, 3, 2)
+    return ExtensionRing(B, RAMIFIED, 2, unif_class=B.unif())
 
 
 def _f2_t5():
-    return BaseRing(BaseRingSpec(EQUAL, 2, 5))
+    return BaseRing(EQUAL, 2, 5)
 
 
 def _f3_t4():
-    return BaseRing(BaseRingSpec(EQUAL, 3, 4))
+    return BaseRing(EQUAL, 3, 4)
 
 
 @pytest.mark.parametrize("make", [_unram_z4, _unram_z4_t2, _ram_z9])
@@ -381,8 +394,7 @@ def test_separately_built_rings_compare_equal():
 def test_failed_frobenius_lift_raises_typed_error(monkeypatch):
     # over Z/8, T^2 is a root of T^3 + T + 1 only mod 2, so the lift needs
     # Newton steps; with every inverse forced to 0 they cannot move it
-    base = BaseRingSpec(MIXED, 2, 3)
-    E = ExtensionRing(build_extension(base, UNRAMIFIED, 3), BaseRing(base))
+    E = ExtensionRing(BaseRing(MIXED, 2, 3), UNRAMIFIED, 3)
     monkeypatch.setattr(ExtensionRing, "inv", lambda self, a: self.zero())
     with pytest.raises(InvariantViolationError):
         GaloisGenerator(E, FROBENIUS)

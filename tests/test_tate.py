@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,10 +12,12 @@ from closehecke.errors import (
     MissingActionError,
     NotOrderLError,
     SpecMismatchError,
+    UndecidedError,
 )
 from closehecke.tate import (
     CyclicModule,
     composition_factors,
+    find_proper_submodule,
     frobenius_twist,
     image_basis,
     kernel_basis,
@@ -31,7 +34,7 @@ from closehecke.tate import (
     tate_quotient_module,
 )
 
-from helpers import dense_mat_apply, dense_mat_mul, transport_module
+from helpers import dense_mat_apply, dense_mat_mul, dense_spin, transport_module
 
 F2 = CoeffField(2, 1)
 F3 = CoeffField(3, 1)
@@ -322,6 +325,55 @@ def test_factors_multiset_stable_under_conjugate_input():
     M = CyclicModule(F3, 4, mat_identity(F3, 4), {"g": tuple(tuple(r) for r in big)})
     fs = composition_factors(M)
     assert sorted(f.dim for f in fs) == [1, 1, 2]
+
+
+def _int_matrix(F, rows):
+    return tuple(tuple(F.from_int(c) for c in row) for row in rows)
+
+
+def _random_two_generator_modules(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        F = rng.choice([F2, F3])
+        d = rng.randrange(2, 5)
+        yield F, d, [_int_matrix(F, [[rng.randrange(F.l) for _ in range(d)] for _ in range(d)])
+                     for _ in range(2)]
+
+
+# split by none of the generators, their scalar shifts, sums and products:
+# only a random combination of the generators finds its submodule
+_SPLIT_BY_A_RANDOM_COMBINATION = (F3, 4, [
+    _int_matrix(F3, [[0, 1, 1, 1], [2, 1, 2, 2], [0, 1, 2, 1], [2, 2, 2, 1]]),
+    _int_matrix(F3, [[0, 0, 0, 0], [0, 1, 1, 0], [2, 2, 1, 0], [1, 2, 0, 0]])])
+
+
+def test_splitter_on_seeded_two_generator_modules():
+    """The splitter against the dense spin on two-generator modules of
+    dimension 2-4 over F_2 and F_3: a returned W is a proper nonzero
+    invariant subspace, a module without one is simple, and the composition
+    factors fill the dimension.  The seed-0 stream reaches the
+    distinct-degree step and both outcomes of Parker's transposed spin.  It
+    holds one simple module that the splitter gives up on (UndecidedError),
+    which is allowed; a module it gives up on must still be simple."""
+    undecided = 0
+    for F, d, mats in [*_random_two_generator_modules(0, 250), _SPLIT_BY_A_RANDOM_COMBINATION]:
+        try:
+            W = find_proper_submodule(F, d, mats)
+        except UndecidedError:
+            undecided += 1
+            W = None
+        else:
+            M = CyclicModule(F, d, mat_identity(F, d), {"a": mats[0], "b": mats[1]})
+            assert sum(f.dim for f in composition_factors(M)) == d
+        if W is None:
+            vectors = [v for v in itertools.product(F.elements(), repeat=d)
+                       if not all(F.is_zero(x) for x in v)]
+            assert all(len(dense_spin(F, mats, [v])) == F.l ** d for v in vectors)
+        else:
+            span = dense_spin(F, [], W)
+            assert 0 < len(W) < d and len(span) == F.l ** len(W)
+            assert dense_spin(F, mats, W) == span
+    assert undecided <= 1
 
 
 def test_factors_dim_bound():

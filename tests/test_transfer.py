@@ -45,9 +45,9 @@ def test_close_pair_modes():
 
 
 def test_extension_pair_levels(tower_unram, tower_ram):
-    assert tower_unram.extpair.e == 1
+    assert tower_unram.extpair.E.e == 1
     assert tower_unram.extpair.E.m == 1
-    assert tower_ram.extpair.e == 2
+    assert tower_ram.extpair.E.e == 2
     assert tower_ram.extpair.E.m == 2  # level doubles to em
 
 
@@ -131,7 +131,7 @@ def test_extension_pair_guards_raise_typed_errors(monkeypatch, tower, breaker, w
 def test_close_pair_uniformizer_mismatch_raises_typed_error(monkeypatch):
     # lambda = identity cannot carry t to the class t (1 + t) of F' at m = 3
     monkeypatch.setattr(transfer, "build_lambda",
-                        lambda F, Fp, m, unif_image=None: build_lambda(F, Fp, m))
+                        lambda F, Fp, unif_image=None: build_lambda(F, Fp))
     with pytest.raises(InvariantViolationError):
         build_close_pair(2, 3, "equal-equal", unif_image=(1, 1))
 
