@@ -28,7 +28,6 @@ from .errors import (
     json_field,
 )
 from .matrices import INF, FieldElement, GroupMatrix, certified_min, check_antidominant, spread
-from .rings import RAMIFIED
 
 
 @dataclass(frozen=True)
@@ -67,10 +66,7 @@ class GroupContext:
         if self.label_ring.pi_level != self.m:
             raise InvariantViolationError(
                 f"label ring has pi-level {self.label_ring.pi_level}, not m = {self.m}")
-        if side.is_ext and side.kind != RAMIFIED:
-            self.residue_q = side.p ** side.l
-        else:
-            self.residue_q = side.p
+        self.residue_q = side.p ** side.residue_degree
         self._group_elements = None
         self._label_cache = {}
         self._q_inverses = {}
@@ -254,11 +250,10 @@ class GroupContext:
         return (c, tuple(avals), tuple(below), GroupMatrix(R, V).residue_matrix(m))
 
     def _residue_basis(self, ring):
-        """Lifts of an F_p-basis of the residue field: 1, or 1, T, ..., T^(l-1)
-        on an unramified extension."""
-        if self.side.is_ext and self.side.kind != RAMIFIED:
-            return [ring.pow(ring.gen(), i) for i in range(self.side.l)]
-        return [ring.one()]
+        """Lifts of an F_p-basis of the residue field: 1, T, ..., T^(f-1) for
+        the residue degree f."""
+        f = self.side.residue_degree
+        return [ring.one()] + [ring.pow(ring.gen(), i) for i in range(1, f)]
 
     def _digits(self, ring, lo, hi):
         """One representative of each class of pi^lo o / pi^hi: the sums of

@@ -283,7 +283,7 @@ def _cmd_check(args):
                                elements=args.samples, seed=args.seed)
     else:
         raise ConfigError(f"unknown check {name!r}")
-    doc = rep.to_json(library_version=__version__)
+    doc = rep.to_json()
     doc["config"] = _config_echo(args, doc["config"])
     _emit(doc, args)
     return 0 if rep.passed else 1

@@ -122,10 +122,6 @@ class CoeffField:
         # a^(q-2) in the multiplicative group of order q-1
         return self.pow(a, self.size() - 2)
 
-    def frobenius(self, a):
-        """x -> x^l (order k)."""
-        return self.pow(a, self.l)
-
     def inv_frobenius(self, a):
         """x -> x^(1/l) = x^(l^(k-1))."""
         return self.pow(a, self.l ** (self.k - 1))

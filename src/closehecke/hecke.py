@@ -46,13 +46,6 @@ class HeckeElement:
         self.algebra._check_same(other.algebra)
         return self.algebra.element([*self.terms.values(), *other.terms.values()])
 
-    def scale(self, c):
-        F = self.algebra.field
-        if F.is_zero(c):
-            return HeckeElement(self.algebra, {})
-        return HeckeElement(self.algebra,
-                            {key: (lab, F.mul(c, x)) for key, (lab, x) in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, HeckeElement):
             return NotImplemented
@@ -79,12 +72,12 @@ class HeckeElement:
 class HeckeAlgebra:
     """H(G, K) for one side, with coefficients in F_{l^k}."""
 
-    def __init__(self, context: GroupContext, field: CoeffField, side=None):
+    def __init__(self, context: GroupContext, field: CoeffField):
         if field.l == context.side.p:
             raise SpecMismatchError("coefficient characteristic l must differ from p")
         self.context = context
         self.field = field
-        self.side = side or context.side.name
+        self.side = context.side.name
         self._product_cache = {}
         # left-coset key -> canonical label, written once a product returned
         self._coset_labels = {}

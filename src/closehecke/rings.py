@@ -661,34 +661,25 @@ def build_pi(lam: RingIso, E: ExtensionRing, Ep: ExtensionRing) -> RingIso:
 # ---------------------------------------------------------------------------
 # Galois generators
 
-FROBENIUS = "frobenius"
-ZETA_SCALING = "zeta"
-
-
 class GaloisGenerator:
-    """Order-l ring automorphism of an extension ring fixing the base.
+    """Order-l ring automorphism of an extension ring fixing the base; the
+    ring's kind chooses it.
 
     Unramified: the canonical Frobenius lift (T goes to the root of the
     minimal polynomial congruent to T^p mod pi).  Ramified: T goes to
-    zeta_l T for the distinguished l-th root of unity.
+    zeta_l T for the l-th root of unity lifting ``primitive_root_residue``.
     """
 
-    def __init__(self, ring: ExtensionRing, rule: str, zeta_residue=None):
+    def __init__(self, ring: ExtensionRing):
         self.ring = ring
-        self.rule = rule
         self.l = ring.l
-        if rule == ZETA_SCALING:
-            if zeta_residue is None:
-                raise SpecMismatchError("zeta scaling needs a residue root of unity")
-            self.zeta_residue = zeta_residue
-            self.zeta = hensel_root_of_unity(ring.base, ring.l, zeta_residue)
+        if ring.kind == RAMIFIED:
+            self.zeta = hensel_root_of_unity(ring.base, ring.l,
+                                             primitive_root_residue(ring.p, ring.l))
             self.gen_image = ring.mul(ring.embed(self.zeta), ring.gen())
-        elif rule == FROBENIUS:
-            self.zeta_residue = None
+        else:
             self.zeta = None
             self.gen_image = self._frobenius_gen_image()
-        else:
-            raise SpecMismatchError(f"unknown Galois rule {rule!r}")
         self._powers = [self.ring.one(), self.gen_image]
         for i in range(2, self.l):
             self._powers.append(ring.mul(self._powers[-1], self.gen_image))
@@ -725,8 +716,7 @@ class LocalFieldSide:
     """
 
     def __init__(self, name, model=None, p=None, m=None, unif_unit=(1,),
-                 base_side=None, kind=None, l=None, minimal_poly=None,
-                 zeta_residue=None):
+                 base_side=None, kind=None, l=None):
         self.name = name
         self.base_side = base_side
         self._rings = {}
@@ -737,6 +727,7 @@ class LocalFieldSide:
             self.p = p
             self.base_level_m = m
             self.e = 1
+            self.residue_degree = 1
             self.m = m
             self.kind = None
             self.l = None
@@ -749,17 +740,12 @@ class LocalFieldSide:
             self.p = base_side.p
             self.kind = kind
             self.l = l
-            self.minimal_poly = minimal_poly
-            self.zeta_residue = zeta_residue
             self.base_level_m = base_side.m
-            # the level-m ring checks the degree and kind, and picks the
-            # default minimal polynomial
+            # the level-m ring checks the degree and kind
             ring = self.ring(base_side.m)
-            self.minimal_poly = ring.minimal_poly
             self.e = ring.e
+            self.residue_degree = l // ring.e
             self.m = ring.pi_level
-            if kind == RAMIFIED and zeta_residue is None:
-                self.zeta_residue = primitive_root_residue(self.p, l)
 
     def __repr__(self):
         return f"<side {self.name}>"
@@ -773,7 +759,7 @@ class LocalFieldSide:
         else:
             base_ring = self.base_side.ring(base_level)
             w = self.base_side.unif_class(base_ring) if self.kind == RAMIFIED else None
-            r = ExtensionRing(base_ring, self.kind, self.l, self.minimal_poly, w)
+            r = ExtensionRing(base_ring, self.kind, self.l, unif_class=w)
         self._rings[base_level] = r
         return r
 
@@ -794,9 +780,7 @@ class LocalFieldSide:
         if not self.is_ext:
             raise SideMismatchError(f"base field {self.name} carries no Galois generator")
         if base_level not in self._sigmas:
-            rule = FROBENIUS if self.kind == UNRAMIFIED else ZETA_SCALING
-            self._sigmas[base_level] = GaloisGenerator(
-                self.ring(base_level), rule, self.zeta_residue)
+            self._sigmas[base_level] = GaloisGenerator(self.ring(base_level))
         return self._sigmas[base_level]
 
     def to_json(self):
@@ -808,7 +792,7 @@ class LocalFieldSide:
         if self.is_ext:
             d["e"] = self.e
             if self.kind == RAMIFIED:
-                d["ext"]["zetaResidue"] = self.zeta_residue
+                d["ext"]["zetaResidue"] = primitive_root_residue(self.p, self.l)
         return d
 
 
@@ -816,6 +800,5 @@ def base_side(name, model, p, m, unif_unit=(1,)) -> LocalFieldSide:
     return LocalFieldSide(name, model=model, p=p, m=m, unif_unit=unif_unit)
 
 
-def extension_side(name, base, kind, l, minimal_poly=None, zeta_residue=None) -> LocalFieldSide:
-    return LocalFieldSide(name, base_side=base, kind=kind, l=l,
-                          minimal_poly=minimal_poly, zeta_residue=zeta_residue)
+def extension_side(name, base, kind, l) -> LocalFieldSide:
+    return LocalFieldSide(name, base_side=base, kind=kind, l=l)

@@ -210,10 +210,9 @@ class TateResult:
     dim: int
     basis: tuple
 
-    def to_json(self, F=None):
+    def to_json(self, F):
         return {"i": self.i, "dim": self.dim,
-                "basis": [[(F.coords_json(x) if F else list(x)) for x in row]
-                          for row in self.basis]}
+                "basis": [[F.coords_json(x) for x in row] for row in self.basis]}
 
 
 def norm_operator(M: CyclicModule):
@@ -381,13 +380,16 @@ def _theta_candidates(F, mats, d, seed):
         for B in mats:
             yield mat_mul(F, A, B)
             yield mat_add(F, A, B)
+    # random combinations of words in the generators, one product longer
+    # each draw: combinations of the generators alone miss most of the algebra
+    words = list(mats)
     for _ in range(40):
+        words.append(mat_mul(F, rng.choice(words), rng.choice(words)))
         acc = mat_zero(F, d)
-        for A in mats:
+        for A in words:
             c = F.from_int(rng.randrange(F.l))
             acc = mat_add(F, acc, tuple(tuple(F.mul(c, x) for x in row) for row in A))
-        if mats:
-            yield acc
+        yield acc
 
 
 def _probe_singular(F, d, mats, theta):
@@ -462,13 +464,13 @@ def find_proper_submodule(F, d, mats, seed=0):
     raise UndecidedError("no splitting element found within the candidate budget")
 
 
-def composition_factors(M: CyclicModule, bound=DIM_BOUND, seed=0):
+def composition_factors(M: CyclicModule, seed=0):
     """Jordan-Holder factors of the named-generator module, as simple
     CyclicModules (T is the identity on each factor)."""
     if not M.action:
         raise MissingActionError("composition factors need a named action")
-    if M.dim > bound:
-        raise DimBoundExceededError(f"dim {M.dim} exceeds bound {bound}")
+    if M.dim > DIM_BOUND:
+        raise DimBoundExceededError(f"dim {M.dim} exceeds bound {DIM_BOUND}")
     F = M.field
     factors = []
     stack = [(M.dim, M.action)]
@@ -532,13 +534,12 @@ def modules_isomorphic(A: CyclicModule, B: CyclicModule) -> bool:
     return False
 
 
-def linkage_check(Xi: CyclicModule, rho: CyclicModule, br_map: dict,
-                  bound=DIM_BOUND, seed=0):
+def linkage_check(Xi: CyclicModule, rho: CyclicModule, br_map: dict, seed=0):
     """Is the Frobenius twist of rho a Jordan-Holder constituent of a Tate
     cohomology group of Xi, over the shared sigma-invariant generator names?
 
     Returns {0: bool, 1: bool}."""
-    if Xi.dim > bound or rho.dim > bound:
+    if Xi.dim > DIM_BOUND or rho.dim > DIM_BOUND:
         raise DimBoundExceededError("module dimension exceeds bound")
     if not Xi.action or not rho.action:
         raise MissingActionError("both modules need named actions")
@@ -557,7 +558,7 @@ def linkage_check(Xi: CyclicModule, rho: CyclicModule, br_map: dict,
             out[i] = False
             continue
         linked = False
-        for fac in composition_factors(quot, bound=bound, seed=seed):
+        for fac in composition_factors(quot, seed=seed):
             if fac.dim == target.dim and modules_isomorphic(fac, target):
                 linked = True
                 break

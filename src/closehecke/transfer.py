@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import __version__
 from .cartan import CosetLabel, GroupContext, residue_invertible
 from .coeffs import CoeffField
 from .errors import ConfigError, InvariantViolationError, SideMismatchError
@@ -74,8 +75,7 @@ def build_extension_pair(pair: ClosePair, kind, l) -> ExtensionPair:
     """Matched degree-l extensions over a close pair, with the induced
     extension iso and matched Galois generators verified eagerly."""
     E = extension_side("E", pair.F, kind, l)
-    Ep = extension_side("E'", pair.Fp, kind, l, minimal_poly=E.minimal_poly,
-                        zeta_residue=E.zeta_residue)
+    Ep = extension_side("E'", pair.Fp, kind, l)
     mb = pair.m
     pi = build_pi(pair.lam, E.ring(mb), Ep.ring(mb))
     _verify_extension_pair(pair, E, Ep, pi)
@@ -121,7 +121,7 @@ class Tower:
     """All four sides with contexts and Hecke algebras, plus the transfers."""
 
     def __init__(self, p, m, n=2, case=None, l=None, pair_mode="mixed-equal",
-                 coeff_l=None, coeff_k=1, unif_image=None,
+                 coeff_k=1, unif_image=None,
                  budget=10 ** 7, pair_budget=10 ** 4, precision_cap=64):
         self.p = p
         self.m = m
@@ -134,18 +134,14 @@ class Tower:
             self.extpair = build_extension_pair(self.pair, kind, l)
         if l is not None and l == p:
             raise ConfigError("l must differ from the residue characteristic p")
-        if coeff_l is None:
-            coeff_l = l if l is not None else (3 if p == 2 else 2)
-        if coeff_l == p:
-            raise ConfigError("coefficient characteristic must differ from p")
-        self.field = CoeffField(coeff_l, coeff_k)
+        self.field = CoeffField(l if l is not None else (3 if p == 2 else 2), coeff_k)
         kw = dict(budget=budget, pair_budget=pair_budget, precision_cap=precision_cap)
         self.ctx = {"F": GroupContext(self.pair.F, n, **kw),
                     "F'": GroupContext(self.pair.Fp, n, **kw)}
         if self.extpair is not None:
             self.ctx["E"] = GroupContext(self.extpair.E, n, **kw)
             self.ctx["E'"] = GroupContext(self.extpair.Ep, n, **kw)
-        self.alg = {name: HeckeAlgebra(ctx, self.field, side=name)
+        self.alg = {name: HeckeAlgebra(ctx, self.field)
                     for name, ctx in self.ctx.items()}
 
     # -- transfers ------------------------------------------------------------
@@ -202,10 +198,10 @@ class Report:
     def add(self, **kw):
         self.samples.append(kw)
 
-    def to_json(self, library_version="0.1.0"):
+    def to_json(self):
         return {"command": self.command,
                 "config": self.config,
-                "library_version": library_version,
+                "library_version": __version__,
                 "samples": self.samples,
                 "pass": self.passed}
 
@@ -328,12 +324,10 @@ def structured_orbit_sums(tower: Tower, mu_spread, base_window, samples, seed):
     return list(zip(names, sums))
 
 
-def check_main_diagram(tower: Tower, mu_spread=None, base_window=1, samples=25,
+def check_main_diagram(tower: Tower, mu_spread, base_window=1, samples=25,
                        seed=0) -> Report:
     """Kaz_m(Br(h)) = Br'(Kaz_em(h)) for every sample in the structured
     sigma-invariant family."""
-    if mu_spread is None:
-        mu_spread = 1 if tower.case == "unramified" else 2
     rep = Report("check main-diagram",
                  {"p": tower.p, "m": tower.m, "n": tower.n, "case": tower.case,
                   "muSpread": mu_spread, "baseWindow": base_window,

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from closehecke.cli import main
+from closehecke.transfer import Tower
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -126,6 +127,28 @@ def test_hecke_sigma_orbit_sum(tmp_path, capsys):
     code, out = run_cli(capsys, "hecke", "brauer", "--p", "3", "--m", "1",
                         "--l", "2", "--case", "ramified", "--in", str(fpath))
     assert code == 2  # not sigma-invariant: surfaced as a config-level error
+
+
+def test_hecke_brauer_restricts_an_orbit_sum(tmp_path, capsys):
+    # the orbit sum that `hecke sigma --orbit-sum` prints is sigma-invariant,
+    # and `hecke brauer` restricts it as Tower.brauer does; pi_(0,2) = pi_F^(0,1)
+    # on the ramified E has a nonzero restriction
+    ident = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    lab = {"mu": [0, 2], "P": ident, "Q": ident, "level": 2}
+    fpath, spath = tmp_path / "e.json", tmp_path / "sum.json"
+    fpath.write_text(json.dumps({"side": "E", "l": 2, "k": 1,
+                                 "terms": [{"label": lab, "coeff": [1]}]}))
+    tower_args = ["--p", "3", "--m", "1", "--l", "2", "--case", "ramified"]
+    code, out = run_cli(capsys, "hecke", "sigma", *tower_args, "--in", str(fpath),
+                        "--orbit-sum")
+    assert code == 0
+    orbit_sum = json.loads(out)["result"]
+    spath.write_text(json.dumps(orbit_sum))
+    code, out = run_cli(capsys, "hecke", "brauer", *tower_args, "--in", str(spath))
+    assert code == 0
+    tower = Tower(3, 1, case="ramified", l=2)
+    expected = tower.brauer(tower.alg["E"].from_json(orbit_sum))
+    assert expected.terms and json.loads(out)["result"] == expected.to_json()
 
 
 def test_hecke_sigma_prints_the_residue_action_labels(tmp_path, capsys):

@@ -38,11 +38,11 @@ def test_frobenius_order_k(l, k):
     for a in F.elements():
         x = a
         for _ in range(k):
-            x = F.frobenius(x)
+            x = F.pow(x, F.l)
         assert x == a
-        if F.frobenius(a) != a:
+        if F.pow(a, F.l) != a:
             fixed_everything = False
-        assert F.frobenius(F.inv_frobenius(a)) == a
+        assert F.pow(F.inv_frobenius(a), F.l) == a
     assert not fixed_everything
 
 
@@ -50,7 +50,7 @@ def test_frobenius_additive():
     F = CoeffField(3, 2)
     for a in F.elements():
         for b in F.elements():
-            assert F.frobenius(F.add(a, b)) == F.add(F.frobenius(a), F.frobenius(b))
+            assert F.pow(F.add(a, b), F.l) == F.add(F.pow(a, F.l), F.pow(b, F.l))
 
 
 def test_coords_json_roundtrip():

@@ -163,8 +163,9 @@ def test_bilinearity(HF2):
     b = HF2.basis(rand_label(ctx, rng, [(0, 1)]))
     c = HF2.basis(rand_label(ctx, rng, [(0, 0)]))
     two = F.from_int(2)
-    lhs = HF2.convolve((a + b.scale(two)), c)
-    rhs = HF2.convolve(a, c) + HF2.convolve(b, c).scale(two)
+    lhs = HF2.convolve(a + HF2.element([(lab, two) for lab in b.support()]), c)
+    bc = HF2.convolve(b, c)
+    rhs = HF2.convolve(a, c) + HF2.element([(lab, F.mul(two, x)) for lab, x in bc.terms.values()])
     assert lhs == rhs
 
 
@@ -218,7 +219,7 @@ def test_sigma_act_fixes_base_supported(ram_pair):
     HE, HF = ram_pair
     ctxE = HE.context
     # a label whose representatives live over the base field
-    f = HE.one() + HE.unif_basis((0, 2)).scale(HE.field.from_int(1))
+    f = HE.one() + HE.element([(ctxE.unif_label((0, 2)), HE.field.from_int(1))])
     assert HE.sigma_act(f) == f
 
 
@@ -490,7 +491,7 @@ def test_brauer_restrict_matches_the_window_walk(tower):
 def test_hecke_json_roundtrip(HF2):
     rng = random.Random(3)
     f = HF2.basis(rand_label(HF2.context, rng, [(0, 1)])) + \
-        HF2.one().scale(HF2.field.from_int(2))
+        HF2.element([(HF2.context.identity_label(), HF2.field.from_int(2))])
     doc = f.to_json()
     assert doc["side"] == "F" and doc["l"] == 3 and doc["k"] == 1
     back = HF2.from_json(doc)

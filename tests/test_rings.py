@@ -17,7 +17,6 @@ from closehecke.rings import (
     RAMIFIED,
     UNRAMIFIED,
     BaseRing,
-    FROBENIUS,
     ExtensionRing,
     GaloisGenerator,
     base_side,
@@ -397,4 +396,4 @@ def test_failed_frobenius_lift_raises_typed_error(monkeypatch):
     E = ExtensionRing(BaseRing(MIXED, 2, 3), UNRAMIFIED, 3)
     monkeypatch.setattr(ExtensionRing, "inv", lambda self, a: self.zero())
     with pytest.raises(InvariantViolationError):
-        GaloisGenerator(E, FROBENIUS)
+        GaloisGenerator(E)

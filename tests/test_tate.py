@@ -341,7 +341,7 @@ def _random_two_generator_modules(seed, count):
 
 
 # split by none of the generators, their scalar shifts, sums and products:
-# only a random combination of the generators finds its submodule
+# only a random combination finds its submodule
 _SPLIT_BY_A_RANDOM_COMBINATION = (F3, 4, [
     _int_matrix(F3, [[0, 1, 1, 1], [2, 1, 2, 2], [0, 1, 2, 1], [2, 2, 2, 1]]),
     _int_matrix(F3, [[0, 0, 0, 0], [0, 1, 1, 0], [2, 2, 1, 0], [1, 2, 0, 0]])])
@@ -352,9 +352,9 @@ def test_splitter_on_seeded_two_generator_modules():
     dimension 2-4 over F_2 and F_3: a returned W is a proper nonzero
     invariant subspace, a module without one is simple, and the composition
     factors fill the dimension.  The seed-0 stream reaches the
-    distinct-degree step and both outcomes of Parker's transposed spin.  It
-    holds one simple module that the splitter gives up on (UndecidedError),
-    which is allowed; a module it gives up on must still be simple."""
+    distinct-degree step and both outcomes of Parker's transposed spin, and
+    holds an absolutely simple F_2-module that combinations of the
+    generators alone never certify; the splitter decides every module."""
     undecided = 0
     for F, d, mats in [*_random_two_generator_modules(0, 250), _SPLIT_BY_A_RANDOM_COMBINATION]:
         try:
@@ -373,7 +373,7 @@ def test_splitter_on_seeded_two_generator_modules():
             span = dense_spin(F, [], W)
             assert 0 < len(W) < d and len(span) == F.l ** len(W)
             assert dense_spin(F, mats, W) == span
-    assert undecided <= 1
+    assert undecided == 0
 
 
 def test_factors_dim_bound():

@@ -60,8 +60,7 @@ def test_extension_pair_galois_condition():
 def _extension_parts(p, kind, l):
     pair = build_close_pair(p, 1, "mixed-equal")
     E = extension_side("E", pair.F, kind, l)
-    Ep = extension_side("E'", pair.Fp, kind, l, minimal_poly=E.minimal_poly,
-                        zeta_residue=E.zeta_residue)
+    Ep = extension_side("E'", pair.Fp, kind, l)
     return pair, E, Ep, build_pi(pair.lam, E.ring(1), Ep.ring(1))
 
 
@@ -158,7 +157,7 @@ def test_kaz_roundtrip_identity(tower_unram, tower_ram):
 def test_kaz_preserves_mu_and_coefficients(tower_ram):
     tw = tower_ram
     F = tw.field
-    f = tw.alg["F"].unif_basis((0, 2)).scale(F.from_int(1))
+    f = tw.alg["F"].element([(tw.ctx["F"].unif_label((0, 2)), F.from_int(1))])
     g = tw.kaz(f)
     assert [lab.mu for lab in g.support()] == [(0, 2)]
     assert list(g.terms.values())[0][1] == F.one()
