@@ -6,7 +6,8 @@ the lower-triangular Hermite form H over the valuation ring (diagonal
 pi^{a_i}, below-diagonal entries reduced mod the diagonal of their row) and
 record (scaling, a, reduced entries, H^{-1} g mod pi^m), H^{-1} g being the
 inverse of the unimodular column operations.  The key determines the left
-coset exactly; convolution buckets products by it.
+coset exactly.  Convolution does not need it: it names each product by its
+Smith label.
 
 A label (mu, P, Q) names K P pi^mu Q^{-1} K.  ``canonical_label`` picks one
 representative per double coset by normal forms over the label ring alone:

@@ -4,9 +4,10 @@ Elements are finitely supported maps from double-coset labels to F_{l^k};
 support is keyed by canonical label, so no two stored labels name the same
 coset.  Convolution counts left cosets with the Haar normalization
 mu(K) = 1: the coefficient of t_c in t_a * t_b is #{(i, j) : a_i b_j K = c K}
-reduced mod l.  Which double coset holds a left coset is read from a map of
-left-coset keys to canonical labels, written once per double coset reached
-from the keys of its transversal (``GroupContext.fingerprint``).  Brauer
+reduced mod l.  Left multiplication by K permutes the left cosets a_i K of
+K a K and fixes every double coset D, so the number n_D of b_j with
+a_i b_j in D is the same for each a_i; the |A| n_D pairs landing in D share
+its |D/K| left cosets evenly, so c_D = |A| n_D / |D/K| from one row.  Brauer
 restriction reads the terms of f alone: a canonical label of G(E) that
 ``GroupContext.base_label`` de-embeds names the one double coset of G(F) in it.
 """
@@ -79,8 +80,6 @@ class HeckeAlgebra:
         self.field = field
         self.side = context.side.name
         self._product_cache = {}
-        # left-coset key -> canonical label, written once a product returned
-        self._coset_labels = {}
 
     def _check_same(self, other):
         if other is not self and (other.side != self.side or other.field != self.field):
@@ -124,42 +123,25 @@ class HeckeAlgebra:
                    + max(0, -la.mu[0]) + max(0, -lb.mu[0]) + 4)
 
         def run(prec):
+            # one row a = a_0 against B: n_D products a b_j land in D, and the
+            # first of them names it (c_D = |A| n_D / |D/K|, module docstring)
             ring = ctx.working_ring(prec)
             areps = ctx.left_coset_reps(la, ring)
-            breps = ctx.left_coset_reps(lb, ring)
-            buckets = {}
-            for ai in areps:
-                for bj in breps:
-                    prod = ai * bj
-                    k = ctx.left_coset_key(prod)
-                    if k in buckets:
-                        buckets[k][0] += 1
-                    else:
-                        buckets[k] = [1, prod]
-            # a double coset's first bucket names it; one not reached before
-            # lists the keys of its transversal once
-            fresh = {}
-            per_dc = {}
-            for k, (cnt, prod) in buckets.items():
-                canon = self._coset_labels.get(k) or fresh.get(k)
-                if canon is None or canon not in per_dc:
-                    lab = ctx.label_of_matrix(prod)
-                    if canon is None:
-                        canon = ctx.canonical_label(lab)
-                        fresh.update(dict.fromkeys(ctx.fingerprint(lab, ring), canon))
-                    per_dc.setdefault(canon, (lab, cnt, []))
-                per_dc[canon][2].append(cnt)
-            # all left cosets of a double coset get one count, and all are reached
-            for lab, cnt, counts in per_dc.values():
-                index = ctx.coset_count(lab.mu)
-                if counts != [cnt] * index:
+            reached = {}
+            for bj in ctx.left_coset_reps(lb, ring):
+                lab = ctx.label_of_matrix(areps[0] * bj)
+                reached.setdefault(ctx.canonical_label(lab), [lab, 0])[1] += 1
+            out = []
+            for lab, n in reached.values():
+                pairs, index = len(areps) * n, ctx.coset_count(lab.mu)
+                if pairs % index:
                     raise InvariantViolationError(
                         f"the {index} left cosets of double coset {lab.mu} "
-                        f"received the counts {counts}")
-            return tuple((lab, cnt) for lab, cnt, _ in per_dc.values()), fresh
+                        f"cannot share {pairs} products evenly")
+                out.append((lab, pairs // index))
+            return tuple(out)
 
-        result, fresh = ctx.with_retry(run, pi_prec)
-        self._coset_labels.update(fresh)    # keys of double cosets not reached before
+        result = ctx.with_retry(run, pi_prec)
         self._product_cache[key] = result
         return result
 

@@ -19,6 +19,9 @@ a lifted label by ``sigma_on_group``, then the Smith decomposition) and
 ``embedded_label_by_lift`` (a base-side label lifted, embedded in G(E) and
 Smith-decomposed), with ``brauer_restrict_by_window`` (Br(f) by walking
 every base-side label of f's windows and naming each that way).
+``basis_product_mirrored`` reads a product of basis elements off the
+mirrored product of the inverse labels (``inverse_label``), so its one-row
+count runs over the other factor's transversal.
 
 Three helpers are no oracles: ``lift_label`` builds the matrix
 lift(P) pi^mu lift(Q)^{-1} of a label, ``check_brauer_multiplicative``
@@ -605,6 +608,27 @@ def conv_coeff_double_sum(ctx, la, lb, lc, pi_prec=None):
         if member_of_double_coset_brute(ctx, z, bcosets):
             count += 1
     return count
+
+
+def inverse_label(label):
+    """A label of (K g K)^{-1} = K g^{-1} K: g^{-1} = Q pi^{-mu} P^{-1}
+    = (Q w0) pi^{reversed(-mu)} (P w0)^{-1}, w0 the permutation matrix that
+    reverses columns, so reversed(-mu) is antidominant again."""
+    def w0(M):
+        return tuple(tuple(reversed(row)) for row in M)
+    return CosetLabel(tuple(-k for k in reversed(label.mu)), w0(label.Q), w0(label.P),
+                      label.level)
+
+
+def basis_product_mirrored(H, la, lb):
+    """The counts of t_{la} * t_{lb} by the anti-involution t_D -> t_{D^-1}
+    (GL_n is unimodular, so f(x) -> f(x^{-1}) reverses convolution):
+    c_D(a, b) = c_{D^-1}(b^-1, a^-1), read from the product of the inverse
+    labels in the other order, whose one row is a coset of b^-1, not of a.
+    Keyed by the canonical label of D."""
+    ctx = H.context
+    return {ctx.canonical_label(inverse_label(lab)): cnt
+            for lab, cnt in H._basis_product(inverse_label(lb), inverse_label(la))}
 
 
 def leibniz_det(ring, mat):

@@ -17,7 +17,6 @@ from closehecke.hecke import HeckeAlgebra
 from closehecke.rings import MIXED, base_side
 from closehecke.tate import (
     CyclicModule,
-    composition_factors,
     frobenius_twist,
     image_basis,
     kernel_basis,

@@ -408,24 +408,6 @@ def test_second_representative_costs_one_key(monkeypatch):
         monkeypatch.undo()
 
 
-def test_coset_key_map_covers_every_key_and_only_those():
-    # the map names every left coset of each double coset a product of two
-    # labels reaches over Z/2, by its canonical label, and nothing else
-    H = HeckeAlgebra(GroupContext(base_side("F", MIXED, 2, 1), 2), CoeffField(3, 1))
-    ctx = H.context
-    rng = random.Random(31)
-    la, lb = random_label(ctx, rng, [(0, 1)]), random_label(ctx, rng, [(0, 1)])
-    product = H._basis_product(la, lb)
-    reached = {ctx.canonical_label(lab): lab for lab, _ in product}
-    assert len(reached) == len(product) > 1
-    assert set(H._coset_labels.values()) == set(reached)
-    for canon, lab in reached.items():
-        assert sorted(k for k, c in H._coset_labels.items() if c == canon) == \
-            list(fingerprint(ctx, lab)[1])
-    ring = ctx.working_ring(ctx.default_pi_prec([(0, 1)]))
-    assert ctx.left_coset_key(lift_label(ctx, la, ring)) not in H._coset_labels
-
-
 # -- required precision ---------------------------------------------------------------
 
 def test_required_precision_guarantee_exhaustive(ctx2):

@@ -10,12 +10,12 @@ from closehecke.errors import (
     SideMismatchError,
 )
 from closehecke.hecke import HeckeAlgebra
-from closehecke.matrices import GroupMatrix
 from closehecke.rings import MIXED, RAMIFIED, UNRAMIFIED, base_side, extension_side
 
 from closehecke.transfer import Tower, random_label
 
 from helpers import (
+    basis_product_mirrored,
     brauer_restrict_by_window,
     coeff_at,
     conv_coeff_double_sum,
@@ -109,17 +109,12 @@ def test_a_transversal_short_for_every_label_raises(monkeypatch):
         H.convolve(f, f)
 
 
-def test_basis_product_names_each_double_coset_once(monkeypatch):
+def test_basis_product_counts_every_pair_of_left_cosets():
     H = HeckeAlgebra(GroupContext(base_side("F", MIXED, 2, 1), 2), CoeffField(3, 1))
     ctx = H.context
     rng = random.Random(31)
     la, lb = rand_label(ctx, rng, [(0, 1)]), rand_label(ctx, rng, [(0, 1)])
-    real = ctx.label_of_matrix
-    named = []
-    monkeypatch.setattr(ctx, "label_of_matrix", lambda g: named.append(g) or real(g))
     product = H._basis_product(la, lb)
-    monkeypatch.undo()
-    assert len(named) == len(product)
     sizes = [len(fingerprint(ctx, lab)[1]) for lab, _ in product]
     # every left coset of every double coset reached, each with its count
     assert sum(cnt * size for (_, cnt), size in zip(product, sizes)) == \
@@ -127,6 +122,38 @@ def test_basis_product_names_each_double_coset_once(monkeypatch):
     assert max(sizes) > 1
     for lab, cnt in product:
         assert conv_coeff_double_sum(ctx, la, lb, lab) == cnt
+
+
+def test_every_basis_product_of_a_window_matches_the_double_sum():
+    # all 225 ordered pairs of the 15 labels of cocharacters (0,0) and (0,1)
+    # at p = 2, m = 1: every count by the double sum, and the counts cover
+    # the |A| |B| pairs of left cosets
+    H = HeckeAlgebra(GroupContext(base_side("F", MIXED, 2, 1), 2), CoeffField(3, 1))
+    ctx = H.context
+    labels = ctx.enumerate_labels([(0, 0), (0, 1)])
+    assert len(labels) == 15
+    for la in labels:
+        for lb in labels:
+            product = H._basis_product(la, lb)
+            assert sum(cnt * ctx.coset_count(lab.mu) for lab, cnt in product) == \
+                ctx.coset_count(la.mu) * ctx.coset_count(lb.mu)
+            for lab, cnt in product:
+                assert conv_coeff_double_sum(ctx, la, lb, lab) == cnt, (la, lb, lab)
+
+
+@pytest.mark.parametrize("pair,index", [("unram_pair", 0), ("unram_pair", 1),
+                                        ("ram_pair", 0), ("ram_pair", 1)])
+def test_basis_product_agrees_with_its_mirrored_route(request, pair, index):
+    # c_D(a, b) = c_{D^-1}(b^-1, a^-1) on seeded pairs over F and E of both
+    # towers, cocharacters in [-1, 2] with spread at most 2
+    H = request.getfixturevalue(pair)[index]
+    ctx = H.context
+    mus = [(a, b) for a in range(-1, 3) for b in range(a, min(a + 2, 2) + 1)]
+    rng = random.Random(17)
+    for _ in range(40):
+        la, lb = random_label(ctx, rng, mus), random_label(ctx, rng, mus)
+        direct = {ctx.canonical_label(lab): cnt for lab, cnt in H._basis_product(la, lb)}
+        assert direct == basis_product_mirrored(H, la, lb), (la, lb)
 
 
 def test_unit_law(HF2):

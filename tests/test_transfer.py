@@ -5,7 +5,6 @@ from types import SimpleNamespace
 import pytest
 
 from closehecke import transfer
-from closehecke.cartan import CosetLabel
 from closehecke.errors import ConfigError, GaloisConditionError, InvariantViolationError
 from closehecke.rings import EQUAL, MIXED, RingIso, build_lambda, build_pi, extension_side
 from closehecke.transfer import (
