@@ -266,6 +266,21 @@ class GroupContext:
             out = [ring.add(x, c) for x in out for c in multiples]
         return out
 
+    def _label_factors(self, label, ring):
+        """lift(P) and pi^mu lift(Q)^{-1} over ``ring``, whose product is
+        the label's matrix; pi^mu Q^{-1} scales the rows of Q^{-1}, as the
+        products with the off-diagonal exact zeros of pi^mu change no sum."""
+        right = GroupMatrix(ring, [[d * x for x in row] for d, row in
+                                   zip(self._unif_powers(label.mu, ring),
+                                       self._lift_inverse(label.Q, ring).rows)])
+        return self.lift_residue_matrix(label.P, ring), right
+
+    def label_matrix(self, label, ring):
+        """g = lift(P) pi^mu lift(Q)^{-1} over ``ring``, one product: the
+        u = I member of ``left_coset_reps``."""
+        P, right = self._label_factors(label, ring)
+        return P * right
+
     def left_coset_reps(self, label, ring):
         """Left-coset representatives of K g K / K for g = P pi^mu Q^{-1}.
 
@@ -277,12 +292,9 @@ class GroupContext:
         duplicate-free and has prod q^(mu_i - mu_j) members; u = I comes first.
         """
         n, mu, m = self.n, label.mu, self.m
-        P = self.lift_residue_matrix(label.P, ring)
-        # pi^mu Q^{-1} scales the rows of Q^{-1}, and P u adds c_ij times
-        # column i of P to column j: the terms left out are exact zeros
-        right = GroupMatrix(ring, [[d * x for x in row] for d, row in
-                                   zip(self._unif_powers(mu, ring),
-                                       self._lift_inverse(label.Q, ring).rows)])
+        P, right = self._label_factors(label, ring)
+        # P u adds c_ij times column i of P to column j: the terms left out
+        # are exact zeros
         pcols = list(zip(*P.rows))
         below = [(i, j) for i in range(1, n) for j in range(i)]
         choices = [self._digits(ring, m, m + mu[i] - mu[j]) for i, j in below]

@@ -133,8 +133,8 @@ class CoeffField:
         return list(a)
 
     def coords_from_json(self, d):
-        if isinstance(d, int):
-            return self.from_int(d)
+        if isinstance(d, int):  # json_field refuses a boolean
+            return self.from_int(json_field(d, int, "coefficient"))
         a = tuple(json_field(c, int, "coefficient") % self.l
                   for c in json_field(d, list, "coefficient"))
         if len(a) != self.k:

@@ -123,17 +123,18 @@ class HeckeAlgebra:
                    + max(0, -la.mu[0]) + max(0, -lb.mu[0]) + 4)
 
         def run(prec):
-            # one row a = a_0 against B: n_D products a b_j land in D, and the
-            # first of them names it (c_D = |A| n_D / |D/K|, module docstring)
+            # one row a = P pi^mu Q^-1 against B: n_D products a b_j land in
+            # D, and the first of them names it (c_D = |A| n_D / |D/K|,
+            # module docstring)
             ring = ctx.working_ring(prec)
-            areps = ctx.left_coset_reps(la, ring)
+            a, size_a = ctx.label_matrix(la, ring), ctx.coset_count(la.mu)
             reached = {}
             for bj in ctx.left_coset_reps(lb, ring):
-                lab = ctx.label_of_matrix(areps[0] * bj)
+                lab = ctx.label_of_matrix(a * bj)
                 reached.setdefault(ctx.canonical_label(lab), [lab, 0])[1] += 1
             out = []
             for lab, n in reached.values():
-                pairs, index = len(areps) * n, ctx.coset_count(lab.mu)
+                pairs, index = size_a * n, ctx.coset_count(lab.mu)
                 if pairs % index:
                     raise InvariantViolationError(
                         f"the {index} left cosets of double coset {lab.mu} "

@@ -3,6 +3,9 @@ composition factors and the linkage predicate.
 
 Everything is exact linear algebra at desk dimension: vectors are coordinate
 tuples, operators act on column vectors, subspaces are row-echelon bases.
+T, the actions and their echelon bases are mostly zeros, so every kernel
+works over nonzero entries only; an entry is tested for zero by equality
+with a bound ``F.zero()``, so no kernel reads the layout of a field element.
 """
 
 from __future__ import annotations
@@ -29,34 +32,48 @@ DIM_BOUND = 24
 # matrices over a CoeffField: tuples of tuples of field coordinates
 
 def mat_identity(F, d):
-    return tuple(tuple(F.one() if i == j else F.zero() for j in range(d))
-                 for i in range(d))
+    zero, one = F.zero(), F.one()
+    return tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
 
 
 def mat_zero(F, d):
-    return tuple(tuple(F.zero() for _ in range(d)) for _ in range(d))
+    zero = F.zero()
+    return tuple(tuple(zero for _ in range(d)) for _ in range(d))
+
+
+def mat_scale(F, c, A):
+    """c A over the nonzero entries of A."""
+    zero = F.zero()
+    return tuple(tuple(x if x == zero else F.mul(c, x) for x in row) for row in A)
 
 
 def mat_add(F, A, B):
-    return tuple(tuple(F.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
+    """A + B; where either entry is zero the other passes through."""
+    zero = F.zero()
+    return tuple(tuple(x if y == zero else y if x == zero else F.add(x, y)
+                       for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def mat_sub(F, A, B):
-    return tuple(tuple(F.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
+    """A - B; where B's entry is zero A's passes through."""
+    zero = F.zero()
+    return tuple(tuple(x if y == zero else F.sub(x, y) for x, y in zip(ra, rb))
+                 for ra, rb in zip(A, B))
 
 
 def mat_mul(F, A, B):
-    """A B, touching only pairs of nonzero entries: T and the actions are
-    mostly zeros."""
+    """A B over pairs of nonzero entries: the nonzero entries of each row of
+    B are listed once, and each nonzero a_ik meets only those of row k.  T
+    and the actions are mostly zeros."""
+    zero = F.zero()
     m = len(B[0]) if B else 0
+    rows_b = [[(j, b) for j, b in enumerate(rb) if b != zero] for rb in B]
     out = []
     for ra in A:
-        acc = [F.zero()] * m
-        for a, rb in zip(ra, B):
-            if F.is_zero(a):
-                continue
-            for j, b in enumerate(rb):
-                if not F.is_zero(b):
+        acc = [zero] * m
+        for a, rb in zip(ra, rows_b):
+            if a != zero:
+                for j, b in rb:
                     acc[j] = F.add(acc[j], F.mul(a, b))
         out.append(tuple(acc))
     return tuple(out)
@@ -69,19 +86,34 @@ def mat_transpose(A):
 
 
 def mat_apply(F, A, v):
-    return tuple(_dot(F, row, v) for row in A)
+    """A v over the nonzero entries of v, and of each row of A there."""
+    zero = F.zero()
+    support = [(j, y) for j, y in enumerate(v) if y != zero]
+    out = []
+    for row in A:
+        acc = zero
+        for j, y in support:
+            x = row[j]
+            if x != zero:
+                acc = F.add(acc, F.mul(x, y))
+        out.append(acc)
+    return tuple(out)
 
 
-def _dot(F, row, v):
-    acc = F.zero()
-    for x, y in zip(row, v):
-        if not (F.is_zero(x) or F.is_zero(y)):
-            acc = F.add(acc, F.mul(x, y))
-    return acc
+def _sub_multiple(F, v, f, row, zero):
+    """v -= f row in place, over the nonzero entries of row."""
+    for j, y in enumerate(row):
+        if y != zero:
+            v[j] = F.sub(v[j], F.mul(f, y))
 
 
 def rref(F, rows):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    A pivot of one leaves its row unscaled (always so over F_2), another
+    scales only the row's nonzero entries, and elimination subtracts only
+    over the pivot row's nonzero entries."""
+    zero, one = F.zero(), F.one()
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -89,18 +121,19 @@ def rref(F, rows):
     for c in range(ncols):
         piv = None
         for i in range(r, len(rows)):
-            if not F.is_zero(rows[i][c]):
+            if rows[i][c] != zero:
                 piv = i
                 break
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        row = rows[r]
+        if row[c] != one:
+            inv = F.inv(row[c])
+            row = rows[r] = [x if x == zero else F.mul(inv, x) for x in row]
         for i in range(len(rows)):
-            if i != r and not F.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+            if i != r and rows[i][c] != zero:
+                _sub_multiple(F, rows[i], rows[i][c], row, zero)
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -109,12 +142,14 @@ def rref(F, rows):
 
 
 def reduce_against(F, echelon, pivots, v):
-    """Remainder of v modulo the row span of an echelon basis."""
+    """Remainder of v modulo the row span of an echelon basis; each row with
+    a nonzero entry of v at its pivot is subtracted over its nonzero
+    entries."""
+    zero = F.zero()
     v = list(v)
     for row, c in zip(echelon, pivots):
-        if not F.is_zero(v[c]):
-            f = v[c]
-            v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
+        if v[c] != zero:
+            _sub_multiple(F, v, v[c], row, zero)
     return tuple(v)
 
 
@@ -122,13 +157,14 @@ def kernel_basis(F, A):
     """Row-echelon basis of {v : A v = 0}; A may be rectangular."""
     if not A:
         return []
+    zero, one = F.zero(), F.one()
     d = len(A[0])
     ech, pivots = rref(F, A)
     free = [c for c in range(d) if c not in pivots]
     basis = []
     for c in free:
-        v = [F.zero()] * d
-        v[c] = F.one()
+        v = [zero] * d
+        v[c] = one
         for row, pc in zip(ech, pivots):
             v[pc] = F.neg(row[c])
         basis.append(tuple(v))
@@ -138,8 +174,9 @@ def kernel_basis(F, A):
 
 def image_basis(F, A):
     """Row-echelon basis of the column space of A."""
+    zero = F.zero()
     cols = [tuple(A[i][j] for i in range(len(A))) for j in range(len(A[0]))] if A else []
-    nz = [c for c in cols if any(not F.is_zero(x) for x in c)]
+    nz = [c for c in cols if any(x != zero for x in c)]
     if not nz:
         return []
     ech, _ = rref(F, nz)
@@ -148,22 +185,24 @@ def image_basis(F, A):
 
 def solve_in_span(F, basis_rows, v):
     """Coefficients expressing v in the given (independent) rows, or None."""
+    zero = F.zero()
     if not basis_rows:
-        return None if any(not F.is_zero(x) for x in v) else ()
+        return None if any(x != zero for x in v) else ()
     d = len(v)
     k = len(basis_rows)
     aug = [[basis_rows[j][i] for j in range(k)] + [v[i]] for i in range(d)]
     ech, pivots = rref(F, aug)
-    coeffs = [F.zero()] * k
+    coeffs = [zero] * k
     for row, c in zip(ech, pivots):
         if c == k:
             return None  # inconsistent
         coeffs[c] = row[k]
-    # verify (guards against underdetermined nonsense)
-    chk = [F.zero()] * d
+    # verify (guards against underdetermined nonsense): v - sum cf b = 0
+    rest = list(v)
     for cf, b in zip(coeffs, basis_rows):
-        chk = [F.add(x, F.mul(cf, y)) for x, y in zip(chk, b)]
-    return tuple(coeffs) if tuple(chk) == tuple(v) else None
+        if cf != zero:
+            _sub_multiple(F, rest, cf, b, zero)
+    return tuple(coeffs) if all(x == zero for x in rest) else None
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +269,8 @@ def norm_operator(M: CyclicModule):
 
 def _pivots(F, echelon):
     """Pivot columns of an echelon basis: each row's first nonzero entry."""
-    return [next(c for c, x in enumerate(row) if not F.is_zero(x)) for row in echelon]
+    zero = F.zero()
+    return [next(c for c, x in enumerate(row) if x != zero) for row in echelon]
 
 
 def _subquotient_action(F, ops, sub, quo, basis, error):
@@ -242,17 +282,17 @@ def _subquotient_action(F, ops, sub, quo, basis, error):
     sub and vanishes at quo's pivots, so the coordinates of a vector of sub
     reduced against quo are its entries at the pivots of ``basis``.  An
     operator that leaves sub, or moves quo off itself, raises ``error``."""
+    zero = F.zero()
     rows, pivots = basis
     out = {}
     for name, A in ops.items():
         for w in quo[0]:
-            if any(not F.is_zero(x) for x in reduce_against(F, *quo, mat_apply(F, A, w))):
+            if any(x != zero for x in reduce_against(F, *quo, mat_apply(F, A, w))):
                 raise error(f"{name} does not descend to the quotient")
         cols = []
         for b in rows:
             v = mat_apply(F, A, b)
-            if sub is not None and any(not F.is_zero(x)
-                                       for x in reduce_against(F, *sub, v)):
+            if sub is not None and any(x != zero for x in reduce_against(F, *sub, v)):
                 raise error(f"{name} does not preserve the subspace")
             v = reduce_against(F, *quo, v)
             cols.append([v[c] for c in pivots])
@@ -273,11 +313,12 @@ def _tate_spaces(M: CyclicModule, i: int):
         ker, im = kernel_basis(F, N), image_basis(F, A)
     else:
         raise SpecMismatchError("i must be 0 or 1")
+    zero = F.zero()
     im_piv = _pivots(F, im)
     reduced = []
     for row in ker:
         rem = reduce_against(F, im, im_piv, row)
-        if any(not F.is_zero(x) for x in rem):
+        if any(x != zero for x in rem):
             reduced.append(rem)
     qbasis, q_piv = rref(F, reduced) if reduced else ([], [])
     if len(qbasis) != len(ker) - len(im):
@@ -319,12 +360,10 @@ def frobenius_twist(M: CyclicModule) -> CyclicModule:
 
 def _matrix_polynomial(F, f, A):
     """f(A) by Horner's rule."""
-    d = len(A)
-    out = mat_zero(F, d)
+    ident = mat_identity(F, len(A))
+    out = mat_zero(F, len(A))
     for c in reversed(f):
-        out = mat_mul(F, out, A)
-        cI = tuple(tuple(F.mul(c, x) for x in row) for row in mat_identity(F, d))
-        out = mat_add(F, out, cI)
+        out = mat_add(F, mat_mul(F, out, A), mat_scale(F, c, ident))
     return out
 
 
@@ -349,6 +388,7 @@ def min_poly(F, A):
 
 def spin(F, mats, v):
     """Row-echelon basis of the smallest invariant subspace containing v."""
+    zero = F.zero()
     basis, pivots = rref(F, [v])
     queue = list(basis)
     while queue:
@@ -356,7 +396,7 @@ def spin(F, mats, v):
         for A in mats:
             u = mat_apply(F, A, w)
             rem = reduce_against(F, basis, pivots, u)
-            if any(not F.is_zero(x) for x in rem):
+            if any(x != zero for x in rem):
                 stacked = list(basis) + [rem]
                 basis, pivots = rref(F, stacked)
                 queue.append(rem)
@@ -368,14 +408,13 @@ def _theta_candidates(F, mats, d, seed):
     import random
     rng = random.Random(seed)
     scalars = list(F.elements()) if F.k > 1 else [F.from_int(c) for c in range(F.l)]
+    zero = F.zero()
     ident = mat_identity(F, d)
     for A in mats:
         yield A
         for c in scalars:
-            if F.is_zero(c):
-                continue
-            cI = tuple(tuple(F.mul(c, x) for x in row) for row in ident)
-            yield mat_sub(F, A, cI)
+            if c != zero:
+                yield mat_sub(F, A, mat_scale(F, c, ident))
     for A in mats:
         for B in mats:
             yield mat_mul(F, A, B)
@@ -388,7 +427,7 @@ def _theta_candidates(F, mats, d, seed):
         acc = mat_zero(F, d)
         for A in words:
             c = F.from_int(rng.randrange(F.l))
-            acc = mat_add(F, acc, tuple(tuple(F.mul(c, x) for x in row) for row in A))
+            acc = mat_add(F, acc, mat_scale(F, c, A))
         yield acc
 
 

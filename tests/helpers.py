@@ -21,7 +21,11 @@ Smith-decomposed), with ``brauer_restrict_by_window`` (Br(f) by walking
 every base-side label of f's windows and naming each that way).
 ``basis_product_mirrored`` reads a product of basis elements off the
 mirrored product of the inverse labels (``inverse_label``), so its one-row
-count runs over the other factor's transversal.
+count runs over the other factor's transversal.  The ``dense_*`` matrix
+oracles write out every product and sum over a CoeffField, zeros included,
+and share no code with the zero-skipping kernels of ``closehecke.tate``;
+``dense_kernel_basis`` reads the kernel off Gauss-Jordan elimination of
+[A^T | I] rather than off the free columns.
 
 Three helpers are no oracles: ``lift_label`` builds the matrix
 lift(P) pi^mu lift(Q)^{-1} of a label, ``check_brauer_multiplicative``
@@ -570,6 +574,67 @@ def _dense_sum(F, terms):
     for t in terms:
         acc = F.add(acc, t)
     return acc
+
+
+def dense_mat_add(F, A, B):
+    """A + B over a CoeffField, every entry added."""
+    return tuple(tuple(F.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
+
+
+def dense_mat_sub(F, A, B):
+    """A - B over a CoeffField, every entry subtracted."""
+    return tuple(tuple(F.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
+
+
+def dense_rref(F, rows):
+    """Reduced row echelon form by Gauss-Jordan elimination: each pivot row
+    scaled by the inverse of its pivot and subtracted from every other row,
+    every entry written out.  Returns (nonzero rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if not F.is_zero(rows[i][c])), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return [tuple(row) for row in rows[:len(pivots)]], pivots
+
+
+def dense_reduce(F, echelon, pivots, v):
+    """v minus v[c] times each reduced echelon row with pivot c, every entry
+    written out."""
+    for row, c in zip(echelon, pivots):
+        f = v[c]
+        v = tuple(F.sub(x, F.mul(f, y)) for x, y in zip(v, row))
+    return tuple(v)
+
+
+def dense_kernel_basis(F, A):
+    """Reduced echelon basis of {v : A v = 0}, from the rows of
+    [E A^T | E] = rref [A^T | I] whose A^T part is zero: each such row x has
+    x A^T = 0.  A matrix with no rows gives [], as its width is unknown."""
+    if not A:
+        return []
+    n, d = len(A), len(A[0])
+    aug = [tuple(A[i][j] for i in range(n))
+           + tuple(F.one() if c == j else F.zero() for c in range(d)) for j in range(d)]
+    ech, _ = dense_rref(F, aug)
+    kernel = [row[n:] for row in ech if all(F.is_zero(x) for x in row[:n])]
+    return dense_rref(F, kernel)[0]
+
+
+def dense_image_basis(F, A):
+    """Reduced echelon basis of the column space of A."""
+    cols = [tuple(row[j] for row in A) for j in range(len(A[0]))] if A else []
+    return dense_rref(F, cols)[0]
 
 
 def dense_spin(F, mats, vectors):

@@ -177,9 +177,9 @@ _LINKAGE = ["linkage", "check", "--xi", "m.json", "--rho", "m.json", "--br", "in
 _LAMBDA = ["check", "kaz-hom", "--p", "3", "--pair-mode", "equal-equal", "--lambda-image"]
 
 
-def _element(mu, P, level=1):
+def _element(mu, P, level=1, coeff=(1,)):
     label = {"mu": mu, "P": P, "Q": [[1, 0], [0, 1]], "level": level}
-    return json.dumps({"l": 3, "terms": [{"label": label, "coeff": [1]}]})
+    return json.dumps({"l": 3, "terms": [{"label": label, "coeff": coeff}]})
 
 
 @pytest.mark.parametrize("argv, content", [
@@ -198,6 +198,8 @@ def _element(mu, P, level=1):
     (_TATE, '{"l": "x", "k": 1, "dim": 1, "T": [[1]]}'),
     (_TATE, '{"l": 2, "k": 1, "dim": 1, "T": 5}'),
     (_TATE, '{"l": 2, "k": 1, "dim": 2, "T": [[1]]}'),
+    (_TATE, '{"l": 2, "k": 1, "dim": 1, "T": [[true]]}'),
+    (_KAZ_MAP, _element(mu=[0, 0], P=[[1, 0], [0, 1]], coeff=True)),
     (_LINKAGE, '{"generators": {"e": [1]}}'),
     (_LINKAGE, '{"generators": 5}'),
     (_TATE + ["--out", "missing-dir/r.json"], '{"l": 3, "k": 1, "dim": 1, "T": [[1]]}'),
@@ -214,7 +216,8 @@ def _element(mu, P, level=1):
         "l-not-int", "P-not-matrix", "P-singular", "mu-decreasing", "level-wrong",
         "negative-window",
         "negative-samples", "module-l-not-int", "module-T-not-matrix",
-        "module-T-wrong-shape", "br-image-not-string", "br-not-object",
+        "module-T-wrong-shape", "module-entry-bool", "coeff-bool", "br-image-not-string",
+        "br-not-object",
         "out-unwritable", "mu-range-empty", "precision-cap-negative", "budget-zero",
         "pair-budget-zero", "lambda-image-not-int", "lambda-image-empty-entries",
         "case-without-l"])

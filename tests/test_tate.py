@@ -22,6 +22,7 @@ from closehecke.tate import (
     image_basis,
     kernel_basis,
     linkage_check,
+    mat_add,
     mat_apply,
     mat_identity,
     mat_mul,
@@ -30,11 +31,24 @@ from closehecke.tate import (
     module_from_json,
     modules_isomorphic,
     norm_operator,
+    reduce_against,
+    rref,
     tate_cohomology,
     tate_quotient_module,
 )
 
-from helpers import dense_mat_apply, dense_mat_mul, dense_spin, transport_module
+from helpers import (
+    dense_image_basis,
+    dense_kernel_basis,
+    dense_mat_add,
+    dense_mat_apply,
+    dense_mat_mul,
+    dense_mat_sub,
+    dense_reduce,
+    dense_rref,
+    dense_spin,
+    transport_module,
+)
 
 F2 = CoeffField(2, 1)
 F3 = CoeffField(3, 1)
@@ -72,6 +86,16 @@ def sparse_matrix(F, rng, rows, cols, density):
 
 # -- matrix kernels -----------------------------------------------------------
 
+def _row_kernels_match_dense_oracle(F, A, C, w):
+    ech = rref(F, A)
+    assert ech == dense_rref(F, A)
+    assert reduce_against(F, *ech, w) == dense_reduce(F, *ech, w)
+    assert kernel_basis(F, A) == dense_kernel_basis(F, A)
+    assert image_basis(F, A) == dense_image_basis(F, A)
+    assert mat_add(F, A, C) == dense_mat_add(F, A, C)
+    assert mat_sub(F, A, C) == dense_mat_sub(F, A, C)
+
+
 @pytest.mark.parametrize("F", [F2, F3, F4, F9], ids=["F2", "F3", "F4", "F9"])
 def test_sparse_kernels_match_dense_oracle(F):
     rng = random.Random(31 + F.l * F.k)
@@ -83,6 +107,14 @@ def test_sparse_kernels_match_dense_oracle(F):
             assert mat_mul(F, A, B) == dense_mat_mul(F, A, B)
             v = sparse_matrix(F, rng, 1, mid, density)[0] if mid else ()
             assert mat_apply(F, A, v) == dense_mat_apply(F, A, v)
+            _row_kernels_match_dense_oracle(F, A, sparse_matrix(F, rng, n, mid, density), v)
+    # a pivot c whose inverse is not one (unless F = F_2), a zero row and
+    # two zero columns, one of them past the last pivot
+    o, z, c = F.one(), F.zero(), max(F.elements())
+    A = ((z, c, z, o, z), (z, z, z, z, z), (z, o, z, c, z), (c, z, z, c, o))
+    _row_kernels_match_dense_oracle(F, A, A, (o, c, c, o, z))
+    assert kernel_basis(F, A) and all(mat_apply(F, A, v) == (z,) * 4
+                                      for v in kernel_basis(F, A))
 
 
 # -- norm operator ------------------------------------------------------------
