@@ -3,6 +3,11 @@
 Every run echoes its fully resolved configuration and the library version;
 identical configuration and seed give byte-identical reports.  Exit codes:
 0 success or pass, 1 check failure, 2 configuration error.
+
+The CLI checks only the bounds of the flags that no library constructor
+reads; ``Tower`` and the builders behind it reject a bad tower with their
+own typed errors.  One table, ``_CHECKS``, serves both the parser and the
+dispatch of the verification suites.
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .errors import CloseHeckeError, ConfigError, json_field
@@ -29,7 +33,7 @@ def _parse_lambda_image(text):
     if not text:
         return None
     try:
-        return tuple(int(c) for c in text.split(","))
+        return [int(c) for c in text.split(",")]
     except ValueError:
         raise ConfigError(f"--lambda-image needs comma-separated integers, not {text!r}") from None
 
@@ -56,80 +60,28 @@ def _add_output_args(p):
     p.add_argument("--json", action="store_true", help="stream the JSON document to stdout")
 
 
-def _tower(args, need_ext=False):
-    case = _run_config(args).case  # reject a bad configuration before any work
-    if need_ext and case is None:
-        raise ConfigError("this command needs --case unramified|ramified")
-    return Tower(args.p, args.m, n=args.n, case=case, l=args.l,
-                 pair_mode=args.pair_mode, coeff_k=args.k,
-                 unif_image=_parse_lambda_image(args.lambda_image),
-                 budget=args.budget, pair_budget=args.pair_budget,
-                 precision_cap=args.precision_cap)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run parameters, echoed into every output document."""
-    p: int
-    l: int | None
-    m: int
-    n: int
-    k: int
-    case: str | None
-    pair_mode: str
-    lambda_image: tuple | None
-    seed: int | None
-    window: int | None
-    samples: int | None
-    budget: int
-    pair_budget: int
-    precision_cap: int
-
-    def validate(self):
-        if self.case is not None and self.l is None:
-            raise ConfigError("--case needs --l, the extension degree")
-        if self.l is not None and self.l == self.p:
-            raise ConfigError("l must differ from p")
-        if self.pair_mode == "mixed-equal" and self.m != 1:
-            raise ConfigError("mixed-equal pairs exist only at m = 1")
-        if self.case == "ramified" and self.l is not None \
-                and (self.p - 1) % self.l != 0:
-            raise ConfigError("ramified extensions need l | p - 1")
-        for name, value in (("--window", self.window), ("--samples", self.samples)):
-            if value is not None and value < 0:
-                raise ConfigError(f"{name} must not be negative, got {value}")
-        for name, value in (("--n", self.n), ("--budget", self.budget),
-                            ("--pair-budget", self.pair_budget),
-                            ("--precision-cap", self.precision_cap)):
-            if value < 1:
-                raise ConfigError(f"{name} must be at least 1, got {value}")
-        return self
-
-    def to_json(self):
-        return {"p": self.p, "l": self.l, "m": self.m, "n": self.n, "k": self.k,
-                "case": self.case, "pairMode": self.pair_mode,
-                "lambdaImage": list(self.lambda_image) if self.lambda_image else None,
-                "seed": self.seed, "window": self.window, "samples": self.samples,
-                "budget": self.budget, "pairBudget": self.pair_budget,
-                "precisionCap": self.precision_cap}
-
-
-def _run_config(args):
-    return RunConfig(
-        p=args.p, l=args.l, m=args.m, n=args.n, k=args.k,
-        case=getattr(args, "case", None), pair_mode=args.pair_mode,
-        lambda_image=_parse_lambda_image(args.lambda_image),
-        seed=getattr(args, "seed", None), window=getattr(args, "window", None),
-        samples=getattr(args, "samples", None), budget=args.budget,
-        pair_budget=args.pair_budget, precision_cap=args.precision_cap,
-    ).validate()
-
-
-def _config_echo(args, extra=None):
-    cfg = _run_config(args).to_json()
-    if extra:
-        cfg.update(extra)
-    return cfg
+def _tower(args):
+    """The tower of ``args`` and the run configuration its document echoes,
+    after the checks that no library constructor makes."""
+    for flag in ("window", "samples"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise ConfigError(f"--{flag} must not be negative, got {value}")
+    for flag in ("n", "budget", "pair_budget", "precision_cap"):
+        value = getattr(args, flag)
+        if value < 1:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
+    lambda_image = _parse_lambda_image(args.lambda_image)
+    cfg = {"p": args.p, "l": args.l, "m": args.m, "n": args.n, "k": args.k,
+           "case": args.case, "pairMode": args.pair_mode, "lambdaImage": lambda_image,
+           "seed": getattr(args, "seed", None), "window": getattr(args, "window", None),
+           "samples": getattr(args, "samples", None), "budget": args.budget,
+           "pairBudget": args.pair_budget, "precisionCap": args.precision_cap}
+    tower = Tower(args.p, args.m, n=args.n, case=args.case, l=args.l,
+                  pair_mode=args.pair_mode, coeff_k=args.k, unif_image=lambda_image,
+                  budget=args.budget, pair_budget=args.pair_budget,
+                  precision_cap=args.precision_cap)
+    return tower, cfg
 
 
 def _emit(doc, args):
@@ -196,7 +148,7 @@ def _load_element(path, tower):
 # -- command handlers ---------------------------------------------------------
 
 def _cmd_fields_build(args):
-    tower = _tower(args, need_ext=True)
+    tower, cfg = _tower(args)
     payload = {"result": {
         "F": tower.pair.F.to_json(),
         "F'": tower.pair.Fp.to_json(),
@@ -206,43 +158,45 @@ def _cmd_fields_build(args):
         "lambda": tower.pair.lam.to_json(),
         "pi": tower.extpair.pi.to_json(),
     }}
-    _emit(_wrap("fields build", _config_echo(args), payload), args)
+    _emit(_wrap("fields build", cfg, payload), args)
     return 0
 
 
 def _cmd_cosets_enumerate(args):
     if args.mu_lo > args.mu_hi:
         raise ConfigError(f"--mu-lo {args.mu_lo} exceeds --mu-hi {args.mu_hi}")
-    tower = _tower(args, need_ext=args.side in ("E", "E'"))
+    tower, cfg = _tower(args)
+    if args.side not in tower.ctx:
+        raise ConfigError("this command needs --case unramified|ramified")
     ctx = tower.ctx[args.side]
     mus = cochar_window(args.n, args.mu_lo, args.mu_hi, max_spread=args.window)
     labels = ctx.enumerate_labels(mus)
     payload = {"result": {"side": args.side, "count": len(labels),
                           "labels": [ctx.label_to_json(lab) for lab in labels]}}
-    cfg = _config_echo(args, {"muLo": args.mu_lo, "muHi": args.mu_hi, "side": args.side})
+    cfg.update(muLo=args.mu_lo, muHi=args.mu_hi, side=args.side)
     _emit(_wrap("cosets enumerate", cfg, payload), args)
     return 0
 
 
 def _cmd_hecke_convolve(args):
-    tower = _tower(args, need_ext=args.case is not None)
+    tower, cfg = _tower(args)
     alg, f = _load_element(args.a, tower)
     g = _load(args.b, alg.from_json)
     out = alg.convolve(f, g)
-    _emit(_wrap("hecke convolve", _config_echo(args), {"result": out.to_json()}), args)
+    _emit(_wrap("hecke convolve", cfg, {"result": out.to_json()}), args)
     return 0
 
 
 def _cmd_hecke_brauer(args):
-    tower = _tower(args, need_ext=True)
+    tower, cfg = _tower(args)
     _, f = _load_element(args.infile, tower)
     out = tower.brauer(f)
-    _emit(_wrap("hecke brauer", _config_echo(args), {"result": out.to_json()}), args)
+    _emit(_wrap("hecke brauer", cfg, {"result": out.to_json()}), args)
     return 0
 
 
 def _cmd_hecke_sigma(args):
-    tower = _tower(args, need_ext=True)
+    tower, cfg = _tower(args)
     alg, f = _load_element(args.infile, tower)
     if args.orbit_sum:
         supports = f.support()
@@ -251,40 +205,37 @@ def _cmd_hecke_sigma(args):
         out = alg.sigma_orbit_sum(supports[0])
     else:
         out = alg.sigma_act(f)
-    _emit(_wrap("hecke sigma", _config_echo(args), {"result": out.to_json()}), args)
+    _emit(_wrap("hecke sigma", cfg, {"result": out.to_json()}), args)
     return 0
 
 
 def _cmd_kaz_map(args):
-    tower = _tower(args, need_ext=args.case is not None)
+    tower, cfg = _tower(args)
     _, f = _load_element(args.infile, tower)
     out = tower.kaz(f)
-    _emit(_wrap("kaz map", _config_echo(args), {"result": out.to_json()}), args)
+    _emit(_wrap("kaz map", cfg, {"result": out.to_json()}), args)
     return 0
 
 
+# check name -> (needs --case, default --samples, the suite run on a tower)
+_CHECKS = {
+    "kaz-hom": (False, 10, lambda tower, args: check_kaz_hom(
+        tower, window_spread=args.window, samples=args.samples, seed=args.seed)),
+    "galois-equivariance": (True, 50, lambda tower, args: check_galois_equivariance(
+        tower, window_spread=args.window, samples=args.samples, seed=args.seed)),
+    "main-diagram": (True, 25, lambda tower, args: check_main_diagram(
+        tower, mu_spread=args.window, samples=args.samples, seed=args.seed)),
+    "lemma-conv": (False, 20, lambda tower, args: check_lemma_conv(
+        tower, window_spread=args.window, elements=args.samples, seed=args.seed)),
+}
+
+
 def _cmd_check(args):
-    name = args.check_command
-    if name == "kaz-hom":
-        tower = _tower(args)
-        rep = check_kaz_hom(tower, window_spread=args.window, samples=args.samples,
-                            seed=args.seed)
-    elif name == "galois-equivariance":
-        tower = _tower(args, need_ext=True)
-        rep = check_galois_equivariance(tower, window_spread=args.window,
-                                        samples=args.samples, seed=args.seed)
-    elif name == "main-diagram":
-        tower = _tower(args, need_ext=True)
-        rep = check_main_diagram(tower, mu_spread=args.window,
-                                 samples=args.samples, seed=args.seed)
-    elif name == "lemma-conv":
-        tower = _tower(args)
-        rep = check_lemma_conv(tower, window_spread=args.window,
-                               elements=args.samples, seed=args.seed)
-    else:
-        raise ConfigError(f"unknown check {name!r}")
+    tower, cfg = _tower(args)
+    _, _, run = _CHECKS[args.check_command]
+    rep = run(tower, args)
     doc = rep.to_json()
-    doc["config"] = _config_echo(args, doc["config"])
+    doc["config"] = {**cfg, **doc["config"]}
     _emit(doc, args)
     return 0 if rep.passed else 1
 
@@ -365,12 +316,11 @@ def build_parser():
 
     p = sub.add_parser("check", help="verification suites")
     psub = p.add_subparsers(dest="check_command", required=True)
-    for name, needs_case in [("kaz-hom", False), ("galois-equivariance", True),
-                             ("main-diagram", True), ("lemma-conv", False)]:
+    for name, (needs_case, samples, _) in _CHECKS.items():
         pc = psub.add_parser(name)
         _add_tower_args(pc, need_case=needs_case)
         pc.add_argument("--window", type=int, default=2, help="cocharacter spread")
-        pc.add_argument("--samples", type=int, default=None)
+        pc.add_argument("--samples", type=int, default=samples)
         pc.add_argument("--seed", type=int, default=0)
         _add_output_args(pc)
         pc.set_defaults(func=_cmd_check)
@@ -396,15 +346,9 @@ def build_parser():
     return ap
 
 
-_DEFAULT_SAMPLES = {"kaz-hom": 10, "galois-equivariance": 50,
-                    "main-diagram": 25, "lemma-conv": 20}
-
-
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "samples", None) is None and hasattr(args, "samples"):
-        args.samples = _DEFAULT_SAMPLES.get(getattr(args, "check_command", ""), 10)
     try:
         return args.func(args)
     except CloseHeckeError as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import NotAUnitError, SpecMismatchError, json_field
+from .errors import ConfigError, NotAUnitError, SpecMismatchError, json_field
 
 
 def is_prime(n):
@@ -43,14 +43,22 @@ def power(mul, one, a, e):
         a = mul(a, a)
 
 
+# the largest |F| = l^k: inversion is a^(q-2) and the search for the
+# minimal polynomial grows with l^k, so a larger field stalls a CLI call
+MAX_FIELD_SIZE = 2 ** 16
+
+
 class CoeffField:
     """F_{l^k}; elements are k-tuples of ints mod l."""
 
     def __init__(self, l, k=1):
-        if not is_prime(l):
-            raise SpecMismatchError(f"l = {l} is not prime")
         if k < 1:
             raise SpecMismatchError("k must be >= 1")
+        # k >= 17 gives l^k > 2^16 for every l >= 2: no l ** k for a huge k
+        if k >= MAX_FIELD_SIZE.bit_length() or l ** k > MAX_FIELD_SIZE:
+            raise SpecMismatchError(f"|F| = {l}^{k} exceeds {MAX_FIELD_SIZE}")
+        if not is_prime(l):
+            raise SpecMismatchError(f"l = {l} is not prime")
         self.l = l
         self.k = k
         # X^k = -(m_0 + m_1 X + ... + m_{k-1} X^{k-1})
@@ -133,10 +141,12 @@ class CoeffField:
         return list(a)
 
     def coords_from_json(self, d):
+        """An element from an integer or a list of k integers."""
         if isinstance(d, int):  # json_field refuses a boolean
             return self.from_int(json_field(d, int, "coefficient"))
-        a = tuple(json_field(c, int, "coefficient") % self.l
-                  for c in json_field(d, list, "coefficient"))
+        if not isinstance(d, (list, tuple)):
+            raise ConfigError(f"coefficient must be an integer or a list of integers, not {d!r}")
+        a = tuple(json_field(c, int, "coefficient") % self.l for c in d)
         if len(a) != self.k:
             raise SpecMismatchError("coefficient coordinate length mismatch")
         return a

@@ -36,9 +36,6 @@ class HeckeElement:
         self.algebra = algebra
         self.terms = terms
 
-    def is_zero(self):
-        return not self.terms
-
     def support(self):
         return sorted((lab for lab, _ in self.terms.values()),
                       key=lambda lab: lab.sort_key())
@@ -105,9 +102,6 @@ class HeckeAlgebra:
 
     def basis(self, label):
         return self.element([(label, self.field.one())])
-
-    def one(self):
-        return self.basis(self.context.identity_label())
 
     def unif_basis(self, mu):
         return self.basis(self.context.unif_label(mu))

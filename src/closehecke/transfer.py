@@ -118,11 +118,20 @@ def _verify_extension_pair(pair, E, Ep, pi):
 
 
 class Tower:
-    """All four sides with contexts and Hecke algebras, plus the transfers."""
+    """All four sides with contexts and Hecke algebras, plus the transfers.
+    ``case`` is None (F and F' only) or the kind of the degree-l sides E and
+    E'.  An unknown case, a case without ``l`` and ``l == p`` raise
+    ``ConfigError`` before any side is built; the builders check the rest."""
 
     def __init__(self, p, m, n=2, case=None, l=None, pair_mode="mixed-equal",
                  coeff_k=1, unif_image=None,
                  budget=10 ** 7, pair_budget=10 ** 4, precision_cap=64):
+        if case not in (None, UNRAMIFIED, RAMIFIED):
+            raise ConfigError(f"unknown case {case!r}: use None, {UNRAMIFIED!r} or {RAMIFIED!r}")
+        if case is not None and l is None:
+            raise ConfigError(f"the {case} case needs l, the extension degree")
+        if l == p:
+            raise ConfigError("l must differ from the residue characteristic p")
         self.p = p
         self.m = m
         self.n = n
@@ -130,10 +139,7 @@ class Tower:
         self.pair = build_close_pair(p, m, pair_mode, unif_image)
         self.extpair = None
         if case is not None:
-            kind = UNRAMIFIED if case == "unramified" else RAMIFIED
-            self.extpair = build_extension_pair(self.pair, kind, l)
-        if l is not None and l == p:
-            raise ConfigError("l must differ from the residue characteristic p")
+            self.extpair = build_extension_pair(self.pair, case, l)
         self.field = CoeffField(l if l is not None else (3 if p == 2 else 2), coeff_k)
         kw = dict(budget=budget, pair_budget=pair_budget, precision_cap=precision_cap)
         self.ctx = {"F": GroupContext(self.pair.F, n, **kw),

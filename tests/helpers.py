@@ -27,10 +27,11 @@ and share no code with the zero-skipping kernels of ``closehecke.tate``;
 ``dense_kernel_basis`` reads the kernel off Gauss-Jordan elimination of
 [A^T | I] rather than off the free columns.
 
-Three helpers are no oracles: ``lift_label`` builds the matrix
+Four helpers are no oracles: ``lift_label`` builds the matrix
 lift(P) pi^mu lift(Q)^{-1} of a label, ``check_brauer_multiplicative``
-samples Br(f * g) = Br(f) * Br(g) on seeded pairs, and ``transport_module``
-renames a module's generators.  Only tests use them, so they live here.
+samples Br(f * g) = Br(f) * Br(g) on seeded pairs, ``transport_module``
+renames a module's generators, and ``hecke_unit`` is the unit basis element
+of a Hecke algebra.  Only tests use them, so they live here.
 """
 
 import itertools
@@ -458,6 +459,11 @@ def lift_label_by_products(ctx, label, ring):
             rows[i][j] = FieldElement.make(ring, 0, c)
         reps.append(P * GroupMatrix(ring, rows) * right)
     return P * D * Q_inv, reps
+
+
+def hecke_unit(H):
+    """The unit of the Hecke algebra H: the basis element of K itself."""
+    return H.basis(H.context.identity_label())
 
 
 def coeff_at(f, label):

@@ -40,6 +40,7 @@ from helpers import (
     check_brauer_multiplicative,
     coeff_at,
     conv_coeff_double_sum,
+    hecke_unit,
     minor_valuation_mu,
     random_field_matrix,
     transport_module,
@@ -113,7 +114,7 @@ def test_criterion_03_hecke_axioms():
                                    CoeffField(l, 1))
     # unit law, exactly
     for H in algebras.values():
-        one = H.one()
+        one = hecke_unit(H)
         for mu in [(0, 0), (0, 1), (0, 2), (-1, 1)]:
             f = H.unif_basis(mu)
             assert H.convolve(one, f) == f and H.convolve(f, one) == f
@@ -270,7 +271,7 @@ def _linkage_instance(tower, rng, dim, match_scalar):
     l = F.l
     HE, ctxE = tower.alg["E"], tower.ctx["E"]
     e = tower.extpair.E.e
-    gens = [HE.one(), HE.sigma_orbit_sum(ctxE.unif_label((0, e)))]
+    gens = [hecke_unit(HE), HE.sigma_orbit_sum(ctxE.unif_label((0, e)))]
     # order-l block operator on dim = fixed + l-cycles
     T = [[F.zero()] * dim for _ in range(dim)]
     off = 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -230,6 +231,34 @@ def test_bad_input_exits_two_with_typed_error(tmp_path, monkeypatch, capsys, arg
     assert capsys.readouterr().err.startswith("error [CONFIG_INVALID]: ")
 
 
+def test_galois_condition_is_the_library_error(capsys):
+    assert main(["fields", "build", "--case", "ramified", "--p", "5", "--l", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error [GALOIS_CONDITION_FAILED]: ")
+
+
+@pytest.mark.parametrize("argv, content", [
+    (_TATE, '{"l": 2, "k": 200, "dim": 1, "T": [[1]]}'),
+    (_TATE, '{"l": 1000003, "k": 1, "dim": 1, "T": [[1]]}'),
+    (["check", "kaz-hom", "--p", "2", "--l", "3", "--k", "200"], None),
+], ids=["module-k-200", "module-l-large", "check-k-200"])
+def test_coefficient_field_over_the_size_bound_exits_two(tmp_path, monkeypatch, capsys,
+                                                          argv, content):
+    monkeypatch.chdir(tmp_path)
+    if content is not None:
+        (tmp_path / "in.json").write_text(content)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error [SPEC_MISMATCH]: |F| = ")
+
+
+def test_a_coefficient_of_neither_form_names_both(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text('{"l": 2, "k": 1, "dim": 1, "T": [[1.5]]}')
+    assert main(_TATE) == 2
+    assert capsys.readouterr().err == (
+        "error [CONFIG_INVALID]: coefficient must be an integer or a list of integers, "
+        "not 1.5\n")
+
+
 def test_non_integer_lambda_image_names_the_flag(capsys):
     assert main(_LAMBDA + ["a,b"]) == 2
     assert "--lambda-image" in capsys.readouterr().err
@@ -297,3 +326,67 @@ def test_typed_invariants_hold_under_optimize():
                           env=env, cwd=root, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert " passed" in proc.stdout and "failed" not in proc.stdout
+
+
+# pi_(0,1) on each side that a pinned document reads: F of the p = 3 base,
+# and E of the ramified p = 3, l = 2 tower (label level em = 2)
+_F_PI = {"side": "F", "l": 2, "k": 1,
+         "terms": [{"label": {"mu": [0, 1], "P": [[1, 0], [0, 1]], "Q": [[1, 0], [0, 1]],
+                              "level": 1}, "coeff": [1]}]}
+_E_PI = {"side": "E", "l": 2, "k": 1,
+         "terms": [{"label": {"mu": [0, 1], "P": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                              "Q": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "level": 2},
+                    "coeff": [1]}]}
+_RAM = ["--p", "3", "--l", "2", "--case", "ramified"]
+_UNRAM = ["--p", "2", "--l", "3", "--case", "unramified"]
+# argv -> sha256 of its stdout.  Documents stay byte-identical, so a digest
+# changes only with a deliberate change of its document, re-recorded with
+# bench/digests.json; "hecke brauer" reads the orbit sum "hecke sigma" prints
+_PINNED_DOCUMENTS = [
+    (["fields", "build", *_UNRAM],
+     "46643c4b94d49b03c52f92d825989ec30637bf5f0d1225b8eb9d3ff4f31be382"),
+    (["fields", "build", *_RAM],
+     "694a1ee5975a8562fa7544e68df314d2f7a255f09878fa7b09f2f10d5f641055"),
+    (["cosets", "enumerate", "--p", "2", "--mu-lo", "0", "--mu-hi", "1", "--window", "1"],
+     "4c9d35177e16b1d32becba09f18540215805370893f654164e17017e95cb1871"),
+    (["cosets", "enumerate", "--side", "E", *_RAM, "--mu-lo", "0", "--mu-hi", "0"],
+     "cb090333b223e903c4652649b91367a503ab7d1cf507ffa1db628efa29aee564"),
+    (["check", "kaz-hom", "--p", "2", "--l", "3", "--window", "1", "--samples", "2",
+      "--seed", "5"],
+     "ce87d8bddd5246642920c40a19337928ad34c6f945e111b959a187f294ff4606"),
+    (["check", "kaz-hom", "--p", "3", "--m", "2", "--n", "3", "--pair-mode", "equal-equal",
+      "--lambda-image", "1,1", "--window", "1", "--samples", "1"],
+     "fa0342d9390a89463922863b833d2b02e154432fade85e97c53cf4dbf177c6f3"),
+    (["check", "galois-equivariance", *_UNRAM, "--window", "1", "--samples", "2"],
+     "70fb58ee76d12a6d2060fb65e6bc34f3064509cd10925507a111ba41e0c91508"),
+    (["check", "main-diagram", *_RAM, "--window", "1", "--samples", "2"],
+     "67fd433a709b478875cc6a17f13f37bace7eef4dd28de303ba03305211b547f2"),
+    (["check", "lemma-conv", "--p", "2", "--window", "1", "--samples", "2", "--seed", "3"],
+     "6869a94bcb51dc695f64af8719a004a6377aed7b6771ce32646a0cf1e375f11e"),
+    (["hecke", "convolve", "--p", "3", "--l", "2", "--a", "f.json", "--b", "f.json"],
+     "ceb28b41f601974088b45596131894962a83bdfa329425713d4b751e3f3f2432"),
+    (["kaz", "map", "--p", "3", "--l", "2", "--in", "f.json"],
+     "5252c66e5cb563a27965c24460d1c4c1fc5b565d8df1e91b5e4c4bce0f0e1d9c"),
+    (["hecke", "sigma", *_RAM, "--in", "e.json", "--orbit-sum"],
+     "d1bd943ba2e4c76dc74c093ad4771e694c4e3256d35e46d4ced44931b6892dbb"),
+    (["hecke", "brauer", *_RAM, "--in", "sum.json"],
+     "1632673c403536f9a2dc200b75e552fc09b341f1ff2807b2e476f6a59cb9dabf"),
+    (["tate", "cohomology", "--module", "m.json", "--i", "1"],
+     "eb991a261a443fa8f4f8fcc8ce39263704ee2d7b500fd8cc67ce2ee424f4d38a"),
+    (["linkage", "check", "--xi", "m.json", "--rho", "r.json", "--br", "b.json"],
+     "27d606e9060c5dd24cc0467274ea2d7a365bc7bc33ad04c483bad94ea177e983"),
+]
+
+
+def test_cli_documents_are_unchanged(tmp_path, monkeypatch, capsys):
+    """Every subcommand's stdout, byte for byte, on both towers."""
+    monkeypatch.chdir(tmp_path)
+    for name, doc in (("f.json", _F_PI), ("e.json", _E_PI), ("m.json", _TATE_MODULE),
+                      ("r.json", _RHO), ("b.json", {"generators": {"e": "f"}})):
+        (tmp_path / name).write_text(json.dumps(doc))
+    for argv, digest in _PINNED_DOCUMENTS:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        if argv[:2] == ["hecke", "sigma"]:
+            (tmp_path / "sum.json").write_text(json.dumps(json.loads(out)["result"]))
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

@@ -1,9 +1,10 @@
 import itertools
+import time
 
 import pytest
 
-from closehecke.coeffs import CoeffField, is_irreducible, smallest_irreducible
-from closehecke.errors import NotAUnitError
+from closehecke.coeffs import MAX_FIELD_SIZE, CoeffField, is_irreducible, smallest_irreducible
+from closehecke.errors import NotAUnitError, SpecMismatchError
 
 from helpers import brute_is_irreducible
 
@@ -51,6 +52,22 @@ def test_frobenius_additive():
     for a in F.elements():
         for b in F.elements():
             assert F.pow(F.add(a, b), F.l) == F.add(F.pow(a, F.l), F.pow(b, F.l))
+
+
+@pytest.mark.parametrize("l,k", [(2, 17), (2, 200), (2, 10 ** 18), (65537, 1),
+                                 (10 ** 60 + 7, 1), (257, 2)])
+def test_a_field_over_the_size_bound_is_a_fast_typed_error(l, k):
+    # checked before the primality test and the minimal-polynomial search,
+    # and without computing l ** k for a huge k
+    start = time.perf_counter()
+    with pytest.raises(SpecMismatchError, match="exceeds"):
+        CoeffField(l, k)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_fields_at_the_size_bound_are_built():
+    assert CoeffField(2, 16).size() == MAX_FIELD_SIZE
+    assert CoeffField(65521, 1).size() == 65521  # the largest prime below 2^16
 
 
 def test_coords_json_roundtrip():

@@ -19,7 +19,14 @@ from closehecke.transfer import (
     random_label,
 )
 
-from helpers import check_brauer_multiplicative, coeff_at, fingerprint, k_elements, lift_label
+from helpers import (
+    check_brauer_multiplicative,
+    coeff_at,
+    fingerprint,
+    hecke_unit,
+    k_elements,
+    lift_label,
+)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +61,19 @@ def test_extension_pair_galois_condition():
     pair = build_close_pair(2, 1, "mixed-equal")
     with pytest.raises(GaloisConditionError):
         build_extension_pair(pair, "ramified", 3)
+
+
+@pytest.mark.parametrize("kw", [dict(case="ramified"), dict(case="wild", l=2),
+                                dict(case="ramified", l=3)],
+                         ids=["case-without-l", "unknown-case", "l-equals-p"])
+def test_tower_rejects_its_own_bad_fields_before_building_a_side(monkeypatch, kw):
+    def built(*args, **kwargs):
+        pytest.fail("a side was built")
+
+    monkeypatch.setattr(transfer, "build_close_pair", built)
+    monkeypatch.setattr(transfer, "build_extension_pair", built)
+    with pytest.raises(ConfigError):
+        Tower(3, 1, **kw)
 
 
 def _extension_parts(p, kind, l):
@@ -205,10 +225,10 @@ def test_galois_equivariance_both_cases(tower_unram, tower_ram):
 
 def test_main_diagram_unit_case(tower_ram):
     tw = tower_ram
-    h = tw.alg["E"].one()
+    h = hecke_unit(tw.alg["E"])
     lhs = tw.kaz(tw.brauer(h))
     rhs = tw.brauer(tw.kaz(h))
-    assert lhs == rhs == tw.alg["F'"].one()
+    assert lhs == rhs == hecke_unit(tw.alg["F'"])
 
 
 def test_main_diagram_small(tower_unram, tower_ram):
@@ -261,7 +281,7 @@ def test_report_shape_and_failure_diagnostics(tower_ram):
     assert doc["pass"] is True
     # every sample entry records lhs/rhs supports (diagnosability contract)
     from closehecke.transfer import _sample_entry
-    f = tower_ram.alg["F"].one()
+    f = hecke_unit(tower_ram.alg["F"])
     g = tower_ram.alg["F"].unif_basis((0, 1))
     entry = _sample_entry("forced", "demo", f, g)
     assert entry["equal"] is False and "lhs" in entry and "rhs" in entry
@@ -279,7 +299,7 @@ def test_failing_sample_names_its_first_differing_label(monkeypatch, tower_unram
     HFp = tower_unram.alg["F'"]
     ctx, F = HFp.context, HFp.field
     convolve = HFp.convolve
-    monkeypatch.setattr(HFp, "convolve", lambda f, g: convolve(f, g) + HFp.one())
+    monkeypatch.setattr(HFp, "convolve", lambda f, g: convolve(f, g) + hecke_unit(HFp))
     rep = check_kaz_hom(tower_unram, window_spread=1, samples=1, seed=1)
     assert rep.samples and not rep.passed
     for s in rep.samples:
