@@ -577,12 +577,11 @@ class GroupContext:
     # -- serialization --------------------------------------------------------------
 
     def label_to_json(self, label):
+        # a residue at level m is an element of the label ring
         ring = self.label_ring
         return {"mu": list(label.mu),
-                "P": [[ring.coords_json(ring.lift_residue(x, self.m)) for x in row]
-                      for row in label.P],
-                "Q": [[ring.coords_json(ring.lift_residue(x, self.m)) for x in row]
-                      for row in label.Q],
+                "P": [[ring.coords_json(x) for x in row] for row in label.P],
+                "Q": [[ring.coords_json(x) for x in row] for row in label.Q],
                 "level": label.level}
 
     def label_from_json(self, d, field="label"):
@@ -594,7 +593,7 @@ class GroupContext:
 
         def residues(key):
             rows = json_field(d[key], list, f"{field}.{key}", n)
-            return tuple(tuple(ring.residue(ring.coords_from_json(x), self.m)
+            return tuple(tuple(ring.coords_from_json(x)
                                for x in json_field(row, list, f"{field}.{key}[{i}]", n))
                          for i, row in enumerate(rows))
 

@@ -76,7 +76,6 @@ class HeckeAlgebra:
         self.context = context
         self.field = field
         self.side = context.side.name
-        self._product_cache = {}
 
     def _check_same(self, other):
         if other is not self and (other.side != self.side or other.field != self.field):
@@ -109,10 +108,6 @@ class HeckeAlgebra:
     # -- convolution ---------------------------------------------------------
     def _basis_product(self, la, lb):
         ctx = self.context
-        key = (ctx.canonical_label(la), ctx.canonical_label(lb))
-        hit = self._product_cache.get(key)
-        if hit is not None:
-            return hit
         pi_prec = (ctx.m + 2 * (spread(la.mu) + spread(lb.mu))
                    + max(0, -la.mu[0]) + max(0, -lb.mu[0]) + 4)
 
@@ -136,9 +131,7 @@ class HeckeAlgebra:
                 out.append((lab, pairs // index))
             return tuple(out)
 
-        result = ctx.with_retry(run, pi_prec)
-        self._product_cache[key] = result
-        return result
+        return ctx.with_retry(run, pi_prec)
 
     def convolve(self, f: HeckeElement, g: HeckeElement) -> HeckeElement:
         self._check_same(f.algebra)

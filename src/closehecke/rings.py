@@ -216,6 +216,12 @@ class BaseRing:
             return iter(range(self.modulus))
         return itertools.product(range(self.p), repeat=self.level)
 
+    def element(self, i):
+        """The i-th member of ``elements()``, without listing the ring."""
+        if self.model == MIXED:
+            return i
+        return tuple(i // self.p ** (self.level - 1 - j) % self.p for j in range(self.level))
+
     def coords_json(self, a):
         if self.model == MIXED:
             return a
@@ -455,6 +461,11 @@ class ExtensionRing:
     def elements(self):
         return itertools.product(self.base.elements(), repeat=self.l)
 
+    def element(self, i):
+        """The i-th member of ``elements()``, without listing the ring."""
+        q = self.base.size()
+        return tuple(self.base.element(i // q ** (self.l - 1 - j) % q) for j in range(self.l))
+
     def coords_json(self, a):
         return [self.base.coords_json(x) for x in a]
 
@@ -595,34 +606,24 @@ def _revert_series(ring, image_coeffs):
 
 
 def build_lambda(dom: BaseRing, cod: BaseRing, unif_image=None) -> RingIso:
-    """Level-m closeness isomorphism between two base truncations o/p^m.
-
-    ``unif_image`` (equal/equal only) gives the image of t as F_p
-    coefficients (c_1, c_2, ...); default is the identity t -> t.
+    """Level-m closeness isomorphism between two base truncations o/p^m:
+    the residue map at m = 1, and at m >= 2, between equal truncations only,
+    t -> phi(t) with ``unif_image`` the F_p coefficients (c_1, c_2, ...) of
+    phi, default the identity.  Any other pair raises NotMCloseError.
     """
     if dom.p != cod.p:
         raise NotMCloseError("different residue characteristics")
     if dom.level != cod.level:
         raise SpecMismatchError("truncations at different levels")
     m = dom.level
-    if dom.model != cod.model and m >= 2:
-        raise NotMCloseError(
-            f"o/p^{m} truncations of mixed and equal characteristic are not isomorphic")
     desc = {"p": dom.p, "m": m, "from": dom.model, "to": cod.model}
-    if m == 1 or dom.model == MIXED:
-        # Residue-level transport, or identity on Z/p^m.  At m = 1 any
-        # uniformizer image is invisible (the t-class is 0), so it is ignored.
-        if m >= 2 and unif_image is not None and tuple(unif_image) != (1,):
-            raise SpecMismatchError("nontrivial uniformizer images need equal/equal mode")
-
-        def fwd(a, _d=dom, _c=cod):
-            return _c.from_int(_d.res1_int(a)) if m == 1 else a % _c.modulus
-
-        def bwd(a, _d=cod, _c=dom):
-            return _c.from_int(_d.res1_int(a)) if m == 1 else a % _c.modulus
-
-        return RingIso(dom, cod, fwd, bwd, desc)
-    # equal/equal at level m >= 2
+    if m == 1:
+        # any uniformizer image is invisible at m = 1 (the t-class is 0)
+        return RingIso(dom, cod, lambda a: cod.from_int(dom.res1_int(a)),
+                       lambda a: dom.from_int(cod.res1_int(a)), desc)
+    if (dom.model, cod.model) != (EQUAL, EQUAL):
+        raise NotMCloseError(f"o/p^{m} closeness needs two equal truncations, "
+                             f"not {dom.model}/{cod.model}")
     image = tuple(int(c) % dom.p for c in (unif_image or (1,)))
     if not image or image[0] % dom.p == 0:
         raise SpecMismatchError("uniformizer image must have valuation exactly 1")

@@ -217,13 +217,6 @@ class CyclicModule:
     T: tuple
     action: dict = dc_field(default_factory=dict)
 
-    def to_json(self):
-        F = self.field
-        return {"l": F.l, "k": F.k, "dim": self.dim,
-                "T": [[F.coords_json(x) for x in row] for row in self.T],
-                "action": {name: [[F.coords_json(x) for x in row] for row in mat]
-                           for name, mat in sorted(self.action.items())}}
-
 
 def module_from_json(d):
     """Parse a module file; a wrong-typed or wrong-shaped field is a
@@ -467,12 +460,8 @@ def find_proper_submodule(F, d, mats, seed=0):
     """
     if d == 1:
         return None
-    if not mats:
-        v = [F.zero()] * d
-        v[0] = F.one()
-        return [tuple(v)]
     # cheap first pass: a standard basis vector may already generate a
-    # proper submodule (always the case when the action is by scalars)
+    # proper submodule (always so with no generators or scalar ones)
     for idx in range(d):
         v = [F.zero()] * d
         v[idx] = F.one()

@@ -9,6 +9,7 @@ equality; failures carry full support tables.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -62,7 +63,7 @@ def build_close_pair(p, m, pair_mode="mixed-equal", unif_image=None) -> ClosePai
         image = tuple(unif_image) if unif_image else (1,)
         F = base_side("F", EQUAL, p, m)
         Fp = base_side("F'", EQUAL, p, m, unif_unit=image)
-        lam = build_lambda(F.ring(m), Fp.ring(m), unif_image=image if m >= 2 else None)
+        lam = build_lambda(F.ring(m), Fp.ring(m), unif_image=image)
     else:
         raise ConfigError(f"unknown pair mode {pair_mode!r}")
     if lam.apply(F.unif_class(lam.domain)) != Fp.unif_class(lam.codomain):
@@ -83,14 +84,16 @@ def build_extension_pair(pair: ClosePair, kind, l) -> ExtensionPair:
 
 
 def _verify_extension_pair(pair, E, Ep, pi):
-    dom, cod = pi.domain, pi.codomain
+    """Checks Pi on all of a ring up to EXHAUSTIVE_RING_BOUND elements, on seeded draws beyond."""
+    dom, cod, base = pi.domain, pi.codomain, pair.F.ring(pair.m)
     sig, sigp = E.sigma(pair.m), Ep.sigma(pair.m)
-    els = list(dom.elements()) if dom.size() <= EXHAUSTIVE_RING_BOUND else None
-    if els is None:
-        import random
-        rng = random.Random(0)
-        els = [tuple(rng.choice(list(dom.base.elements())) for _ in range(dom.l))
-               for _ in range(64)]
+    rng = random.Random(0)
+
+    def draw(ring):
+        return ring.element(rng.randrange(ring.size()))
+
+    els = (list(dom.elements()) if dom.size() <= EXHAUSTIVE_RING_BOUND
+           else [tuple(draw(dom.base) for _ in range(dom.l)) for _ in range(64)])
     inv = pi.inverse()
 
     def require(ok, what):
@@ -112,7 +115,9 @@ def _verify_extension_pair(pair, E, Ep, pi):
                     "Pi must be multiplicative")
             require(pi.apply(dom.add(a, b)) == cod.add(pi.apply(a), pi.apply(b)),
                     "Pi must be additive")
-    for x in pair.F.ring(pair.m).elements():
+    xs = (base.elements() if base.size() <= EXHAUSTIVE_RING_BOUND
+          else (draw(base) for _ in range(EXHAUSTIVE_RING_BOUND)))
+    for x in xs:
         require(pi.apply(dom.embed(x)) == cod.embed(pair.lam.apply(x)),
                 "Pi restricted to the base must be lambda")
 
@@ -144,26 +149,25 @@ class Tower:
         kw = dict(budget=budget, pair_budget=pair_budget, precision_cap=precision_cap)
         self.ctx = {"F": GroupContext(self.pair.F, n, **kw),
                     "F'": GroupContext(self.pair.Fp, n, **kw)}
+        # side -> (closeness iso, Kazhdan target, Brauer target or None)
+        lam = self.pair.lam
+        self._routes = {"F": (lam, "F'", None), "F'": (lam.inverse(), "F", None)}
         if self.extpair is not None:
             self.ctx["E"] = GroupContext(self.extpair.E, n, **kw)
             self.ctx["E'"] = GroupContext(self.extpair.Ep, n, **kw)
+            pi = self.extpair.pi
+            self._routes.update({"E": (pi, "E'", "F"), "E'": (pi.inverse(), "E", "F'")})
         self.alg = {name: HeckeAlgebra(ctx, self.field)
                     for name, ctx in self.ctx.items()}
 
     # -- transfers ------------------------------------------------------------
-    def _iso_for(self, side):
-        if side == "F":
-            return self.pair.lam, "F'"
-        if side == "F'":
-            return self.pair.lam.inverse(), "F"
-        if side == "E":
-            return self.extpair.pi, "E'"
-        if side == "E'":
-            return self.extpair.pi.inverse(), "E"
-        raise SideMismatchError(f"unknown side {side!r}")
+    def _route(self, side):
+        if side not in self._routes:
+            raise SideMismatchError(f"unknown side {side!r}")
+        return self._routes[side]
 
     def kaz_label(self, side, label):
-        iso, target = self._iso_for(side)
+        iso, target, _ = self._route(side)
         P = tuple(tuple(iso.apply(x) for x in row) for row in label.P)
         Q = tuple(tuple(iso.apply(x) for x in row) for row in label.Q)
         return CosetLabel(label.mu, P, Q, label.level), target
@@ -171,21 +175,15 @@ class Tower:
     def kaz(self, f: HeckeElement) -> HeckeElement:
         """Basis-label transport; coefficients unchanged."""
         side = f.algebra.side
-        iso, target_name = self._iso_for(side)
-        target = self.alg[target_name]
-        terms = []
-        for lab, c in f.terms.values():
-            moved, _ = self.kaz_label(side, lab)
-            terms.append((moved, c))
-        return target.element(terms)
+        target = self.alg[self._route(side)[1]]
+        return target.element([(self.kaz_label(side, lab)[0], c)
+                               for lab, c in f.terms.values()])
 
     def brauer(self, f: HeckeElement) -> HeckeElement:
-        side = f.algebra.side
-        if side == "E":
-            return f.algebra.brauer_restrict(f, self.alg["F"])
-        if side == "E'":
-            return f.algebra.brauer_restrict(f, self.alg["F'"])
-        raise SideMismatchError("Brauer restriction starts on an extension side")
+        target = self._route(f.algebra.side)[2]
+        if target is None:
+            raise SideMismatchError("Brauer restriction starts on an extension side")
+        return f.algebra.brauer_restrict(f, self.alg[target])
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +237,9 @@ def _first_diff(lhs, rhs):
 
 def _random_residue_gl(ctx, rng):
     """Seeded random invertible residue matrix over the label ring."""
-    ring, n = ctx.label_ring, ctx.n
-    pool = sorted(ring.elements())
+    ring, n, size = ctx.label_ring, ctx.n, ctx.label_ring.size()
     while True:
-        mat = tuple(tuple(pool[rng.randrange(len(pool))] for _ in range(n))
+        mat = tuple(tuple(ring.element(rng.randrange(size)) for _ in range(n))
                     for _ in range(n))
         if residue_invertible(ring, mat):
             return mat
@@ -260,7 +257,6 @@ def random_label(ctx, rng, mus):
 def check_kaz_hom(tower: Tower, window_spread=2, samples=10, seed=0) -> Report:
     """Kaz(f * g) = Kaz(f) * Kaz(g) on cocharacter basis pairs in the window
     plus seeded random basis pairs, both products computed on their own side."""
-    import random
     rng = random.Random(seed)
     rep = Report("check kaz-hom", {"p": tower.p, "m": tower.m, "n": tower.n,
                                    "window": window_spread, "samples": samples,
@@ -284,7 +280,6 @@ def check_kaz_hom(tower: Tower, window_spread=2, samples=10, seed=0) -> Report:
 def check_galois_equivariance(tower: Tower, window_spread=2, samples=50,
                               seed=0) -> Report:
     """Kaz(sigma . f) = sigma' . Kaz(f) through independent routes."""
-    import random
     rng = random.Random(seed)
     rep = Report("check galois-equivariance",
                  {"p": tower.p, "m": tower.m, "n": tower.n, "case": tower.case,
@@ -308,7 +303,6 @@ def structured_orbit_sums(tower: Tower, mu_spread, base_window, samples, seed):
     """The sigma-invariant sample family for the main diagram: orbit-sums of
     the cocharacter labels, of extension-side labels of base-side points, and
     of seeded random labels."""
-    import random
     rng = random.Random(seed)
     HE = tower.alg["E"]
     ctxE, ctxF = tower.ctx["E"], tower.ctx["F"]
@@ -348,7 +342,6 @@ def check_main_diagram(tower: Tower, mu_spread, base_window=1, samples=25,
 def check_lemma_conv(tower: Tower, window_spread=2, elements=20, seed=0) -> Report:
     """Both convolution identities on the F side: cocharacter additivity over
     the window, and the three-factor identity for unit-group window elements."""
-    import random
     alg = tower.alg["F"]
     ctx = alg.context
     rng = random.Random(seed)

@@ -27,11 +27,12 @@ and share no code with the zero-skipping kernels of ``closehecke.tate``;
 ``dense_kernel_basis`` reads the kernel off Gauss-Jordan elimination of
 [A^T | I] rather than off the free columns.
 
-Four helpers are no oracles: ``lift_label`` builds the matrix
+Five helpers are no oracles: ``lift_label`` builds the matrix
 lift(P) pi^mu lift(Q)^{-1} of a label, ``check_brauer_multiplicative``
 samples Br(f * g) = Br(f) * Br(g) on seeded pairs, ``transport_module``
-renames a module's generators, and ``hecke_unit`` is the unit basis element
-of a Hecke algebra.  Only tests use them, so they live here.
+renames a module's generators, ``module_to_json`` writes a module in the
+format ``module_from_json`` reads, and ``hecke_unit`` is the unit basis
+element of a Hecke algebra.  Only tests use them, so they live here.
 """
 
 import itertools
@@ -861,3 +862,12 @@ def transport_module(M: CyclicModule, label_map: dict) -> CyclicModule:
     if len(renamed) != len(M.action):
         raise GeneratorNameMismatchError("label map collapses generator names")
     return CyclicModule(M.field, M.dim, M.T, renamed)
+
+
+def module_to_json(M: CyclicModule) -> dict:
+    """The module file of ``M``, in the format ``module_from_json`` reads."""
+    F = M.field
+    return {"l": F.l, "k": F.k, "dim": M.dim,
+            "T": [[F.coords_json(x) for x in row] for row in M.T],
+            "action": {name: [[F.coords_json(x) for x in row] for row in mat]
+                       for name, mat in sorted(M.action.items())}}

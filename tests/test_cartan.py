@@ -840,3 +840,27 @@ def test_insufficient_precision_surfaces():
     g = GroupMatrix(ring, [[z_shallow, z_shallow], [z_shallow, z_shallow]])
     with pytest.raises(InsufficientPrecisionError):
         ctx.smith_cartan(g)
+
+
+@pytest.mark.parametrize("model", [MIXED, EQUAL])
+def test_with_retry_doubles_the_precision_until_smith_certifies(model):
+    # in [[1, 1], [1, 1 + pi^5]] the second pivot pi^5 is a zero floor at
+    # pi-precision 2 and 4; at 8 it is certified, so mu = (0, 5)
+    def smith_mu(ctx, seen):
+        def run(prec):
+            seen.append(prec)
+            ring = ctx.working_ring(prec)
+            one = FieldElement.make(ring, 0, ring.one())
+            corner = FieldElement.make(ring, 0, ring.add(ring.one(), ring.mul_pi(ring.one(), 5)))
+            return ctx.smith_cartan(GroupMatrix(ring, [[one, one], [one, corner]]))[0]
+        return run
+
+    seen = []
+    ctx = GroupContext(base_side("F", model, 2, 1), 2)
+    assert ctx.with_retry(smith_mu(ctx, seen), 2) == (0, 5)
+    assert seen == [2, 4, 8]
+    seen = []
+    capped = GroupContext(base_side("F", model, 2, 1), 2, precision_cap=4)
+    with pytest.raises(InsufficientPrecisionError):
+        capped.with_retry(smith_mu(capped, seen), 2)
+    assert seen == [2, 4]

@@ -390,3 +390,40 @@ def test_cli_documents_are_unchanged(tmp_path, monkeypatch, capsys):
         if argv[:2] == ["hecke", "sigma"]:
             (tmp_path / "sum.json").write_text(json.dumps(json.loads(out)["result"]))
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+_E_TWO_TERMS = {**_E_PI, "terms": _E_PI["terms"] + [
+    {**_E_PI["terms"][0], "label": {**_E_PI["terms"][0]["label"], "mu": [0, 2]}}]}
+
+
+@pytest.mark.parametrize("argv, files, code", [
+    (["kaz", "map", "--p", "2", "--in", "f.json"], {"f.json": []}, "CONFIG_INVALID"),
+    (["kaz", "map", "--p", "3", "--l", "2", "--in", "e.json"], {"e.json": _E_PI},
+     "CONFIG_INVALID"),
+    (["cosets", "enumerate", "--p", "2", "--side", "E"], {}, "CONFIG_INVALID"),
+    (["hecke", "sigma", *_RAM, "--in", "e.json", "--orbit-sum"], {"e.json": _E_TWO_TERMS},
+     "CONFIG_INVALID"),
+    (["hecke", "brauer", *_RAM, "--in", "f.json"], {"f.json": _F_PI}, "SIDE_MISMATCH"),
+    (["hecke", "convolve", *_RAM, "--a", "f.json", "--b", "e.json"],
+     {"f.json": _F_PI, "e.json": _E_PI}, "SIDE_MISMATCH"),
+    (["kaz", "map", "--p", "3", "--l", "2", "--in", "f.json"], {"f.json": {**_F_PI, "l": 5}},
+     "SPEC_MISMATCH"),
+    (["hecke", "sigma", *_RAM, "--in", "f.json"], {"f.json": _F_PI}, "SIDE_MISMATCH"),
+], ids=["file-holds-a-list", "E-element-without-case", "cosets-E-without-case",
+        "orbit-sum-of-two-terms", "brauer-of-an-F-element", "convolve-F-with-E",
+        "element-field-mismatch", "sigma-of-an-F-element"])
+def test_each_bad_input_exits_two_with_its_typed_code(tmp_path, monkeypatch, capsys,
+                                                      argv, files, code):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error [{code}]: ")
+
+
+def test_kaz_hom_at_a_deep_equal_level_draws_without_listing_the_ring(capsys):
+    # the label ring F_2[t]/t^40 has 2^40 elements: random residue matrices
+    # are drawn by index, never from a list of the ring
+    code, out = run_cli(capsys, "check", "kaz-hom", "--p", "2", "--l", "3", "--m", "40",
+                        "--pair-mode", "equal-equal", "--window", "1", "--samples", "1")
+    assert code == 0 and json.loads(out)["pass"] is True

@@ -79,6 +79,23 @@ def test_lambda_characteristic_obstruction():
         build_lambda(BaseRing(MIXED, 3, 2), BaseRing(EQUAL, 3, 2))
 
 
+@pytest.mark.parametrize("dom, cod", [(MIXED, MIXED), (EQUAL, MIXED)])
+def test_lambda_is_built_for_equal_equal_only_beyond_level_one(dom, cod):
+    with pytest.raises(NotMCloseError):
+        build_lambda(BaseRing(dom, 3, 2), BaseRing(cod, 3, 2))
+    build_lambda(BaseRing(dom, 3, 1), BaseRing(cod, 3, 1))
+
+
+def test_element_by_index_is_the_sorted_ring():
+    rings = [BaseRing(MIXED, 3, 2), BaseRing(EQUAL, 2, 3), BaseRing(EQUAL, 3, 2)]
+    rings += [ExtensionRing(BaseRing(EQUAL, 2, 2), UNRAMIFIED, 3),
+              ExtensionRing(BaseRing(MIXED, 3, 2), UNRAMIFIED, 2),
+              ExtensionRing(BaseRing(MIXED, 3, 2), RAMIFIED, 2, unif_class=3),
+              ExtensionRing(BaseRing(EQUAL, 3, 1), RAMIFIED, 2, unif_class=(0,))]
+    for R in rings:
+        assert [R.element(i) for i in range(R.size())] == sorted(R.elements())
+
+
 def test_lambda_equal_equal_m2_exhaustive():
     lam = build_lambda(BaseRing(EQUAL, 3, 2), BaseRing(EQUAL, 3, 2), unif_image=(2,))
     check_ring_hom(lam)

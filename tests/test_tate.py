@@ -47,6 +47,7 @@ from helpers import (
     dense_reduce,
     dense_rref,
     dense_spin,
+    module_to_json,
     transport_module,
 )
 
@@ -477,6 +478,6 @@ def test_tate_quotient_induced_action():
 def test_module_json_roundtrip():
     M = CyclicModule(F4, 2, mat_identity(F4, 2),
                      {"a": ((F4.from_int(1), (0, 1)), ((1, 1), F4.zero()))})
-    doc = M.to_json()
+    doc = module_to_json(M)
     back = module_from_json(doc)
-    assert back == M and back.to_json() == doc
+    assert back == M and module_to_json(back) == doc

@@ -5,9 +5,24 @@ from types import SimpleNamespace
 import pytest
 
 from closehecke import transfer
-from closehecke.errors import ConfigError, GaloisConditionError, InvariantViolationError
-from closehecke.rings import EQUAL, MIXED, RingIso, build_lambda, build_pi, extension_side
+from closehecke.errors import (
+    ConfigError,
+    GaloisConditionError,
+    InvariantViolationError,
+    SideMismatchError,
+)
+from closehecke.rings import (
+    EQUAL,
+    MIXED,
+    BaseRing,
+    ExtensionRing,
+    RingIso,
+    build_lambda,
+    build_pi,
+    extension_side,
+)
 from closehecke.transfer import (
+    EXHAUSTIVE_RING_BOUND,
     Tower,
     _verify_extension_pair,
     build_close_pair,
@@ -146,6 +161,24 @@ def test_extension_pair_guards_raise_typed_errors(monkeypatch, tower, breaker, w
         _verify_extension_pair(bad_pair, E, Ep, bad_pi)
 
 
+@pytest.mark.parametrize("m, base_draws", [(5, 0), (12, EXHAUSTIVE_RING_BOUND)])
+def test_extension_pair_draws_from_rings_over_the_bound(monkeypatch, m, base_draws):
+    # E over F_2[t]/t^5 has 2^15 elements: 64 elements of E are drawn, three
+    # base coordinates each.  At t^12 the base ring has 2^12 elements too,
+    # and the restriction check draws EXHAUSTIVE_RING_BOUND of them
+    listed, drawn = [], []
+    for cls in (BaseRing, ExtensionRing):
+        real = cls.elements
+        monkeypatch.setattr(cls, "elements",
+                            lambda ring, real=real: listed.append(ring.size()) or real(ring))
+    real_element = BaseRing.element
+    monkeypatch.setattr(BaseRing, "element",
+                        lambda ring, i: drawn.append(i) or real_element(ring, i))
+    Tower(2, m, case="unramified", l=3, pair_mode="equal-equal")
+    assert max(listed, default=0) <= EXHAUSTIVE_RING_BOUND
+    assert len(drawn) == 64 * 3 + base_draws
+
+
 def test_close_pair_uniformizer_mismatch_raises_typed_error(monkeypatch):
     # lambda = identity cannot carry t to the class t (1 + t) of F' at m = 3
     monkeypatch.setattr(transfer, "build_lambda",
@@ -202,6 +235,26 @@ def test_kaz_well_defined_across_representatives(tower_ram):
         moved, target = tw.kaz_label("F", rep)
         fps.add(fingerprint(ctxp, moved))
     assert len(fps) == 1
+
+
+def test_routes_refuse_an_unknown_side_and_brauer_from_a_base_side(tower_ram):
+    tw = tower_ram
+    with pytest.raises(SideMismatchError):
+        tw.kaz_label("G", tw.ctx["F"].unif_label((0, 1)))
+    for side in ("F", "F'"):
+        with pytest.raises(SideMismatchError):
+            tw.brauer(tw.alg[side].unif_basis((0, 1)))
+    base_only = Tower(3, 1, l=2)
+    with pytest.raises(SideMismatchError):
+        base_only.kaz(tw.alg["E"].unif_basis((0, 1)))
+    for side, (target, brauer_target) in {"F": ("F'", None), "F'": ("F", None),
+                                          "E": ("E'", "F"), "E'": ("E", "F'")}.items():
+        f = tw.alg[side].sigma_orbit_sum(tw.ctx[side].unif_label((0, 2))) \
+            if brauer_target else tw.alg[side].unif_basis((0, 1))
+        assert tw.kaz(f).algebra is tw.alg[target]
+        assert tw.kaz_label(side, f.support()[0])[1] == target
+        if brauer_target:
+            assert tw.brauer(f).algebra is tw.alg[brauer_target]
 
 
 # -- suites -----------------------------------------------------------------------
