@@ -1,18 +1,24 @@
 """Cartan decomposition and double-coset machinery for GL_n at congruence
 level m over a truncated local field side.
 
-Left cosets g K_m carry a canonical key: scale g integral, column-reduce to
-the lower-triangular Hermite form H over the valuation ring (diagonal
-pi^{a_i}, below-diagonal entries reduced mod the diagonal of their row) and
-record (scaling, a, reduced entries, H^{-1} g mod pi^m), H^{-1} g being the
-inverse of the unimodular column operations.  The key determines the left
-coset exactly.  Convolution does not need it: it names each product by its
-Smith label.
+``smith_cartan`` is the one Smith elimination: it names the double coset of
+an integral coordinate matrix known modulo pi^N, and refuses when N does not
+fix it.  Convolution shifts each product a b_j centrally to an integral
+matrix and names it there, at the N that ``HeckeAlgebra._basis_product``
+proves sufficient, so no working precision is retried.
 
 A label (mu, P, Q) names K P pi^mu Q^{-1} K.  ``canonical_label`` picks one
 representative per double coset by normal forms over the label ring alone:
 it is the one double-coset identity, and the label walk of
 ``enumerate_labels`` is certified complete by the count |G|^2 / |Gamma_mu|.
+
+Left cosets g K_m also carry a canonical key, kept for the test oracles and
+the benchmark tracer: scale g integral, column-reduce to the
+lower-triangular Hermite form H over the valuation ring (diagonal pi^{a_i},
+below-diagonal entries reduced mod the diagonal of their row) and record
+(scaling, a, reduced entries, H^{-1} g mod pi^m), H^{-1} g being the inverse
+of the unimodular column operations.  It runs on precision-tracked
+matrices, as does ``with_retry``; no library path calls either.
 """
 
 from __future__ import annotations
@@ -28,7 +34,15 @@ from .errors import (
     InvariantViolationError,
     json_field,
 )
-from .matrices import INF, FieldElement, GroupMatrix, certified_min, check_antidominant, spread
+from .matrices import (
+    FieldElement,
+    GroupMatrix,
+    certified_min,
+    check_antidominant,
+    coord_mul,
+    spread,
+    unimodular_inverse,
+)
 
 
 @dataclass(frozen=True)
@@ -82,11 +96,6 @@ class GroupContext:
         base_level = max(-(-pi_prec // self.side.e), 1)
         return self.side.ring(base_level)
 
-    def default_pi_prec(self, mus):
-        s = max((spread(mu) for mu in mus), default=0)
-        neg = max((max(0, -mu[0]) for mu in mus), default=0)
-        return self.m + 2 * s + neg + 4
-
     def with_retry(self, fn, pi_prec):
         while True:
             try:
@@ -99,21 +108,29 @@ class GroupContext:
     # -- lifting ---------------------------------------------------------------
 
     def lift_residue_matrix(self, data, ring):
-        return GroupMatrix.from_residue(ring, data, self.m)
+        """The canonical lift over ``ring`` of a residue matrix at level m."""
+        return tuple(tuple(ring.lift_residue(x, self.m) for x in row) for row in data)
 
-    def unif_power_matrix(self, mu, ring):
-        return GroupMatrix.unif_diagonal(ring, mu, self.side.unif_unit_coords(ring))
-
-    def _unif_powers(self, mu, ring):
-        """The diagonal entries pi^mu_i of pi^mu, for scaling rows or columns."""
+    def unif_scale_rows(self, mu, M, ring):
+        """pi^(mu - mu_1) M over ``ring``: row i of M times the distinguished
+        pi^(mu_i - mu_1), so a label's matrix is integral after the central
+        shift by pi^(-mu_1)."""
         w = self.side.unif_unit_coords(ring)
-        return [FieldElement.unif_power(ring, k, w) for k in mu]
+        rows = []
+        for k, row in zip(mu, M):
+            d = k - mu[0]
+            if d:
+                scale = ring.mul_pi(ring.pow(w, d), d)
+                row = tuple(ring.mul(scale, x) for x in row)
+            rows.append(row)
+        return tuple(rows)
 
     def _lift_inverse(self, Q, ring):
         """lift(Q)^{-1} over ``ring``, inverted once per (Q, ring)."""
         inv = self._q_inverses.get((Q, ring))
         if inv is None:
-            inv = self._q_inverses[(Q, ring)] = self.lift_residue_matrix(Q, ring).inverse()
+            inv = self._q_inverses[(Q, ring)] = unimodular_inverse(
+                ring, self.lift_residue_matrix(Q, ring))
         return inv
 
     def identity_label(self):
@@ -121,7 +138,9 @@ class GroupContext:
 
     def unif_label(self, mu):
         mu = check_antidominant(mu)
-        idm = GroupMatrix.identity(self.label_ring, self.n).residue_matrix(self.m)
+        ring = self.label_ring
+        idm = tuple(tuple(ring.one() if i == j else ring.zero() for j in range(self.n))
+                    for i in range(self.n))
         return CosetLabel(mu, idm, idm, self.m)
 
     def embed_base_label(self, flab):
@@ -146,64 +165,86 @@ class GroupContext:
 
     # -- Smith/Cartan ----------------------------------------------------------
 
-    def smith_cartan(self, g):
-        """g = x pi_mu y^{-1} with x, y integral units and mu non-decreasing.
+    def smith_cartan(self, g, ring, prec=None):
+        """g = x pi^mu y^{-1} for an integral coordinate matrix g over
+        ``ring`` known modulo pi^prec (default: the ring's pi-level), with x
+        and y in GL_n(o) and mu non-decreasing: the one Smith elimination.
 
-        Pivots take the entry of globally minimal certified valuation with
-        lexicographic (row, col) tie-breaking; transforms are accumulated
-        exactly (x undoes each row operation on its columns) and the
-        distinguished-uniformizer unit is folded into y.
-        """
-        R, n = g.ring, g.n
-        a = [list(row) for row in g.rows]
-        X = [list(row) for row in GroupMatrix.identity(R, n).rows]
-        Q = [list(row) for row in GroupMatrix.identity(R, n).rows]
-
-        def row_sub(mat, i, k, f):
-            mat[i] = [x - f * y for x, y in zip(mat[i], mat[k])]
-
-        def col_sub(mat, j, k, f):
-            for row in mat:
-                row[j] = row[j] - f * row[k]
-
-        mu = []
+        Each pivot is the entry of least valuation in the remaining block,
+        the first in (row, col) order; the entries below and beside it are
+        cleared with the unit part of the pivot inverted, which is exact in
+        the truncated ring for some lift of g.  x undoes each row operation
+        on its columns, y collects the column operations, and the
+        distinguished-uniformizer unit is folded into y:
+        pi_nat^v u = pi_dist^v (w^{-v} u).  x and y are returned over
+        ``ring``, determined modulo pi^(prec - mu_n).  Every lift g' of g has
+        g' = g (1 + g^{-1}(g' - g)) with g^{-1} in pi^(-mu_n) M_n(o), so g'
+        lies in g K_m when mu_n + m <= prec; otherwise, or when no pivot
+        lies below pi^prec, the label is not determined and
+        InsufficientPrecisionError is raised."""
+        n = len(g)
+        N = ring.pi_level if prec is None else min(prec, ring.pi_level)
+        one, zero = ring.one(), ring.zero()
+        a = [list(row) for row in g]
+        X = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        Y = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        mu, fold = [], []
         for k in range(n):
-            v0, (pi_, pj) = certified_min((a[i][j], (i, j))
-                                          for i in range(k, n) for j in range(k, n))
-            mu.append(v0)
+            v, pi_, pj = smith_pivot(ring, a, k)
+            if v >= N:
+                raise InsufficientPrecisionError(f"no pivot of {g} lies below pi^{N}")
+            mu.append(v)
             if pi_ != k:
                 a[k], a[pi_] = a[pi_], a[k]
                 for row in X:
                     row[k], row[pi_] = row[pi_], row[k]
             if pj != k:
-                for mat in (a, Q):
+                for mat in (a, Y):
                     for row in mat:
                         row[k], row[pj] = row[pj], row[k]
-            pivot = a[k][k]
-            inv_piv = pivot.inverse()
+            u_inv = ring.inv(ring.div_pi(a[k][k], v))
+            fold.append(u_inv)
+            pivot_row = a[k]
             for i in range(k + 1, n):
-                f = a[i][k] * inv_piv
-                # only an exact zero is skipped: a zero floor must reach
-                # a, x and y, or they would certify what g does not fix
-                if f.v != INF:
-                    row_sub(a, i, k, f)
-                    col_sub(X, k, i, -f)
+                x = a[i][k]
+                if x == zero:
+                    continue
+                f = ring.mul(ring.div_pi(x, v), u_inv)
+                row = a[i]
+                for j in range(k + 1, n):
+                    row[j] = ring.sub(row[j], ring.mul(f, pivot_row[j]))
+                for xrow in X:
+                    if xrow[i] != zero:
+                        xrow[k] = ring.add(xrow[k], ring.mul(f, xrow[i]))
+            # the rows below are zero in column k now, so a column operation
+            # only clears pivot_row[j]; y records it
             for j in range(k + 1, n):
-                f = a[k][j] * inv_piv
-                if f.v != INF:
-                    col_sub(a, j, k, f)
-                    col_sub(Q, j, k, f)
-        # later steps never touch a[k][k], so it is still the pivot pi^v u_k,
-        # and pi_nat^v u_k = pi_dist^v (w^{-v} u_k)
-        w = self.side.unif_unit_coords(R)
-        units = [FieldElement(R, 0, R.mul(a[k][k].unit, R.pow(w, -v)), a[k][k].prec)
-                 for k, v in enumerate(mu)]
+                x = pivot_row[j]
+                if x == zero:
+                    continue
+                f = ring.mul(ring.div_pi(x, v), u_inv)
+                for yrow in Y:
+                    if yrow[k] != zero:
+                        yrow[j] = ring.sub(yrow[j], ring.mul(f, yrow[k]))
         if any(mu[i] > mu[i + 1] for i in range(n - 1)):
-            raise InvariantViolationError(
-                f"global min pivoting gave a decreasing invariant {tuple(mu)}")
-        x = GroupMatrix(R, X)
-        y = GroupMatrix(R, Q) * GroupMatrix.diagonal(R, [u.inverse() for u in units])
-        return tuple(mu), x, y
+            raise InvariantViolationError(f"the pivots gave a decreasing invariant {tuple(mu)}")
+        if mu[-1] + self.m > N:
+            raise InsufficientPrecisionError(
+                f"invariant {tuple(mu)} needs pi^{mu[-1] + self.m}, known to pi^{N}")
+        w = self.side.unif_unit_coords(ring)
+        if w != one:
+            fold = [ring.mul(d, ring.pow(w, v)) if v else d for d, v in zip(fold, mu)]
+        y = tuple(tuple(e if d == one else ring.mul(e, d) for e, d in zip(row, fold)) for row in Y)
+        return tuple(mu), tuple(map(tuple, X)), y
+
+    def label_of_matrix(self, g, ring, shift=0, prec=None):
+        """The label of pi_dist^shift g for an integral coordinate matrix g
+        (``smith_cartan``); pi_dist^shift is central, so it adds to mu."""
+        mu, x, y = self.smith_cartan(g, ring, prec)
+        m = self.m
+        return CosetLabel(tuple(k + shift for k in mu),
+                          tuple(tuple(ring.residue(e, m) for e in row) for row in x),
+                          tuple(tuple(ring.residue(e, m) for e in row) for row in y), m)
 
     # -- canonical left-coset keys ----------------------------------------------
 
@@ -267,22 +308,19 @@ class GroupContext:
         return out
 
     def _label_factors(self, label, ring):
-        """lift(P) and pi^mu lift(Q)^{-1} over ``ring``, whose product is
-        the label's matrix; pi^mu Q^{-1} scales the rows of Q^{-1}, as the
-        products with the off-diagonal exact zeros of pi^mu change no sum."""
-        right = GroupMatrix(ring, [[d * x for x in row] for d, row in
-                                   zip(self._unif_powers(label.mu, ring),
-                                       self._lift_inverse(label.Q, ring).rows)])
-        return self.lift_residue_matrix(label.P, ring), right
+        """lift(P) and pi^(mu - mu_1) lift(Q)^{-1} over ``ring``, whose
+        product is the label's matrix shifted by the central pi^(-mu_1)."""
+        return (self.lift_residue_matrix(label.P, ring),
+                self.unif_scale_rows(label.mu, self._lift_inverse(label.Q, ring), ring))
 
     def label_matrix(self, label, ring):
-        """g = lift(P) pi^mu lift(Q)^{-1} over ``ring``, one product: the
-        u = I member of ``left_coset_reps``."""
-        P, right = self._label_factors(label, ring)
-        return P * right
+        """pi^(-mu_1) g for g = lift(P) pi^mu lift(Q)^{-1}, integral, over
+        ``ring``: one product, the u = I member of ``left_coset_reps``."""
+        return coord_mul(ring, *self._label_factors(label, ring))
 
     def left_coset_reps(self, label, ring):
-        """Left-coset representatives of K g K / K for g = P pi^mu Q^{-1}.
+        """Left-coset representatives of K g K / K for g = P pi^mu Q^{-1},
+        each times the central pi^(-mu_1), as integral coordinate matrices.
 
         K_m is normal in GL_n(o), so K g K = P (K pi^mu K) Q^{-1}, and the
         Iwahori factorisation K_m = U^- T U^+ leaves only the lower
@@ -293,29 +331,34 @@ class GroupContext:
         """
         n, mu, m = self.n, label.mu, self.m
         P, right = self._label_factors(label, ring)
-        # P u adds c_ij times column i of P to column j: the terms left out
-        # are exact zeros
-        pcols = list(zip(*P.rows))
-        below = [(i, j) for i in range(1, n) for j in range(i)]
-        choices = [self._digits(ring, m, m + mu[i] - mu[j]) for i, j in below]
+        zero, mul, add = ring.zero(), ring.mul, ring.add
+        # u - I = sum of c_ij e_i e_j^T, so P u R = P R plus c_ij times the
+        # outer product of column i of P and row j of R, for each i > j
+        terms = []
+        for i in range(1, n):
+            for j in range(i):
+                col, row = [r[i] for r in P], right[j]
+                terms.append([None if c == zero else
+                              tuple(tuple(mul(x, y) for y in row) for x in (mul(e, c) for e in col))
+                              for c in self._digits(ring, m, m + mu[i] - mu[j])])
+        base = coord_mul(ring, P, right)
         reps = []
-        for entries in itertools.product(*choices):
-            cols = list(pcols)
-            for (i, j), c in zip(below, entries):
-                f = FieldElement.make(ring, 0, c)
-                cols[j] = [x + y * f for x, y in zip(cols[j], pcols[i])]
-            reps.append(GroupMatrix(ring, zip(*cols)) * right)
+        for chosen in itertools.product(*terms):
+            rep = base
+            for T in chosen:
+                if T is not None:
+                    rep = tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(rep, T))
+            reps.append(rep)
         return reps
 
     def fingerprint(self, label, ring):
         """The keys of the left cosets in the double coset of ``label``, in
-        the order of its transversal over ``ring``."""
-        return [self.left_coset_key(g) for g in self.left_coset_reps(label, ring)]
-
-    def label_of_matrix(self, g):
-        mu, x, y = self.smith_cartan(g)
-        return CosetLabel(mu, x.residue_matrix(self.m), y.residue_matrix(self.m),
-                          self.m)
+        the order of its transversal over ``ring``: the members are read as
+        precision-tracked matrices, scaled back by pi^mu_1, for the key."""
+        scale = FieldElement.unif_power(ring, label.mu[0], self.side.unif_unit_coords(ring))
+        return [self.left_coset_key(GroupMatrix(ring, [[FieldElement.make(ring, 0, x) * scale
+                                                        for x in row] for row in g]))
+                for g in self.left_coset_reps(label, ring)]
 
     # -- canonical labels ------------------------------------------------------------
 
@@ -609,6 +652,19 @@ class GroupContext:
             if not residue_invertible(ring, data):
                 raise ConfigError(f"{field}.{key} is not invertible modulo pi")
         return CosetLabel(mu, P, Q, level)
+
+
+def smith_pivot(ring, a, k):
+    """(v, i, j) for the first entry, in (row, col) order, of least
+    valuation in the block of ``a`` from row and column k on."""
+    best = None
+    for i in range(k, len(a)):
+        row = a[i]
+        for j in range(k, len(row)):
+            v = ring.val(row[j])
+            if best is None or v < best[0]:
+                best = (v, i, j)
+    return best
 
 
 def residue_invertible(ring, mat):

@@ -23,7 +23,7 @@ from .errors import (
     SpecMismatchError,
     json_field,
 )
-from .matrices import spread
+from .matrices import coord_mul, spread
 
 
 class HeckeElement:
@@ -107,31 +107,39 @@ class HeckeAlgebra:
 
     # -- convolution ---------------------------------------------------------
     def _basis_product(self, la, lb):
+        """The counts (label, c_D) of t_la * t_lb from one row: a = P pi^mu
+        Q^{-1} against the transversal b_j of K b K, each product a b_j named
+        by its Smith label and c_D = |A| n_D / |D/K| (module docstring).
+
+        The products run on integral coordinates over o/pi^N with
+        N = m + spread(mu_a) + spread(mu_b), which fixes every label: with the
+        central shifts a' = pi^(-mu_a1) a and b_j' = pi^(-mu_b1) b_j, the
+        largest Smith invariant of a' is spread(mu_a) and that of b_j' is
+        spread(mu_b), since P, Q and the unipotent u lie in GL_n(o).  For
+        integral g the largest invariant is -val(g^{-1}), and
+        (a' b_j')^{-1} = b_j'^{-1} a'^{-1}, so lambda_n(a' b_j') <=
+        spread(mu_a) + spread(mu_b) = N - m.  Any g' = g mod pi^(lambda_n + m)
+        is g (1 + g^{-1}(g' - g)) with g^{-1}(g' - g) in pi^m M_n(o), so it
+        lies in g K_m: every lift of a' b_j' mod pi^N names one double coset,
+        and pi_dist^(mu_a1 + mu_b1) is central, so it adds to the invariant.
+        ``smith_cartan`` checks the bound on each product."""
         ctx = self.context
-        pi_prec = (ctx.m + 2 * (spread(la.mu) + spread(lb.mu))
-                   + max(0, -la.mu[0]) + max(0, -lb.mu[0]) + 4)
-
-        def run(prec):
-            # one row a = P pi^mu Q^-1 against B: n_D products a b_j land in
-            # D, and the first of them names it (c_D = |A| n_D / |D/K|,
-            # module docstring)
-            ring = ctx.working_ring(prec)
-            a, size_a = ctx.label_matrix(la, ring), ctx.coset_count(la.mu)
-            reached = {}
-            for bj in ctx.left_coset_reps(lb, ring):
-                lab = ctx.label_of_matrix(a * bj)
-                reached.setdefault(ctx.canonical_label(lab), [lab, 0])[1] += 1
-            out = []
-            for lab, n in reached.values():
-                pairs, index = size_a * n, ctx.coset_count(lab.mu)
-                if pairs % index:
-                    raise InvariantViolationError(
-                        f"the {index} left cosets of double coset {lab.mu} "
-                        f"cannot share {pairs} products evenly")
-                out.append((lab, pairs // index))
-            return tuple(out)
-
-        return ctx.with_retry(run, pi_prec)
+        shift = la.mu[0] + lb.mu[0]
+        ring = ctx.working_ring(ctx.m + spread(la.mu) + spread(lb.mu))
+        a, size_a = ctx.label_matrix(la, ring), ctx.coset_count(la.mu)
+        reached = {}
+        for bj in ctx.left_coset_reps(lb, ring):
+            lab = ctx.label_of_matrix(coord_mul(ring, a, bj), ring, shift)
+            reached.setdefault(ctx.canonical_label(lab), [lab, 0])[1] += 1
+        out = []
+        for lab, n in reached.values():
+            pairs, index = size_a * n, ctx.coset_count(lab.mu)
+            if pairs % index:
+                raise InvariantViolationError(
+                    f"the {index} left cosets of double coset {lab.mu} "
+                    f"cannot share {pairs} products evenly")
+            out.append((lab, pairs // index))
+        return tuple(out)
 
     def convolve(self, f: HeckeElement, g: HeckeElement) -> HeckeElement:
         self._check_same(f.algebra)

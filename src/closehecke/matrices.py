@@ -1,16 +1,28 @@
-"""Precision-tracked local-field scalars and GL_n matrices over them.
+"""Integral matrices on raw coordinates, cocharacters, and the
+precision-tracked scalars and matrices that the oracles keep.
 
-A nonzero scalar is pi^v * u with u a unit of the working truncated ring,
-known modulo pi^(v + prec); zero is a marker with a recorded floor ("the
-value is O(pi^floor)").  Multiplication adds valuations exactly; addition
-records any relative precision lost to cancellation.  Every decision
-(valuation, residue, pivot) is certified against the available precision
-and raises InsufficientPrecisionError rather than guessing.
+Products run on integral n x n matrices given as rows of raw coordinates of
+one truncated ring o/pi^N (``coord_mul``, ``unimodular_inverse``): exact in
+that ring, with N proven sufficient by the caller (see
+``HeckeAlgebra._basis_product``), so no entry carries a precision of its own.
+
+``FieldElement`` and ``GroupMatrix`` are the older layer: a nonzero scalar
+is pi^v * u with u a unit known modulo pi^(v + prec), and zero a marker with
+a recorded floor ("the value is O(pi^floor)").  Multiplication adds
+valuations exactly; addition records any relative precision lost to
+cancellation; ``certified_min`` refuses a pivot that a floor could undercut.
+No library path computes with them any more: the test oracles do, and the
+benchmark's tracer still counts their calls.
 """
 
 from __future__ import annotations
 
-from .errors import InsufficientPrecisionError, NotAUnitError, SpecMismatchError
+from .errors import (
+    InsufficientPrecisionError,
+    InvariantViolationError,
+    NotAUnitError,
+    SpecMismatchError,
+)
 
 INF = float("inf")
 
@@ -181,19 +193,6 @@ class GroupMatrix:
                                   for i in range(n)])
 
     @staticmethod
-    def diagonal(ring, entries):
-        zero = FieldElement.zero(ring)
-        n = len(entries)
-        return GroupMatrix(ring, [[entries[i] if i == j else zero for j in range(n)]
-                                  for i in range(n)])
-
-    @staticmethod
-    def unif_diagonal(ring, mu, unit_coords=None):
-        """diag(pi^mu_1, ..., pi^mu_n) for the distinguished uniformizer."""
-        return GroupMatrix.diagonal(
-            ring, [FieldElement.unif_power(ring, m, unit_coords) for m in mu])
-
-    @staticmethod
     def from_residue(ring, data, level):
         return GroupMatrix(ring, [[FieldElement.from_residue(ring, x, level)
                                    for x in row] for row in data])
@@ -249,6 +248,44 @@ class GroupMatrix:
 
     def __repr__(self):
         return f"GroupMatrix({self.rows!r})"
+
+
+# ---------------------------------------------------------------------------
+# Integral matrices on raw coordinates of one truncated ring
+
+def coord_mul(ring, A, B):
+    """A B for square coordinate matrices; a zero entry of A adds nothing."""
+    zero, mul, add = ring.zero(), ring.mul, ring.add
+    cols = range(len(B[0]))
+    rows = []
+    for row in A:
+        out = [zero for _ in cols]
+        for x, brow in zip(row, B):
+            if x != zero:
+                out = [add(o, mul(x, b)) for o, b in zip(out, brow)]
+        rows.append(tuple(out))
+    return tuple(rows)
+
+
+def unimodular_inverse(ring, A):
+    """A^{-1} for A in GL_n(o), by Gauss-Jordan with the first unit of each
+    column as pivot: exact in the truncated ring, where the inverse is
+    unique.  A matrix that is singular modulo pi raises."""
+    n = len(A)
+    one, zero = ring.one(), ring.zero()
+    a = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(A)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if ring.is_unit(a[i][k])), None)
+        if piv is None:
+            raise InvariantViolationError(f"{A} is not invertible modulo pi")
+        a[k], a[piv] = a[piv], a[k]
+        inv = ring.inv(a[k][k])
+        a[k] = [ring.mul(inv, x) for x in a[k]]
+        for i in range(n):
+            f = a[i][k]
+            if i != k and f != zero:
+                a[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(a[i], a[k])]
+    return tuple(tuple(row[n:]) for row in a)
 
 
 # ---------------------------------------------------------------------------

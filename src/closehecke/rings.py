@@ -11,8 +11,9 @@ Coordinate conventions
     equal element   : tuple of N ints in [0, p), little-endian in t
     extension element: tuple of l base elements, little-endian in T
 
-Ring objects operate on these raw coordinates; precision is tracked one
-layer up, by :class:`closehecke.matrices.FieldElement`.
+Ring objects operate on these raw coordinates, exactly in the truncation;
+the callers prove the truncation level they need (see
+``closehecke.hecke.HeckeAlgebra._basis_product``).
 """
 
 from __future__ import annotations
@@ -575,14 +576,25 @@ def _subst_formula(ring, image_coeffs):
 
 def _equal_substitution(dom, cod, image_coeffs):
     """x(t) -> x(phi) with phi = sum_{j>=1} c_j t^j given by image_coeffs
-    (c_1 first)."""
+    (c_1 first).  The map is F_p-linear in the coordinates, so x(phi) is the
+    sum of x_i phi^i with the powers phi^i taken once: additions of
+    coordinate vectors only.  phi = t leaves the coordinates as they are."""
     phi = cod.mul_pi(_subst_formula(cod, image_coeffs), 1)
+    if phi == cod.mul_pi(cod.one(), 1):
+        return lambda coords: coords
+    powers, power = [], cod.one()
+    for _ in range(dom.level):
+        powers.append([(j, c) for j, c in enumerate(power) if c])
+        power = cod.mul(power, phi)
+    p, level = cod.p, cod.level
 
     def apply(coords):
-        acc = cod.zero()
-        for c in reversed(coords):
-            acc = cod.add(cod.mul(acc, phi), cod.from_int(c))
-        return acc
+        out = [0] * level
+        for x, power in zip(coords, powers):
+            if x:
+                for j, c in power:
+                    out[j] += x * c
+        return tuple(c % p for c in out)
 
     return apply
 

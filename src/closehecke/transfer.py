@@ -17,7 +17,7 @@ from .cartan import CosetLabel, GroupContext, residue_invertible
 from .coeffs import CoeffField
 from .errors import ConfigError, InvariantViolationError, SideMismatchError
 from .hecke import HeckeAlgebra, HeckeElement
-from .matrices import GroupMatrix, cochar_window, spread
+from .matrices import cochar_window, coord_mul, spread
 from .rings import (
     EQUAL,
     MIXED,
@@ -357,16 +357,17 @@ def check_lemma_conv(tower: Tower, window_spread=2, elements=20, seed=0) -> Repo
                                     f"{lam_}+{mu_}", lhs, rhs))
     window_elements = [_random_residue_gl(ctx, rng) for _ in range(elements)]
     lam_list = [mu for mu in mus if spread(mu) >= 1][:3]
-    prec = ctx.default_pi_prec(lam_list)
-    ring = ctx.working_ring(prec)
     for i, (x1, x2) in enumerate(zip(window_elements, reversed(window_elements))):
         lam_ = lam_list[i % len(lam_list)]
-        X1 = GroupMatrix.from_residue(ring, x1, ctx.m)
-        X2 = GroupMatrix.from_residue(ring, x2, ctx.m)
-        D = ctx.unif_power_matrix(lam_, ring)
-        lhs = alg.basis(ctx.label_of_matrix(X1 * D * X2))
-        rhs = alg.convolve(alg.convolve(alg.basis(ctx.label_of_matrix(X1)),
+        # X1 pi^lam X2 = pi^lam_1 (X1 pi^(lam - lam_1) X2), whose largest
+        # invariant is spread(lam), so pi^(m + spread) fixes its label
+        ring = ctx.working_ring(ctx.m + spread(lam_))
+        X1 = ctx.lift_residue_matrix(x1, ring)
+        X2 = ctx.lift_residue_matrix(x2, ring)
+        lhs = alg.basis(ctx.label_of_matrix(
+            coord_mul(ring, X1, ctx.unif_scale_rows(lam_, X2, ring)), ring, lam_[0]))
+        rhs = alg.convolve(alg.convolve(alg.basis(ctx.label_of_matrix(X1, ring)),
                                         alg.unif_basis(lam_)),
-                           alg.basis(ctx.label_of_matrix(X2)))
+                           alg.basis(ctx.label_of_matrix(X2, ring)))
         rep.add(**_sample_entry("three-factor", f"x{i} around t[{lam_}]", lhs, rhs))
     return rep

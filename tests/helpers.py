@@ -27,12 +27,21 @@ and share no code with the zero-skipping kernels of ``closehecke.tate``;
 ``dense_kernel_basis`` reads the kernel off Gauss-Jordan elimination of
 [A^T | I] rather than off the free columns.
 
-Five helpers are no oracles: ``lift_label`` builds the matrix
-lift(P) pi^mu lift(Q)^{-1} of a label, ``check_brauer_multiplicative``
+The oracles work on precision-tracked ``GroupMatrix`` values, while the
+library's products run on integral coordinates.  The one conversion between
+them is ``integral_coords``: it reads a matrix at its certified absolute
+precision N_g after a central shift, and ``smith_of_matrix``, ``label_of``
+and ``smith_reconstruction`` pass it to the library's one elimination, which
+refuses when no pivot lies below N_g or lambda_n + m > N_g.
+``as_group_matrix`` goes the other way, for ``lift_label`` (the matrix
+lift(P) pi^mu lift(Q)^{-1} of a label) and ``left_coset_matrices``.
+
+The other helpers are no oracles either: ``check_brauer_multiplicative``
 samples Br(f * g) = Br(f) * Br(g) on seeded pairs, ``transport_module``
 renames a module's generators, ``module_to_json`` writes a module in the
-format ``module_from_json`` reads, and ``hecke_unit`` is the unit basis
-element of a Hecke algebra.  Only tests use them, so they live here.
+format ``module_from_json`` reads, ``hecke_unit`` is the unit basis element
+of a Hecke algebra, and ``default_pi_prec`` is the oracles' working
+precision.  Only tests use them, so they live here.
 """
 
 import itertools
@@ -48,7 +57,15 @@ from closehecke.errors import (
     SideMismatchError,
     SpecMismatchError,
 )
-from closehecke.matrices import FieldElement, GroupMatrix, certified_min, cochar_window, spread
+from closehecke.matrices import (
+    FieldElement,
+    GroupMatrix,
+    certified_min,
+    cochar_window,
+    coord_mul,
+    spread,
+    unimodular_inverse,
+)
 from closehecke.rings import RAMIFIED
 from closehecke.tate import CyclicModule
 from closehecke.transfer import Report, _sample_entry, random_label
@@ -130,7 +147,7 @@ def brute_left_cosets(ctx, g, mu=None):
     """Left cosets of K g K / K by full enumeration of K_m / K_r and
     pairwise definitional comparison (no canonical keys)."""
     if mu is None:
-        mu = ctx.smith_cartan(g)[0]
+        mu = smith_of_matrix(ctx, g)[0]
     r = ctx.m + spread(mu)
     return _distinct_cosets(ctx, (k * g for k in _brute_k_elements(ctx, g.ring, r)))
 
@@ -209,7 +226,7 @@ def gamma_stabilizer(ctx, mu):
     """Gamma_mu = {(x, y) : lift(x) pi^mu lift(y)^-1 in K pi^mu K} as a
     list of residue-matrix pairs, every pair of G(o/pi^m) tested by
     definition against the brute-force left cosets of K pi^mu K."""
-    ring = ctx.working_ring(ctx.default_pi_prec([mu]))
+    ring = ctx.working_ring(default_pi_prec(ctx, [mu]))
     cosets = brute_left_cosets(ctx, lift_label(ctx, ctx.unif_label(mu), ring), mu)
     els = ctx.group_elements()
     return [(x, y) for x in els for y in els
@@ -251,7 +268,7 @@ def fingerprint(ctx, label):
             return by_key[first]
         return (label.mu, tuple(sorted(ctx.fingerprint(label, ring))))
 
-    fp = ctx.with_retry(run, ctx.default_pi_prec([label.mu]))
+    fp = ctx.with_retry(run, default_pi_prec(ctx, [label.mu]))
     for key in fp[1]:
         by_key.setdefault(key, fp)
     memo[label] = fp
@@ -319,7 +336,7 @@ def subgroup(ctx, kind, t):
         if kind == "X":
             group.append(mat)
         elif residue_invertible(ring, mat):
-            inv = ctx.lift_residue_matrix(mat, ring).inverse().residue_matrix(m)
+            inv = lift_residue_matrix(ctx, mat, ring).inverse().residue_matrix(m)
             group.append((mat, inv))
     groups[(kind, t)] = group
     return group
@@ -379,9 +396,9 @@ def sigma_label_by_lift(ctx, label):
     re-running the Cartan decomposition."""
     def run(prec):
         ring = ctx.working_ring(prec)
-        return ctx.label_of_matrix(sigma_on_group(ctx, lift_label(ctx, label, ring)))
+        return label_of(ctx, sigma_on_group(ctx, lift_label(ctx, label, ring)))
 
-    return ctx.with_retry(run, ctx.default_pi_prec([label.mu]))
+    return ctx.with_retry(run, default_pi_prec(ctx, [label.mu]))
 
 
 def embedded_label_by_lift(ctxE, ctxF, flab):
@@ -401,7 +418,7 @@ def embedded_label_by_lift(ctxE, ctxF, flab):
         ringF = side.base_side.ring(ringE.level)
         w = side.base_side.unif_unit_coords(ringF) if side.kind == RAMIFIED else ringF.one()
         gF = lift_label(ctxF, flab, ringF)
-        return ctxE.label_of_matrix(GroupMatrix(ringE, [
+        return label_of(ctxE, GroupMatrix(ringE, [
             [FieldElement.zero(ringE, e * x.v) if x.is_zero_marker()
              else FieldElement(ringE, e * x.v, ringE.embed(ringF.mul(x.unit, ringF.pow(w, -x.v))),
                                e * x.prec)
@@ -434,22 +451,118 @@ def brauer_restrict_by_window(HE, f, HF):
 
 
 def lift_label(ctx, label, ring):
-    """lift(P) pi^mu lift(Q)^{-1} over ``ring``: P pi^mu scales P's columns,
-    as the products with the off-diagonal exact zeros of pi^mu change no
-    sum, and lift(Q)^{-1} is the context's, inverted once per (Q, ring)."""
-    powers = ctx._unif_powers(label.mu, ring)
-    P = ctx.lift_residue_matrix(label.P, ring)
-    Pd = GroupMatrix(ring, [[x * d for x, d in zip(row, powers)] for row in P.rows])
-    return Pd * ctx._lift_inverse(label.Q, ring)
+    """lift(P) pi^mu lift(Q)^{-1} over ``ring`` as a precision-tracked
+    matrix: the context's integral ``label_matrix`` scaled back by the
+    central pi^mu_1."""
+    return as_group_matrix(ctx, ctx.label_matrix(label, ring), ring, label.mu[0])
+
+
+def as_group_matrix(ctx, rows, ring, shift=0):
+    """pi_dist^shift times the integral coordinate matrix ``rows`` over
+    ``ring``, as a GroupMatrix whose entries are known modulo
+    pi^(pi-level + shift)."""
+    scale = FieldElement.unif_power(ring, shift, ctx.side.unif_unit_coords(ring))
+    return GroupMatrix(ring, [[FieldElement.make(ring, 0, x) * scale for x in row]
+                              for row in rows])
+
+
+def integral_coords(ctx, g, shift=None):
+    """(rows, ring, shift, prec): pi_dist^-shift g is integral and known
+    modulo pi^prec, its certified absolute precision N_g, and ``rows`` are
+    its coordinates over ``ring``, a working ring of the side that holds
+    pi^prec.  ``shift`` defaults to the least certified valuation of an
+    entry.  A zero floor below the shift leaves prec <= 0, which
+    ``smith_cartan`` refuses."""
+    if shift is None:
+        vals = [x.v for row in g.rows for x in row if not x.is_zero_marker()]
+        if not vals:
+            raise InsufficientPrecisionError("no entry has a certified valuation")
+        shift = min(vals)
+    scale = FieldElement.unif_power(g.ring, -shift, ctx.side.unif_unit_coords(g.ring))
+    h = [[x * scale for x in row] for row in g.rows]
+    prec = min(x.abs_prec() for row in h for x in row)
+    ring = ctx.working_ring(max(prec, 1))
+    rows = []
+    for row in h:
+        out = []
+        for x in row:
+            if x.is_zero_marker():
+                out.append(ring.zero())
+            elif x.v < 0:
+                raise SpecMismatchError(f"{g} is not integral after the shift by {shift}")
+            else:
+                out.append(ring.mul_pi(ring.lift_residue(x.unit, x.prec), x.v))
+        rows.append(tuple(out))
+    return tuple(rows), ring, shift, prec
+
+
+def smith_of_matrix(ctx, g):
+    """(mu, x, y) of g = x pi^mu y^{-1} for a precision-tracked g, through
+    the library's one elimination on g's integral coordinates; x and y come
+    back as matrices known modulo pi^(N_g - lambda_n), which is as far as g
+    fixes them."""
+    rows, ring, shift, prec = integral_coords(ctx, g)
+    mu, x, y = ctx.smith_cartan(rows, ring, prec)
+    known = prec - mu[-1]
+
+    def back(M):
+        return GroupMatrix(ring, [[FieldElement.make(ring, 0, e, known) for e in row]
+                                  for row in M])
+
+    return tuple(k + shift for k in mu), back(x), back(y)
+
+
+def smith_reconstruction(ctx, g):
+    """(mu, ok): the invariant of a precision-tracked g through the
+    library's elimination, and whether x pi^mu y^{-1}, rebuilt in
+    coordinates with y inverted by ``unimodular_inverse``, reproduces
+    pi^-shift g modulo pi^(N_g)."""
+    rows, ring, shift, prec = integral_coords(ctx, g)
+    mu, x, y = ctx.smith_cartan(rows, ring, prec)
+    w = ctx.side.unif_unit_coords(ring)
+    powers = [ring.mul_pi(ring.pow(w, k), k) for k in mu]
+    right = tuple(tuple(ring.mul(d, e) for e in row)
+                  for d, row in zip(powers, unimodular_inverse(ring, y)))
+    rec = coord_mul(ring, x, right)
+    ok = all(ring.residue(a, prec) == ring.residue(b, prec)
+             for ra, rb in zip(rec, rows) for a, b in zip(ra, rb))
+    return tuple(k + shift for k in mu), ok
+
+
+def label_of(ctx, g):
+    """The label of a precision-tracked matrix g, read at its certified
+    absolute precision."""
+    rows, ring, shift, prec = integral_coords(ctx, g)
+    return ctx.label_of_matrix(rows, ring, shift, prec)
+
+
+def lift_residue_matrix(ctx, data, ring):
+    """The canonical lift of a residue matrix at level m, precision-tracked."""
+    return GroupMatrix.from_residue(ring, data, ctx.m)
+
+
+def unif_power_matrix(ctx, mu, ring):
+    """diag(pi^mu_1, ..., pi^mu_n) for the distinguished uniformizer."""
+    w, zero = ctx.side.unif_unit_coords(ring), FieldElement.zero(ring)
+    return GroupMatrix(ring, [[FieldElement.unif_power(ring, k, w) if i == j else zero
+                               for j in range(len(mu))] for i, k in enumerate(mu)])
+
+
+def default_pi_prec(ctx, mus):
+    """A working pi-precision for precision-tracked matrices of the
+    invariants ``mus``, with slack for the oracles' floors."""
+    s = max((spread(mu) for mu in mus), default=0)
+    neg = max((max(0, -mu[0]) for mu in mus), default=0)
+    return ctx.m + 2 * s + neg + 4
 
 
 def lift_label_by_products(ctx, label, ring):
     """P pi^mu Q^{-1} and its transversal P u pi^mu Q^{-1} with every factor
     a full GroupMatrix product, u = I first."""
     n, mu, m = ctx.n, label.mu, ctx.m
-    P = ctx.lift_residue_matrix(label.P, ring)
-    D = ctx.unif_power_matrix(mu, ring)
-    Q_inv = ctx.lift_residue_matrix(label.Q, ring).inverse()
+    P = lift_residue_matrix(ctx, label.P, ring)
+    D = unif_power_matrix(ctx, mu, ring)
+    Q_inv = lift_residue_matrix(ctx, label.Q, ring).inverse()
     right = D * Q_inv
     below = [(i, j) for i in range(1, n) for j in range(i)]
     choices = [ctx._digits(ring, m, m + mu[i] - mu[j]) for i, j in below]
@@ -460,6 +573,13 @@ def lift_label_by_products(ctx, label, ring):
             rows[i][j] = FieldElement.make(ring, 0, c)
         reps.append(P * GroupMatrix(ring, rows) * right)
     return P * D * Q_inv, reps
+
+
+def left_coset_matrices(ctx, label, ring):
+    """The transversal of ``left_coset_reps`` as precision-tracked matrices,
+    scaled back by the central pi^mu_1."""
+    return [as_group_matrix(ctx, g, ring, label.mu[0])
+            for g in ctx.left_coset_reps(label, ring)]
 
 
 def hecke_unit(H):
@@ -482,7 +602,7 @@ def distinct_double_cosets(ctx, labels, ring):
     transversal, tested as B^{-1} u A in K."""
     invs = [lift_label(ctx, lab, ring).inverse() for lab in labels]
     for a, lab in enumerate(labels):
-        for rep in ctx.left_coset_reps(lab, ring):
+        for rep in left_coset_matrices(ctx, lab, ring):
             if any(b != a and _in_k(ctx, inv, rep) for b, inv in enumerate(invs)):
                 return False
     return True
@@ -832,20 +952,30 @@ def brute_is_irreducible(f, p, low=(0,)):
 
 
 def check_brauer_multiplicative(tower, pairs=25, seed=0):
-    """Br(f * g) = Br(f) * Br(g) on seeded sigma-invariant pairs."""
+    """Br(f * g) = Br(f) * Br(g) on seeded sigma-invariant pairs.  In every
+    other pair f and g are orbit sums of base labels embedded in G(E), whose
+    restrictions are nonzero; an orbit sum of a random E label almost never
+    meets G(F), so on its own it would compare 0 with 0."""
     rng = random.Random(seed)
     rep = Report("check brauer-mult",
                  {"p": tower.p, "m": tower.m, "n": tower.n, "case": tower.case,
                   "pairs": pairs, "seed": seed})
     HE, HF = tower.alg["E"], tower.alg["F"]
-    ctxE = tower.ctx["E"]
+    ctxE, ctxF = tower.ctx["E"], tower.ctx["F"]
     small = cochar_window(tower.n, 0, 1)
     family = [HE.sigma_orbit_sum(ctxE.unif_label(mu))
               for mu in cochar_window(tower.n, 0, tower.extpair.E.e)]
+
+    def embedded():
+        return HE.sigma_orbit_sum(ctxE.embed_base_label(random_label(ctxF, rng, small)))
+
     for i in range(pairs):
-        f = family[rng.randrange(len(family))] if rng.randrange(2) == 0 \
-            else HE.sigma_orbit_sum(random_label(ctxE, rng, small))
-        g = HE.sigma_orbit_sum(random_label(ctxE, rng, small))
+        if i % 2:
+            f, g = embedded(), embedded()
+        else:
+            f = family[rng.randrange(len(family))] if rng.randrange(2) == 0 \
+                else HE.sigma_orbit_sum(random_label(ctxE, rng, small))
+            g = HE.sigma_orbit_sum(random_label(ctxE, rng, small))
         lhs = tower.brauer(HE.convolve(f, g))
         rhs = HF.convolve(tower.brauer(f), tower.brauer(g))
         rep.add(**_sample_entry("brauer-mult", f"pair#{i}", lhs, rhs))

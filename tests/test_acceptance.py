@@ -13,6 +13,7 @@ import pytest
 
 from closehecke.cartan import GroupContext
 from closehecke.coeffs import CoeffField
+from closehecke.errors import InsufficientPrecisionError
 from closehecke.hecke import HeckeAlgebra
 from closehecke.rings import MIXED, base_side
 from closehecke.tate import (
@@ -41,8 +42,10 @@ from helpers import (
     coeff_at,
     conv_coeff_double_sum,
     hecke_unit,
+    integral_coords,
     minor_valuation_mu,
     random_field_matrix,
+    smith_reconstruction,
     transport_module,
 )
 
@@ -80,13 +83,13 @@ def test_criterion_01_cartan_snf_oracle():
                     oracle_mu = minor_valuation_mu(g)
                 except AssertionError:
                     continue
-                mu, x, y = ctx.smith_cartan(g)
-                assert mu == oracle_mu
-                rec = x * ctx.unif_power_matrix(mu, ring) * y.inverse()
-                for row_r, row_g in zip(rec.rows, g.rows):
-                    for a, b in zip(row_r, row_g):
-                        d = a - b
-                        assert d.is_zero_marker() and d.v >= 1
+                try:
+                    mu, reconstructs = smith_reconstruction(ctx, g)
+                except InsufficientPrecisionError:
+                    # refused only where g does not fix its label: lambda_n + m > N_g
+                    assert oracle_mu[-1] - oracle_mu[0] + ctx.m > integral_coords(ctx, g)[3]
+                    continue
+                assert mu == oracle_mu and reconstructs
                 done += 1
             total += done
     _report(1, total >= 500, time.perf_counter() - t0, 10,
@@ -158,6 +161,9 @@ def test_criterion_04_kazhdan_homomorphism():
         (3, 1, "mixed-equal", None),
         (2, 2, "equal-equal", (1, 1)),
         (3, 2, "equal-equal", (2,)),
+        # at p = 2, m = 2 every closeness iso is the identity on F_2[t]/t^2;
+        # at m = 3, t + t^2 moves the t^2 coordinate
+        (2, 3, "equal-equal", (1, 1)),
     ]
     for p, m, mode, image in configs:
         tower = Tower(p, m, case=None, l=(3 if p == 2 else 2), pair_mode=mode,
@@ -194,10 +200,15 @@ def test_criterion_06_main_theorem(tower_unram, tower_ram):
 def test_criterion_07_brauer_multiplicative(tower_unram, tower_ram):
     t0 = time.perf_counter()
     ok = True
+    nonzero = []
     for tower in (tower_unram, tower_ram):
         rep = check_brauer_multiplicative(tower, pairs=25, seed=70)
-        ok = ok and rep.passed and len(rep.samples) >= 25
-    _report(7, ok, time.perf_counter() - t0, 120, "25 pairs per case")
+        # a sample comparing 0 with 0 cannot fail: each tower must compare
+        # nonzero restrictions in at least 10 of its pairs
+        nonzero.append(sum(1 for s in rep.samples if s["lhs"]["terms"] or s["rhs"]["terms"]))
+        ok = ok and rep.passed and len(rep.samples) >= 25 and nonzero[-1] >= 10
+    _report(7, ok, time.perf_counter() - t0, 120,
+            f"25 pairs per case, {nonzero} with a nonzero side")
 
 
 def test_criterion_08_tate_suite():

@@ -295,6 +295,8 @@ def test_optimized_run_is_byte_identical(tmp_path):
 _TYPED_INVARIANT_TESTS = [
     "tests/test_cartan.py::test_group_elements_short_closure_raises",
     "tests/test_cartan.py::test_decreasing_cartan_invariant_raises_typed_error",
+    "tests/test_products.py::test_smith_refusals_are_typed",
+    "tests/test_products.py::test_a_matrix_known_below_the_bound_is_refused",
     "tests/test_cartan.py::test_label_ring_at_the_wrong_level_raises_typed_error",
     "tests/test_cartan.py::test_walk_missing_a_generator_raises",
     "tests/test_cartan.py::test_an_unknown_multiplier_reaches_the_smith_transforms",

@@ -23,6 +23,7 @@ from helpers import (
     fingerprint,
     hecke_unit,
     k_elements,
+    label_of,
     lift_label,
     same_double_coset,
     sigma_label_by_lift,
@@ -230,7 +231,7 @@ def test_structure_constants_representative_independent(HF2):
     for _ in range(4):
         k1 = ks[rng.randrange(len(ks))]
         k2 = ks[rng.randrange(len(ks))]
-        alt = ctx.label_of_matrix(k1 * lift_label(ctx, la, ring) * k2)
+        alt = label_of(ctx, k1 * lift_label(ctx, la, ring) * k2)
         assert fingerprint(ctx, alt) == fingerprint(ctx, la)
         out = HF2.convolve(HF2.basis(alt), HF2.basis(alt))
         assert out == base

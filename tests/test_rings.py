@@ -108,6 +108,35 @@ def test_lambda_reversion_deeper_level():
     check_ring_hom(lam)
 
 
+def _horner_substitution(ring, image_coeffs, coords):
+    """x(phi) for phi = sum_{j>=1} c_j t^j by Horner's rule with full ring
+    products: phi built as t (c_1 + t (c_2 + ...)), then
+    x_0 + phi (x_1 + phi (x_2 + ...))."""
+    phi = ring.zero()
+    for c in reversed(image_coeffs):
+        phi = ring.add(ring.mul(phi, ring.unif()), ring.from_int(c))
+    phi = ring.mul(phi, ring.unif())
+    acc = ring.zero()
+    for x in reversed(coords):
+        acc = ring.add(ring.mul(acc, phi), ring.from_int(x))
+    return acc
+
+
+@pytest.mark.parametrize("p, level, image", [
+    (2, 4, (1, 1)), (2, 5, (1, 0, 1)), (2, 3, (1,)), (2, 4, (1, 0, 0)),
+    (3, 3, (2,)), (3, 4, (1, 2)), (3, 3, (2, 1, 1))])
+def test_lambda_matches_horner_substitution_on_every_element(p, level, image):
+    # lambda is F_p-linear, so it adds precomputed powers of phi; Horner's
+    # rule with full products is the oracle, and the inverse undoes it
+    R = BaseRing(EQUAL, p, level)
+    lam = build_lambda(R, R, unif_image=image)
+    inv = lam.inverse()
+    for x in R.elements():
+        y = lam.apply(x)
+        assert y == _horner_substitution(R, image, x)
+        assert inv.apply(y) == x
+
+
 # -- extensions ----------------------------------------------------------------
 
 def test_unramified_minimal_poly_choice():

@@ -40,6 +40,7 @@ from helpers import (
     fingerprint,
     hecke_unit,
     k_elements,
+    label_of,
     lift_label,
 )
 
@@ -229,7 +230,7 @@ def test_kaz_well_defined_across_representatives(tower_ram):
     for _ in range(3):
         k1 = ks[rng.randrange(len(ks))]
         k2 = ks[rng.randrange(len(ks))]
-        reps.append(ctx.label_of_matrix(k1 * lift_label(ctx, lab, ring) * k2))
+        reps.append(label_of(ctx, k1 * lift_label(ctx, lab, ring) * k2))
     fps = set()
     for rep in reps:
         moved, target = tw.kaz_label("F", rep)
