@@ -519,11 +519,8 @@ def smith_reconstruction(ctx, g):
     pi^-shift g modulo pi^(N_g)."""
     rows, ring, shift, prec = integral_coords(ctx, g)
     mu, x, y = ctx.smith_cartan(rows, ring, prec)
-    w = ctx.side.unif_unit_coords(ring)
-    powers = [ring.mul_pi(ring.pow(w, k), k) for k in mu]
-    right = tuple(tuple(ring.mul(d, e) for e in row)
-                  for d, row in zip(powers, unimodular_inverse(ring, y)))
-    rec = coord_mul(ring, x, right)
+    # the shift takes the least valuation, so mu_1 = 0 and pi^(mu - mu_1) = pi^mu
+    rec = coord_mul(ring, x, ctx.unif_scale_rows(mu, unimodular_inverse(ring, y), ring))
     ok = all(ring.residue(a, prec) == ring.residue(b, prec)
              for ra, rb in zip(rec, rows) for a, b in zip(ra, rb))
     return tuple(k + shift for k in mu), ok
