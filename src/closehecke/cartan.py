@@ -11,6 +11,7 @@ A label (mu, P, Q) names K P pi^mu Q^{-1} K.  ``canonical_label`` picks one
 representative per double coset by normal forms over the label ring alone:
 it is the one double-coset identity, and the label walk of
 ``enumerate_labels`` is certified complete by the count |G|^2 / |Gamma_mu|.
+Both multiply residue matrices with the product path's ``coord_mul``.
 
 Left cosets g K_m also carry a canonical key, kept for the test oracles and
 the benchmark tracer: scale g integral, column-reduce to the
@@ -18,14 +19,15 @@ lower-triangular Hermite form H over the valuation ring (diagonal pi^{a_i},
 below-diagonal entries reduced mod the diagonal of their row) and record
 (scaling, a, reduced entries, H^{-1} g mod pi^m), H^{-1} g being the inverse
 of the unimodular column operations.  It runs on precision-tracked
-matrices, as does ``with_retry``; no library path calls either.
+matrices, as does ``with_retry``, which doubles the working precision up
+to the class constant ``precision_cap``; no library path calls either.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BudgetExceededError,
@@ -40,22 +42,20 @@ from .matrices import (
     certified_min,
     check_antidominant,
     coord_mul,
+    residue_invertible,
     spread,
     unimodular_inverse,
 )
 
 
-@dataclass(frozen=True)
-class CosetLabel:
-    """One double coset K g K named by g = lift(P) pi_mu lift(Q)^{-1}."""
+class CosetLabel(NamedTuple):
+    """One double coset K g K named by g = lift(P) pi_mu lift(Q)^{-1}: a
+    tuple (mu, P, Q, level), so labels of one context (one level, residues
+    of one shape) sort as (mu, P, Q) with P and Q read flat."""
     mu: tuple
     P: tuple
     Q: tuple
     level: int
-
-    def sort_key(self):
-        # residues of one label ring share a shape: nested tuples sort as flat
-        return (self.mu, self.P, self.Q)
 
 
 def group_order(n, q, pi_level):
@@ -69,14 +69,14 @@ def group_order(n, q, pi_level):
 class GroupContext:
     """GL_n double-coset computations on one side at one congruence level."""
 
-    def __init__(self, side, n, budget=10 ** 7, pair_budget=10 ** 4,
-                 precision_cap=64):
+    precision_cap = 64                      # the last pi-precision with_retry tries
+
+    def __init__(self, side, n, budget=10 ** 7, pair_budget=10 ** 4):
         self.side = side
         self.n = n
         self.m = side.m                      # congruence level, in pi-units
         self.budget = budget
         self.pair_budget = pair_budget
-        self.precision_cap = precision_cap
         self.label_ring = side.ring(side.base_level_m)
         if self.label_ring.pi_level != self.m:
             raise InvariantViolationError(
@@ -381,8 +381,8 @@ class GroupContext:
             Q, y0 = self._y_normal_form(label.Q, mu)
             q_form = self._q_forms[(label.Q, mu)] = (Q, self._conjugate_by_unif(mu, y0))
         Q, x0 = q_form
-        canon = CosetLabel(mu, self._x_normal_form(self._rmat_mul(label.P, x0), mu), Q, self.m)
-        self._canonical[label] = canon
+        P = self._x_normal_form(coord_mul(self.label_ring, label.P, x0), mu)
+        canon = self._canonical[label] = CosetLabel(mu, P, Q, self.m)
         return canon
 
     def _reduce(self, x, s):
@@ -533,11 +533,6 @@ class GroupContext:
                  for c in cs if not ring.is_zero(c)]
                 + [with_entry(0, 0, u) for u in unit_group_generators(ring)])
 
-    def _rmat_mul(self, A, B):
-        ring = self.label_ring
-        cols = list(zip(*B))
-        return tuple(tuple(_ring_dot(ring, row, col) for col in cols) for row in A)
-
     def enumerate_labels(self, mus):
         """One label per double coset with invariant in ``mus``; complete,
         pairwise distinct, ordered lexicographically by (mu, P, Q).
@@ -575,14 +570,14 @@ class GroupContext:
         if self.group_order() ** 2 > self.budget:
             raise BudgetExceededError(
                 f"|G(o/p^m)|^2 = {self.group_order() ** 2} exceeds budget {self.budget}")
-        gens = self._residue_gl_generators()
+        ring, gens = self.label_ring, self._residue_gl_generators()
         start = self.unif_label(mu)
         found = {self.canonical_label(start): start}
         orbit = [start]
         for lab in orbit:       # breadth first: the loop reaches appended labels
             for s in gens:
-                for moved in (CosetLabel(mu, self._rmat_mul(s, lab.P), lab.Q, self.m),
-                              CosetLabel(mu, lab.P, self._rmat_mul(s, lab.Q), self.m)):
+                for moved in (CosetLabel(mu, coord_mul(ring, s, lab.P), lab.Q, self.m),
+                              CosetLabel(mu, lab.P, coord_mul(ring, s, lab.Q), self.m)):
                     canon = self.canonical_label(moved)
                     if canon not in found:
                         found[canon] = moved
@@ -593,7 +588,7 @@ class GroupContext:
             raise InvariantViolationError(
                 f"the walk found {len(found)} labels for {mu}, "
                 f"|G|^2 / |Gamma_mu| = {expected}")
-        return dict(sorted(found.items(), key=lambda kv: kv[1].sort_key()))
+        return dict(sorted(found.items(), key=lambda kv: kv[1]))
 
     def group_elements(self):
         """All residue matrices of GL_n(o/pi^m), in sorted order (budgeted):
@@ -665,31 +660,6 @@ def smith_pivot(ring, a, k):
             if best is None or v < best[0]:
                 best = (v, i, j)
     return best
-
-
-def residue_invertible(ring, mat):
-    """Whether the square matrix ``mat`` over the local ring ``ring`` lies in
-    GL_n, by elimination with unit pivots: a column of the remaining block
-    without a unit vanishes modulo pi, and then so does the determinant."""
-    rows = [list(row) for row in mat]
-    n = len(rows)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if ring.is_unit(rows[i][k])), None)
-        if piv is None:
-            return False
-        rows[k], rows[piv] = rows[piv], rows[k]
-        inv = ring.inv(rows[k][k])
-        for i in range(k + 1, n):
-            f = ring.mul(rows[i][k], inv)
-            rows[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(rows[i], rows[k])]
-    return True
-
-
-def _ring_dot(ring, row, col):
-    acc = ring.mul(row[0], col[0])
-    for k in range(1, len(row)):
-        acc = ring.add(acc, ring.mul(row[k], col[k]))
-    return acc
 
 
 def unit_group_generators(ring):

@@ -52,7 +52,6 @@ def _add_tower_args(p, need_case=False):
                    help="comma-separated F_p coefficients of the image of t (equal-equal)")
     p.add_argument("--budget", type=int, default=10 ** 7)
     p.add_argument("--pair-budget", type=int, default=10 ** 4)
-    p.add_argument("--precision-cap", type=int, default=64)
 
 
 def _add_output_args(p):
@@ -67,7 +66,7 @@ def _tower(args):
         value = getattr(args, flag, None)
         if value is not None and value < 0:
             raise ConfigError(f"--{flag} must not be negative, got {value}")
-    for flag in ("n", "budget", "pair_budget", "precision_cap"):
+    for flag in ("n", "budget", "pair_budget"):
         value = getattr(args, flag)
         if value < 1:
             raise ConfigError(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
@@ -76,11 +75,10 @@ def _tower(args):
            "case": args.case, "pairMode": args.pair_mode, "lambdaImage": lambda_image,
            "seed": getattr(args, "seed", None), "window": getattr(args, "window", None),
            "samples": getattr(args, "samples", None), "budget": args.budget,
-           "pairBudget": args.pair_budget, "precisionCap": args.precision_cap}
+           "pairBudget": args.pair_budget}
     tower = Tower(args.p, args.m, n=args.n, case=args.case, l=args.l,
                   pair_mode=args.pair_mode, coeff_k=args.k, unif_image=lambda_image,
-                  budget=args.budget, pair_budget=args.pair_budget,
-                  precision_cap=args.precision_cap)
+                  budget=args.budget, pair_budget=args.pair_budget)
     return tower, cfg
 
 

@@ -37,8 +37,7 @@ class HeckeElement:
         self.terms = terms
 
     def support(self):
-        return sorted((lab for lab, _ in self.terms.values()),
-                      key=lambda lab: lab.sort_key())
+        return sorted(lab for lab, _ in self.terms.values())
 
     def __add__(self, other):
         self.algebra._check_same(other.algebra)
@@ -53,13 +52,12 @@ class HeckeElement:
         return all(self.terms[key][1] == other.terms[key][1] for key in self.terms)
 
     def __repr__(self):
-        parts = [f"{c}*t[{lab.mu}]" for lab, c in
-                 sorted(self.terms.values(), key=lambda e: e[0].sort_key())]
+        parts = [f"{c}*t[{lab.mu}]" for lab, c in sorted(self.terms.values())]
         return " + ".join(parts) if parts else "0"
 
     def to_json(self):
         alg = self.algebra
-        terms = sorted(self.terms.values(), key=lambda e: e[0].sort_key())
+        terms = sorted(self.terms.values())
         return {"side": alg.side,
                 "l": alg.field.l,
                 "k": alg.field.k,
@@ -225,7 +223,7 @@ class HeckeAlgebra:
         terms = [(ctxF.representative(flab), c) for flab, c in flabs if flab is not None]
         # in label order: a later sum or product keeps the first label it
         # meets for each double coset, and documents print that label
-        return target.element(sorted(terms, key=lambda t: t[0].sort_key()))
+        return target.element(sorted(terms))
 
     # -- serialization ---------------------------------------------------------------
     def from_json(self, d):

@@ -2,9 +2,11 @@
 precision-tracked scalars and matrices that the oracles keep.
 
 Products run on integral n x n matrices given as rows of raw coordinates of
-one truncated ring o/pi^N (``coord_mul``, ``unimodular_inverse``): exact in
-that ring, with N proven sufficient by the caller (see
-``HeckeAlgebra._basis_product``), so no entry carries a precision of its own.
+one truncated ring o/pi^N: exact in that ring, with N proven sufficient by
+the caller (see ``HeckeAlgebra._basis_product``), so no entry carries a
+precision of its own.  ``coord_mul`` is the one product, label rings
+included; one unit-pivot elimination serves ``residue_invertible``, the
+GL_n(o/pi) membership test, and ``unimodular_inverse``.
 
 ``FieldElement`` and ``GroupMatrix`` are the older layer: a nonzero scalar
 is pi^v * u with u a unit known modulo pi^(v + prec), and zero a marker with
@@ -254,37 +256,59 @@ class GroupMatrix:
 # Integral matrices on raw coordinates of one truncated ring
 
 def coord_mul(ring, A, B):
-    """A B for square coordinate matrices; a zero entry of A adds nothing."""
+    """A B for square coordinate matrices; a zero entry of A adds nothing,
+    and a row starts from its first term, not from zero."""
     zero, mul, add = ring.zero(), ring.mul, ring.add
-    cols = range(len(B[0]))
     rows = []
     for row in A:
-        out = [zero for _ in cols]
+        out = None
         for x, brow in zip(row, B):
             if x != zero:
-                out = [add(o, mul(x, b)) for o, b in zip(out, brow)]
-        rows.append(tuple(out))
+                terms = [mul(x, b) for b in brow]
+                out = terms if out is None else list(map(add, out, terms))
+        rows.append(tuple(out) if out is not None else (zero,) * len(B[0]))
     return tuple(rows)
 
 
+def _unit_pivot_eliminate(ring, rows, back):
+    """Row-reduce the n ``rows`` in place on their first n columns, the
+    first unit of each column from the diagonal down as pivot: its row
+    scaled to 1 (it is zero left of the pivot) and its column cleared below,
+    and above too when ``back``.  False when a column has no unit there:
+    then the determinant vanishes modulo pi."""
+    n = len(rows)
+    one, zero, mul, sub = ring.one(), ring.zero(), ring.mul, ring.sub
+    for k in range(n):
+        piv = next((i for i in range(k, n) if ring.is_unit(rows[i][k])), None)
+        if piv is None:
+            return False
+        rows[k], rows[piv] = rows[piv], rows[k]
+        inv = ring.inv(rows[k][k])
+        pivot_tail = [mul(inv, x) for x in rows[k][k + 1:]]
+        rows[k] = rows[k][:k] + [one] + pivot_tail
+        for i in range(0 if back else k + 1, n):
+            f = rows[i][k]
+            if i != k and f != zero:
+                rows[i] = rows[i][:k] + [zero] + [sub(x, mul(f, y)) for x, y in
+                                                  zip(rows[i][k + 1:], pivot_tail)]
+    return True
+
+
+def residue_invertible(ring, mat):
+    """Whether the square matrix ``mat`` over the local ring ``ring`` lies in
+    GL_n: the forward pass of the unit-pivot elimination."""
+    return _unit_pivot_eliminate(ring, [list(row) for row in mat], back=False)
+
+
 def unimodular_inverse(ring, A):
-    """A^{-1} for A in GL_n(o), by Gauss-Jordan with the first unit of each
-    column as pivot: exact in the truncated ring, where the inverse is
-    unique.  A matrix that is singular modulo pi raises."""
+    """A^{-1} for A in GL_n(o), by the unit-pivot elimination of [A | I]:
+    exact in the truncated ring, where the inverse is unique.  A matrix that
+    is singular modulo pi raises."""
     n = len(A)
     one, zero = ring.one(), ring.zero()
     a = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(A)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if ring.is_unit(a[i][k])), None)
-        if piv is None:
-            raise InvariantViolationError(f"{A} is not invertible modulo pi")
-        a[k], a[piv] = a[piv], a[k]
-        inv = ring.inv(a[k][k])
-        a[k] = [ring.mul(inv, x) for x in a[k]]
-        for i in range(n):
-            f = a[i][k]
-            if i != k and f != zero:
-                a[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(a[i], a[k])]
+    if not _unit_pivot_eliminate(ring, a, back=True):
+        raise InvariantViolationError(f"{A} is not invertible modulo pi")
     return tuple(tuple(row[n:]) for row in a)
 
 

@@ -13,11 +13,11 @@ import random
 from dataclasses import dataclass, field
 
 from . import __version__
-from .cartan import CosetLabel, GroupContext, residue_invertible
+from .cartan import CosetLabel, GroupContext
 from .coeffs import CoeffField
 from .errors import ConfigError, InvariantViolationError, SideMismatchError
 from .hecke import HeckeAlgebra, HeckeElement
-from .matrices import cochar_window, coord_mul, spread
+from .matrices import cochar_window, coord_mul, residue_invertible, spread
 from .rings import (
     EQUAL,
     MIXED,
@@ -130,7 +130,7 @@ class Tower:
 
     def __init__(self, p, m, n=2, case=None, l=None, pair_mode="mixed-equal",
                  coeff_k=1, unif_image=None,
-                 budget=10 ** 7, pair_budget=10 ** 4, precision_cap=64):
+                 budget=10 ** 7, pair_budget=10 ** 4):
         if case not in (None, UNRAMIFIED, RAMIFIED):
             raise ConfigError(f"unknown case {case!r}: use None, {UNRAMIFIED!r} or {RAMIFIED!r}")
         if case is not None and l is None:
@@ -146,7 +146,7 @@ class Tower:
         if case is not None:
             self.extpair = build_extension_pair(self.pair, case, l)
         self.field = CoeffField(l if l is not None else (3 if p == 2 else 2), coeff_k)
-        kw = dict(budget=budget, pair_budget=pair_budget, precision_cap=precision_cap)
+        kw = dict(budget=budget, pair_budget=pair_budget)
         self.ctx = {"F": GroupContext(self.pair.F, n, **kw),
                     "F'": GroupContext(self.pair.Fp, n, **kw)}
         # side -> (closeness iso, Kazhdan target, Brauer target or None)
@@ -229,8 +229,8 @@ def _first_diff(lhs, rhs):
         (la, a), (lb, b) = lhs.terms.get(fp, zero), rhs.terms.get(fp, zero)
         if a != b:
             label = la or lb
-            diffs.append((label.sort_key(), label, a, b))
-    _, label, a, b = min(diffs, key=lambda d: d[0])
+            diffs.append((label, a, b))
+    label, a, b = min(diffs)
     return {"label": alg.context.label_to_json(label),
             "lhs": alg.field.coords_json(a), "rhs": alg.field.coords_json(b)}
 

@@ -19,6 +19,9 @@ a lifted label by ``sigma_on_group``, then the Smith decomposition) and
 ``embedded_label_by_lift`` (a base-side label lifted, embedded in G(E) and
 Smith-decomposed), with ``brauer_restrict_by_window`` (Br(f) by walking
 every base-side label of f's windows and naming each that way).
+``residue_mat_mul`` is the label walk's product written as dot products of
+rows and columns, zero terms included, so the walk, orbit and Gamma_mu
+oracles share no code with ``coord_mul``.
 ``basis_product_mirrored`` reads a product of basis elements off the
 mirrored product of the inverse labels (``inverse_label``), so its one-row
 count runs over the other factor's transversal.  The ``dense_*`` matrix
@@ -37,7 +40,8 @@ refuses when no pivot lies below N_g or lambda_n + m > N_g.
 lift(P) pi^mu lift(Q)^{-1} of a label) and ``left_coset_matrices``.
 
 The other helpers are no oracles either: ``check_brauer_multiplicative``
-samples Br(f * g) = Br(f) * Br(g) on seeded pairs, ``transport_module``
+samples Br(f * g) = Br(f) * Br(g) on seeded pairs, ``nonzero_samples``
+counts a report's samples with a nonzero side, ``transport_module``
 renames a module's generators, ``module_to_json`` writes a module in the
 format ``module_from_json`` reads, ``hecke_unit`` is the unit basis element
 of a Hecke algebra, and ``default_pi_prec`` is the oracles' working
@@ -49,7 +53,7 @@ import random
 import weakref
 from collections import deque
 
-from closehecke.cartan import CosetLabel, residue_invertible
+from closehecke.cartan import CosetLabel
 from closehecke.errors import (
     GeneratorNameMismatchError,
     InsufficientPrecisionError,
@@ -63,6 +67,7 @@ from closehecke.matrices import (
     certified_min,
     cochar_window,
     coord_mul,
+    residue_invertible,
     spread,
     unimodular_inverse,
 )
@@ -275,6 +280,22 @@ def fingerprint(ctx, label):
     return fp
 
 
+def residue_mat_mul(ctx, A, B):
+    """A B for residue matrices of the label ring: entry (i, j) is the sum
+    over k of A_ik B_kj, every term added."""
+    ring = ctx.label_ring
+    out = []
+    for row in A:
+        entries = []
+        for col in zip(*B):
+            acc = ring.zero()
+            for x, y in zip(row, col):
+                acc = ring.add(acc, ring.mul(x, y))
+            entries.append(acc)
+        out.append(tuple(entries))
+    return tuple(out)
+
+
 def fingerprint_bfs_labels(ctx, mu):
     """Labels of invariant ``mu`` (spread > 0) by the breadth-first walk over
     the residue generators acting on P and Q, a moved label being new when
@@ -287,14 +308,14 @@ def fingerprint_bfs_labels(ctx, mu):
     while queue:
         lab = queue.popleft()
         for s in gens:
-            for moved in (CosetLabel(mu, ctx._rmat_mul(s, lab.P), lab.Q, ctx.m),
-                          CosetLabel(mu, lab.P, ctx._rmat_mul(s, lab.Q), ctx.m)):
+            for moved in (CosetLabel(mu, residue_mat_mul(ctx, s, lab.P), lab.Q, ctx.m),
+                          CosetLabel(mu, lab.P, residue_mat_mul(ctx, s, lab.Q), ctx.m)):
                 fp = fingerprint(ctx, moved)
                 if fp not in seen:
                     seen.add(fp)
                     orbit.append(moved)
                     queue.append(moved)
-    return sorted(orbit, key=lambda lab: lab.sort_key())
+    return sorted(orbit)
 
 
 _TABLES = weakref.WeakKeyDictionary()
@@ -309,7 +330,7 @@ def canonical_label_by_tables(ctx, label):
     t = tuple(min(m, mu[j] - mu[i]) for i in range(n) for j in range(i + 1, n))
     Q, y0 = _orbit_rep(ctx, "Y", t, label.Q)
     x0 = ctx._conjugate_by_unif(mu, y0)
-    P = _orbit_rep(ctx, "X", t, ctx._rmat_mul(label.P, x0))
+    P = _orbit_rep(ctx, "X", t, residue_mat_mul(ctx, label.P, x0))
     return CosetLabel(mu, P, Q, m)
 
 
@@ -352,16 +373,16 @@ def _orbit_rep(ctx, kind, t, M):
         return hit
     group = subgroup(ctx, kind, t)
     if kind == "X":
-        members = [ctx._rmat_mul(M, x) for x in group]
+        members = [residue_mat_mul(ctx, M, x) for x in group]
         rep = min(members)
         for member in members:
             table[member] = rep
         return rep
-    members = [ctx._rmat_mul(M, y) for y, _ in group]
+    members = [residue_mat_mul(ctx, M, y) for y, _ in group]
     rep, y_best = min(zip(members, (y for y, _ in group)))
     # M y lands on rep = M y_best through y^{-1} y_best
     for member, (_, y_inv) in zip(members, group):
-        table[member] = (rep, ctx._rmat_mul(y_inv, y_best))
+        table[member] = (rep, residue_mat_mul(ctx, y_inv, y_best))
     return table[M]
 
 
@@ -977,6 +998,12 @@ def check_brauer_multiplicative(tower, pairs=25, seed=0):
         rhs = HF.convolve(tower.brauer(f), tower.brauer(g))
         rep.add(**_sample_entry("brauer-mult", f"pair#{i}", lhs, rhs))
     return rep
+
+
+def nonzero_samples(rep):
+    """The samples of a report with a nonzero side: a sample comparing 0
+    with 0 cannot fail."""
+    return sum(1 for s in rep.samples if s["lhs"]["terms"] or s["rhs"]["terms"])
 
 
 def transport_module(M: CyclicModule, label_map: dict) -> CyclicModule:

@@ -44,6 +44,7 @@ from helpers import (
     hecke_unit,
     integral_coords,
     minor_valuation_mu,
+    nonzero_samples,
     random_field_matrix,
     smith_reconstruction,
     transport_module,
@@ -205,7 +206,7 @@ def test_criterion_07_brauer_multiplicative(tower_unram, tower_ram):
         rep = check_brauer_multiplicative(tower, pairs=25, seed=70)
         # a sample comparing 0 with 0 cannot fail: each tower must compare
         # nonzero restrictions in at least 10 of its pairs
-        nonzero.append(sum(1 for s in rep.samples if s["lhs"]["terms"] or s["rhs"]["terms"]))
+        nonzero.append(nonzero_samples(rep))
         ok = ok and rep.passed and len(rep.samples) >= 25 and nonzero[-1] >= 10
     _report(7, ok, time.perf_counter() - t0, 120,
             f"25 pairs per case, {nonzero} with a nonzero side")

@@ -18,7 +18,9 @@ from closehecke.matrices import (
     certified_min,
     check_antidominant,
     cochar_window,
+    coord_mul,
     spread,
+    unimodular_inverse,
 )
 from closehecke.rings import EQUAL, MIXED, RAMIFIED, UNRAMIFIED, base_side, extension_side
 from closehecke.hecke import HeckeAlgebra
@@ -47,6 +49,7 @@ from helpers import (
     minor_valuation_mu,
     random_field_matrix,
     random_k_element,
+    residue_mat_mul,
     same_double_coset,
     same_left_coset,
     sigma_on_group,
@@ -470,13 +473,23 @@ def test_group_elements_short_closure_raises(monkeypatch):
     (extension_side("E", base_side("F", MIXED, 2, 1), UNRAMIFIED, 3), 8),
 ], ids=["Z/2", "F_3", "Z/4", "F_8"])
 def test_residue_invertible_matches_determinant_oracle(side, q):
-    # every 2 x 2 matrix over the level-1 (Z/4: level-2) ring
+    # every 2 x 2 matrix over the level-1 (Z/4: level-2) ring, through both
+    # outcomes of the one unit-pivot elimination: the membership test, and
+    # the inverse, which is a two-sided inverse or a typed refusal
     ring = side.ring(side.base_level_m)
+    one, zero = ring.one(), ring.zero()
+    identity = ((one, zero), (zero, one))
     units = 0
     for entries in itertools.product(list(ring.elements()), repeat=4):
         mat = (entries[:2], entries[2:])
         expected = ring.is_unit(leibniz_det(ring, mat))
         assert cartan.residue_invertible(ring, mat) == expected, mat
+        if expected:
+            inv = unimodular_inverse(ring, mat)
+            assert coord_mul(ring, mat, inv) == identity == coord_mul(ring, inv, mat), mat
+        else:
+            with pytest.raises(InvariantViolationError, match="not invertible modulo pi"):
+                unimodular_inverse(ring, mat)
         units += expected
     assert units == group_order(2, q, ring.pi_level)
 
@@ -607,7 +620,7 @@ def test_canonical_label_of_a_central_mu_is_its_level_m_class():
     for P in els:
         for Q in els:
             Q_inv = lift_residue_matrix(ctx, Q, ctx.label_ring).inverse().residue_matrix(1)
-            key = ctx._rmat_mul(P, Q_inv)
+            key = residue_mat_mul(ctx, P, Q_inv)
             classes.setdefault(key, set()).add(ctx.canonical_label(CosetLabel((1, 1), P, Q, 1)))
     assert len(classes) == len(els)
     assert all(len(canons) == 1 for canons in classes.values())
@@ -681,19 +694,21 @@ def test_gamma_order_is_the_size_of_the_listed_groups():
     (extension_side("E", base_side("F", EQUAL, 3, 1), RAMIFIED, 2), [(0, 0)]),
 ], ids=["base-mixed", "base-equal", "unramified", "ramified", "ramified-equal"])
 def test_sort_key_orders_like_flattened_residues(side, mus):
-    # the E sides enumerate their central windows only (spread is over budget)
+    # a label sorts as its tuple (mu, P, Q, level), which within one context
+    # is the order of (mu, flattened P, flattened Q); the E sides enumerate
+    # their central windows only (spread is over budget)
     labels = GroupContext(side, 2).enumerate_labels(mus)
-    assert len({lab.sort_key() for lab in labels}) == len(labels)
+    assert len(set(labels)) == len(labels)
     shuffled = random.Random(5).sample(labels, len(labels))
     flat = sorted(shuffled, key=lambda lab: (lab.mu, flatten(lab.P), flatten(lab.Q)))
-    assert sorted(shuffled, key=CosetLabel.sort_key) == flat == labels
+    assert sorted(shuffled) == flat == labels
 
 
 def test_enumerate_deterministic_order(ctx3):
     labs1 = ctx3.enumerate_labels([(0, 1), (0, 0)])
     ctx_fresh = GroupContext(base_side("F", MIXED, 3, 1), 2)
     labs2 = ctx_fresh.enumerate_labels([(0, 1), (0, 0)])
-    assert [l.sort_key() for l in labs1] == [l.sort_key() for l in labs2]
+    assert labs1 == labs2
 
 
 def test_enumeration_budget_guard():
@@ -727,7 +742,7 @@ def test_gamma_stabilizer_closed_under_pair_product(ctx2):
     member_set = set(members)
     for (x1, y1) in members:
         for (x2, y2) in members:
-            prod = (ctx2._rmat_mul(x1, x2), ctx2._rmat_mul(y1, y2))
+            prod = (residue_mat_mul(ctx2, x1, x2), residue_mat_mul(ctx2, y1, y2))
             assert prod in member_set
 
 
@@ -846,7 +861,7 @@ def test_sigma_label_of_a_base_side_is_a_side_mismatch(ctx2):
 
 
 def test_insufficient_precision_surfaces():
-    ctx = GroupContext(base_side("F", MIXED, 2, 1), 2, precision_cap=2)
+    ctx = GroupContext(base_side("F", MIXED, 2, 1), 2)
     ring = ctx.working_ring(2)
     z_shallow = FieldElement.zero(ring, floor=1)
     g = GroupMatrix(ring, [[z_shallow, z_shallow], [z_shallow, z_shallow]])
@@ -855,7 +870,7 @@ def test_insufficient_precision_surfaces():
 
 
 @pytest.mark.parametrize("model", [MIXED, EQUAL])
-def test_with_retry_doubles_the_precision_until_smith_certifies(model):
+def test_with_retry_doubles_the_precision_until_smith_certifies(monkeypatch, model):
     # in [[1, 1], [1, 1 + pi^5]] the second pivot pi^5 is a zero floor at
     # pi-precision 2 and 4; at 8 it is certified, so mu = (0, 5)
     def smith_mu(ctx, seen):
@@ -872,7 +887,8 @@ def test_with_retry_doubles_the_precision_until_smith_certifies(model):
     assert ctx.with_retry(smith_mu(ctx, seen), 2) == (0, 5)
     assert seen == [2, 4, 8]
     seen = []
-    capped = GroupContext(base_side("F", model, 2, 1), 2, precision_cap=4)
+    capped = GroupContext(base_side("F", model, 2, 1), 2)
+    monkeypatch.setattr(capped, "precision_cap", 4)
     with pytest.raises(InsufficientPrecisionError):
         capped.with_retry(smith_mu(capped, seen), 2)
     assert seen == [2, 4]

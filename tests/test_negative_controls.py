@@ -1,0 +1,92 @@
+"""Negative controls: each test plants a known fault by monkeypatch and
+requires the check named for it to fail at tier-1 size: a check that no
+planted fault can fail shows nothing (ROADMAP item 12).  A fault that no
+commutation check can see is caught by the absolute oracle named for it.
+"""
+
+import pytest
+
+from closehecke.hecke import HeckeAlgebra
+from closehecke.transfer import (
+    Tower,
+    check_kaz_hom,
+    check_lemma_conv,
+    check_main_diagram,
+    structured_orbit_sums,
+)
+
+from helpers import brauer_restrict_by_window, check_brauer_multiplicative, nonzero_samples
+
+
+def _equal_tower(p, m, image=None):
+    return Tower(p, m, case=None, l=(3 if p == 2 else 2), pair_mode="equal-equal",
+                 unif_image=image)
+
+
+def _doubled_brauer(monkeypatch):
+    """Br followed by multiplication by 2, on every Brauer route of a tower:
+    E to F and E' to F' alike."""
+    real = Tower.brauer
+
+    def brauer(self, f):
+        out = real(self, f)
+        F = out.algebra.field
+        return out.algebra.element([(lab, F.add(c, c)) for lab, c in out.terms.values()])
+
+    monkeypatch.setattr(Tower, "brauer", brauer)
+
+
+# (p, m, uniformizer image) of equal-equal towers whose closeness iso moves
+# a label coordinate.  At p = 2, m = 2 every iso is the identity on
+# F_2[t]/t^2 (c_1 t + c_2 t^2 = t there), so copying labels without lambda
+# changes nothing and kaz-hom passes: that tower is no control and is not
+# used.
+@pytest.mark.parametrize("p, m, image", [(3, 2, (2,)), (2, 3, (1, 1))],
+                         ids=["p3-m2-2t", "p2-m3-t+t2"])
+def test_kaz_without_lambda_fails_kaz_hom(monkeypatch, p, m, image):
+    tower = _equal_tower(p, m, image)
+    assert check_kaz_hom(tower, window_spread=1, samples=10, seed=0).passed
+    monkeypatch.setattr(Tower, "kaz_label",
+                        lambda self, side, label: (label, self._route(side)[1]))
+    assert not check_kaz_hom(tower, window_spread=1, samples=10, seed=0).passed
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_swapped_convolution_passes_kaz_hom_and_fails_lemma_conv(monkeypatch, p):
+    # Kaz transports both products alike, so only the three-factor identity
+    # of lemma-conv sees the order of the factors
+    tower = _equal_tower(p, 2)
+    assert check_lemma_conv(tower, window_spread=1, elements=6).passed
+    real = HeckeAlgebra.convolve
+    monkeypatch.setattr(HeckeAlgebra, "convolve", lambda self, f, g: real(self, g, f))
+    assert check_kaz_hom(tower, window_spread=1, samples=10, seed=0).passed
+    assert not check_lemma_conv(tower, window_spread=1, elements=6).passed
+
+
+def test_doubled_brauer_fails_criterion_7(monkeypatch):
+    # criterion 7's verdict: every pair equal and at least 10 with a nonzero
+    # side.  On the unramified tower (l = 3) Br(f) Br(g) picks up a factor
+    # 4 = 1 and Br(f g) a factor 2; on the ramified tower l = 2, so 2 Br is 0, every
+    # sample compares 0 with 0, and the nonzero minimum is what fails
+    towers = {"unramified": Tower(2, 1, case="unramified", l=3),
+              "ramified": Tower(3, 1, case="ramified", l=2)}
+    _doubled_brauer(monkeypatch)
+    reps = {name: check_brauer_multiplicative(tower, pairs=25, seed=70)
+            for name, tower in towers.items()}
+    assert not reps["unramified"].passed
+    assert reps["ramified"].passed and nonzero_samples(reps["ramified"]) < 10
+
+
+def test_a_fault_alike_on_br_and_br_prime_needs_the_absolute_oracle(monkeypatch):
+    # 2 Br and 2 Br' commute with Kaz as Br and Br' do, so the main diagram
+    # passes, on samples with a nonzero side; Br(h) read off the base-side
+    # windows by brauer_restrict_by_window, which runs no Brauer route of
+    # the tower, catches the fault
+    tower = Tower(2, 1, case="unramified", l=3)
+    HE, HF = tower.alg["E"], tower.alg["F"]
+    samples = structured_orbit_sums(tower, 1, 0, 4, 60)
+    assert all(tower.brauer(h) == brauer_restrict_by_window(HE, h, HF) for _, h in samples)
+    _doubled_brauer(monkeypatch)
+    rep = check_main_diagram(tower, mu_spread=1, base_window=0, samples=4, seed=60)
+    assert rep.passed and nonzero_samples(rep) >= 1
+    assert any(tower.brauer(h) != brauer_restrict_by_window(HE, h, HF) for _, h in samples)
