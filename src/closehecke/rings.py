@@ -14,6 +14,21 @@ Coordinate conventions
 Ring objects operate on these raw coordinates, exactly in the truncation;
 the callers prove the truncation level they need (see
 ``closehecke.hecke.HeckeAlgebra._basis_product``).
+
+Memo tables
+    A ring with at most ``TABLE_BOUND`` elements answers ``mul``, ``add``
+    and ``sub`` from tables keyed by the operand pair, and its Galois
+    generator answers ``apply_coords`` from a table keyed by the element.
+    The tables start empty and fill as pairs are met, so each holds at most
+    size^2 (resp. size) entries; a larger ring keeps no table.  A table is
+    exact: every element has one canonical coordinate tuple, so equal keys
+    are equal elements, and results are immutable ints and tuples.  Each
+    table is an instance attribute wrapping the method bound when the ring
+    (or generator) is built, so it shadows the class's function: a
+    class-level patch of ``mul``, ``add``, ``sub`` or ``apply_coords`` made
+    after a small ring is built does not reach that ring.  ``inv``,
+    ``_res_field_inv`` and the other methods are not tabulated, so class
+    patches of them reach every ring.
 """
 
 from __future__ import annotations
@@ -40,8 +55,19 @@ UNRAMIFIED = "unramified"
 RAMIFIED = "ramified"
 
 
+TABLE_BOUND = 1024   # rings of at most this many elements keep memo tables
+
+
 def _ceil_div(a, b):
     return -(-a // b)
+
+
+def _tabulate(owner, size, names):
+    """Shadow the methods ``names`` of ``owner`` by memo tables of their
+    bound methods when ``size`` is at most TABLE_BOUND."""
+    if size <= TABLE_BOUND:
+        for name in names:
+            setattr(owner, name, functools.cache(getattr(owner, name)))
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +91,7 @@ class BaseRing:
             self.modulus = p ** level
         self._one = self.from_int(1)
         self._inverses = {}   # unit -> its verified inverse
+        _tabulate(self, self.size(), ("mul", "add", "sub"))
 
     # -- structural equality so rings can key caches; rings are shared, so
     # identity settles almost every comparison
@@ -297,6 +324,7 @@ class ExtensionRing:
         self._int_coords = base_ring.model == MIXED
         self._one = (base_ring.one(),) + (base_ring.zero(),) * (l - 1)
         self._inverses = {}   # unit -> its verified inverse
+        _tabulate(self, self.size(), ("mul", "add", "sub"))
 
     def __eq__(self, other):
         return self is other or (
@@ -696,6 +724,7 @@ class GaloisGenerator:
         self._powers = [self.ring.one(), self.gen_image]
         for i in range(2, self.l):
             self._powers.append(ring.mul(self._powers[-1], self.gen_image))
+        _tabulate(self, ring.size(), ("apply_coords",))
 
     def _frobenius_gen_image(self):
         ring = self.ring

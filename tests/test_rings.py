@@ -15,6 +15,7 @@ from closehecke.rings import (
     EQUAL,
     MIXED,
     RAMIFIED,
+    TABLE_BOUND,
     UNRAMIFIED,
     BaseRing,
     ExtensionRing,
@@ -443,3 +444,96 @@ def test_failed_frobenius_lift_raises_typed_error(monkeypatch):
     monkeypatch.setattr(ExtensionRing, "inv", lambda self, a: self.zero())
     with pytest.raises(InvariantViolationError):
         GaloisGenerator(E)
+
+
+# -- memo tables of small rings ---------------------------------------------------
+
+TABLED_OPS = ("mul", "add", "sub")
+
+
+def _z4():
+    return BaseRing(MIXED, 2, 2)
+
+
+def _z9():
+    return BaseRing(MIXED, 3, 2)
+
+
+def _f8():
+    return ExtensionRing(BaseRing(MIXED, 2, 1), UNRAMIFIED, 3)
+
+
+def _ram_z3():
+    B = BaseRing(MIXED, 3, 1)
+    return ExtensionRing(B, RAMIFIED, 2, unif_class=B.unif())
+
+
+def _oracle_mul(R, a, b):
+    if isinstance(R, ExtensionRing):
+        return schoolbook_ext_mul(R, a, b)
+    if R.model == MIXED:
+        return a * b % R.p ** R.level
+    return truncated_poly_mul(R.p, R.level, a, b)
+
+
+def _coord_add(R, a, b, sign=1):
+    """a + sign * b coordinate by coordinate, without the ring's methods."""
+    if isinstance(R, ExtensionRing):
+        return tuple(_coord_add(R.base, x, y, sign) for x, y in zip(a, b))
+    if R.model == MIXED:
+        return (a + sign * b) % R.p ** R.level
+    return tuple((x + sign * y) % R.p for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("make", [_z4, _z9, _f2_t5, _f3_t4, _f8, _unram_z4, _ram_z3, _ram_z9])
+def test_tables_agree_with_the_oracles_when_filled_and_when_hit(make):
+    R = make()
+    els = list(R.elements())
+    filled = None
+    for _ in range(2):   # the first sweep fills the tables, the second reads them
+        for a in els:
+            for b in els:
+                assert R.mul(a, b) == _oracle_mul(R, a, b)
+                assert R.add(a, b) == _coord_add(R, a, b)
+                assert R.sub(a, b) == _coord_add(R, a, b, -1)
+        if filled is None:
+            filled = {name: getattr(R, name).cache_info() for name in TABLED_OPS}
+    for name in TABLED_OPS:
+        info = getattr(R, name).cache_info()
+        assert info.currsize == len(els) ** 2
+        assert info.misses == filled[name].misses
+
+
+def test_sigma_table_agrees_with_the_untabulated_generator(unramified_tower, ramified_tower):
+    for tower in (unramified_tower, ramified_tower):
+        E = tower[2]
+        for level in (1, 2):
+            R = E.ring(level)
+            sig = GaloisGenerator(R)
+            for _ in range(2):
+                for a in R.elements():
+                    assert sig.apply_coords(a) == GaloisGenerator.apply_coords(sig, a)
+            assert sig.apply_coords.cache_info().currsize == R.size()
+
+
+def test_a_ring_above_the_bound_keeps_no_table():
+    at = BaseRing(EQUAL, 2, 10)
+    assert at.size() == TABLE_BOUND
+    assert all(hasattr(getattr(at, name), "cache_info") for name in TABLED_OPS)
+    above = BaseRing(EQUAL, 2, 11)
+    ext = ExtensionRing(BaseRing(EQUAL, 2, 4), UNRAMIFIED, 3)
+    for R in (above, ext):
+        assert R.size() > TABLE_BOUND
+        assert not set(TABLED_OPS) & set(vars(R))
+    assert "apply_coords" not in vars(GaloisGenerator(ext))
+    a, b = above.element(1234), above.element(77)
+    assert above.mul(a, b) == truncated_poly_mul(2, 11, a, b)
+
+
+def test_a_class_patch_after_building_reaches_only_rings_without_tables(monkeypatch):
+    small, large = BaseRing(EQUAL, 2, 2), BaseRing(EQUAL, 2, 11)
+    monkeypatch.setattr(BaseRing, "mul", lambda self, a, b: self.zero())
+    assert small.mul(small.one(), small.one()) == small.one()
+    assert large.mul(large.one(), large.one()) == large.zero()
+    late = BaseRing(EQUAL, 2, 2)
+    assert late.mul(late.one(), late.one()) == late.zero()
