@@ -9,9 +9,10 @@ proves sufficient, so no working precision is retried.
 
 A label (mu, P, Q) names K P pi^mu Q^{-1} K.  ``canonical_label`` picks one
 representative per double coset by normal forms over the label ring alone:
-it is the one double-coset identity, and the label walk of
-``enumerate_labels`` is certified complete by the count |G|^2 / |Gamma_mu|.
-Both multiply residue matrices with the product path's ``coord_mul``.
+it is the one double-coset identity, and multiplies residue matrices with
+the product path's ``coord_mul``.  ``enumerate_labels`` lists a window in
+closed form, as the product of the two sets of normal forms, certified
+complete by the count |G|^2 / |Gamma_mu|; no window is walked.
 
 Left cosets g K_m also carry a canonical key, kept for the test oracles and
 the benchmark tracer: scale g integral, column-reduce to the
@@ -26,7 +27,6 @@ to the class constant ``precision_cap``; no library path calls either.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import NamedTuple
 
 from .errors import (
@@ -43,7 +43,6 @@ from .matrices import (
     check_antidominant,
     coord_mul,
     residue_invertible,
-    spread,
     unimodular_inverse,
 )
 
@@ -133,9 +132,6 @@ class GroupContext:
                 ring, self.lift_residue_matrix(Q, ring))
         return inv
 
-    def identity_label(self):
-        return self.unif_label((0,) * self.n)
-
     def unif_label(self, mu):
         mu = check_antidominant(mu)
         ring = self.label_ring
@@ -165,10 +161,10 @@ class GroupContext:
 
     # -- Smith/Cartan ----------------------------------------------------------
 
-    def smith_cartan(self, g, ring, prec=None):
+    def smith_cartan(self, g, ring):
         """g = x pi^mu y^{-1} for an integral coordinate matrix g over
-        ``ring`` known modulo pi^prec (default: the ring's pi-level), with x
-        and y in GL_n(o) and mu non-decreasing: the one Smith elimination.
+        ``ring``, known modulo pi^N for the ring's pi-level N, with x and y
+        in GL_n(o) and mu non-decreasing: the one Smith elimination.
 
         Each pivot is the entry of least valuation in the remaining block,
         the first in (row, col) order; the entries below and beside it are
@@ -177,13 +173,13 @@ class GroupContext:
         on its columns, y collects the column operations, and the
         distinguished-uniformizer unit is folded into y:
         pi_nat^v u = pi_dist^v (w^{-v} u).  x and y are returned over
-        ``ring``, determined modulo pi^(prec - mu_n).  Every lift g' of g has
+        ``ring``, determined modulo pi^(N - mu_n).  Every lift g' of g has
         g' = g (1 + g^{-1}(g' - g)) with g^{-1} in pi^(-mu_n) M_n(o), so g'
-        lies in g K_m when mu_n + m <= prec; otherwise, or when no pivot
-        lies below pi^prec, the label is not determined and
+        lies in g K_m when mu_n + m <= N; otherwise, or when no pivot lies
+        below pi^N, the label is not determined and
         InsufficientPrecisionError is raised."""
         n = len(g)
-        N = ring.pi_level if prec is None else min(prec, ring.pi_level)
+        N = ring.pi_level
         one, zero = ring.one(), ring.zero()
         a = [list(row) for row in g]
         X = [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -237,10 +233,10 @@ class GroupContext:
         y = tuple(tuple(e if d == one else ring.mul(e, d) for e, d in zip(row, fold)) for row in Y)
         return tuple(mu), tuple(map(tuple, X)), y
 
-    def label_of_matrix(self, g, ring, shift=0, prec=None):
+    def label_of_matrix(self, g, ring, shift=0):
         """The label of pi_dist^shift g for an integral coordinate matrix g
         (``smith_cartan``); pi_dist^shift is central, so it adds to mu."""
-        mu, x, y = self.smith_cartan(g, ring, prec)
+        mu, x, y = self.smith_cartan(g, ring)
         m = self.m
         return CosetLabel(tuple(k + shift for k in mu),
                           tuple(tuple(ring.residue(e, m) for e in row) for row in x),
@@ -291,16 +287,14 @@ class GroupContext:
                 below.append(rdata)
         return (c, tuple(avals), tuple(below), GroupMatrix(R, V).residue_matrix(m))
 
-    def _residue_basis(self, ring):
-        """Lifts of an F_p-basis of the residue field: 1, T, ..., T^(f-1) for
-        the residue degree f."""
-        f = self.side.residue_degree
-        return [ring.one()] + [ring.pow(ring.gen(), i) for i in range(1, f)]
-
     def _digits(self, ring, lo, hi):
         """One representative of each class of pi^lo o / pi^hi: the sums of
-        p-digits times basis elements times pi^t for lo <= t < hi, zero first."""
-        steps = [ring.mul_pi(b, t) for t in range(lo, hi) for b in self._residue_basis(ring)]
+        p-digits times pi^t b for lo <= t < hi and b in the lifts 1, T, ...,
+        T^(f-1) of an F_p-basis of the residue field (f the residue degree),
+        zero first."""
+        f = self.side.residue_degree
+        basis = [ring.one()] + [ring.pow(ring.gen(), i) for i in range(1, f)]
+        steps = [ring.mul_pi(b, t) for t in range(lo, hi) for b in basis]
         out = [ring.zero()]
         for s in steps:
             multiples = [ring.mul(ring.from_int(d), s) for d in range(self.side.p)]
@@ -517,78 +511,37 @@ class GroupContext:
     def group_order(self):
         return group_order(self.n, self.residue_q, self.m)
 
-    def _residue_gl_generators(self):
-        """Generators of GL_n(o/pi^m) as residue matrices of the label ring:
-        I + c e_ab for a != b and c = pi^j times a residue basis element, then
-        diag(u, 1, ..., 1) for u in the unit group generators."""
-        ring, n = self.label_ring, self.n
-
-        def with_entry(a, b, c):
-            mat = [[ring.one() if r == s else ring.zero() for s in range(n)] for r in range(n)]
-            mat[a][b] = c
-            return tuple(tuple(row) for row in mat)
-
-        cs = [ring.mul_pi(cb, j) for j in range(ring.pi_level) for cb in self._residue_basis(ring)]
-        return ([with_entry(a, b, c) for a in range(n) for b in range(n) if a != b
-                 for c in cs if not ring.is_zero(c)]
-                + [with_entry(0, 0, u) for u in unit_group_generators(ring)])
-
     def enumerate_labels(self, mus):
         """One label per double coset with invariant in ``mus``; complete,
         pairwise distinct, ordered lexicographically by (mu, P, Q).
 
-        Central invariants reduce to level-m classes (K is normal there) and
-        are only bounded by the group order; windows with spread walk the
-        pair-group orbit and carry the |G(o/p^m)|^2 guard.  Each window is
-        kept as a map from canonical label to listed label, in listed order."""
+        (mu, P, Q) is canonical exactly when Q is the normal form of Q Y_mu
+        and P that of P X0_mu (``canonical_label``), so the window of mu is
+        the product of the normal forms of G(o/pi^m) under each, |G| / |Y_mu|
+        times |G| / |X0_mu| labels, and the count |G|^2 / |Gamma_mu| of
+        double cosets certifies it.  A central mu is no special case: Y_mu is
+        all of G there and X0_mu is trivial, so its window is (mu, x, I) for
+        x in G.  ``budget`` bounds the labels of one window, ``pair_budget``
+        the group listed."""
         out = []
         for mu in sorted(set(check_antidominant(mu) for mu in mus)):
             window = self._label_cache.get(mu)
             if window is None:
-                window = self._label_cache[mu] = self._walk(mu)
-            out.extend(window.values())
+                expected = self.group_order() ** 2 // self.gamma_order(mu)
+                if expected > self.budget:
+                    raise BudgetExceededError(
+                        f"the window of {mu} holds {expected} labels, over budget {self.budget}")
+                els = self.group_elements()
+                Ps = sorted({self._x_normal_form(g, mu) for g in els})
+                Qs = sorted({self._y_normal_form(g, mu)[0] for g in els})
+                if len(Ps) * len(Qs) != expected:
+                    raise InvariantViolationError(
+                        f"the normal forms give {len(Ps)} x {len(Qs)} labels for {mu}, "
+                        f"|G|^2 / |Gamma_mu| = {expected}")
+                window = self._label_cache[mu] = [CosetLabel(mu, P, Q, self.m)
+                                                  for P in Ps for Q in Qs]
+            out.extend(window)
         return out
-
-    def representative(self, canon):
-        """The label that ``enumerate_labels`` lists for the double coset
-        whose canonical label is ``canon``."""
-        if canon.mu not in self._label_cache:
-            self.enumerate_labels([canon.mu])
-        label = self._label_cache[canon.mu].get(canon)
-        if label is None:
-            raise InvariantViolationError(f"{canon} is not a canonical label of its window")
-        return label
-
-    def _walk(self, mu):
-        """The window of mu: canonical label -> listed label, in label order."""
-        if spread(mu) == 0:
-            # central pi-power times G(o): K is normal there, so double
-            # cosets biject with level-m classes, and (mu, x, I) is canonical
-            idm = self.identity_label().Q
-            return {lab: lab for lab in (CosetLabel(mu, x, idm, self.m)
-                                         for x in self.group_elements())}
-        if self.group_order() ** 2 > self.budget:
-            raise BudgetExceededError(
-                f"|G(o/p^m)|^2 = {self.group_order() ** 2} exceeds budget {self.budget}")
-        ring, gens = self.label_ring, self._residue_gl_generators()
-        start = self.unif_label(mu)
-        found = {self.canonical_label(start): start}
-        orbit = [start]
-        for lab in orbit:       # breadth first: the loop reaches appended labels
-            for s in gens:
-                for moved in (CosetLabel(mu, coord_mul(ring, s, lab.P), lab.Q, self.m),
-                              CosetLabel(mu, lab.P, coord_mul(ring, s, lab.Q), self.m)):
-                    canon = self.canonical_label(moved)
-                    if canon not in found:
-                        found[canon] = moved
-                        orbit.append(moved)
-        # the walk is complete exactly when it found |G|^2 / |Gamma_mu| labels
-        expected = self.group_order() ** 2 // self.gamma_order(mu)
-        if len(found) != expected:
-            raise InvariantViolationError(
-                f"the walk found {len(found)} labels for {mu}, "
-                f"|G|^2 / |Gamma_mu| = {expected}")
-        return dict(sorted(found.items(), key=lambda kv: kv[1]))
 
     def group_elements(self):
         """All residue matrices of GL_n(o/pi^m), in sorted order (budgeted):
@@ -661,24 +614,3 @@ def smith_pivot(ring, a, k):
                 best = (v, i, j)
     return best
 
-
-def unit_group_generators(ring):
-    """Small generating set of the unit group, greedy over sorted units."""
-    units = sorted(u for u in ring.elements() if ring.is_unit(u))
-    gens = []
-    closure = {ring.one()}
-    for u in units:
-        if u in closure:
-            continue
-        gens.append(u)
-        queue = deque(closure)
-        while queue:
-            a = queue.popleft()
-            for g in gens:
-                c = ring.mul(a, g)
-                if c not in closure:
-                    closure.add(c)
-                    queue.append(c)
-        if len(closure) == len(units):
-            break
-    return gens

@@ -206,7 +206,10 @@ class HeckeAlgebra:
         order l != p, so (K_E g K_E)^sigma = K_F g K_F: a double coset of G(E)
         holds at most one of G(F), and that one takes f's value there.
         ``canonical_label`` commutes with the embedding (pi_F = pi_E^e), so
-        ``base_label`` de-embeds a canonical term to F's canonical label."""
+        ``base_label`` de-embeds a canonical term to F's canonical label,
+        which is the term of the restriction as it stands: no window of G(F)
+        is listed.  A de-embedded label that is not canonical is an
+        InvariantViolationError."""
         self._check_same(f.algebra)
         ctxE = self.context
         ctxF = target.context
@@ -219,8 +222,15 @@ class HeckeAlgebra:
             raise SideMismatchError("coefficient fields differ")
         if not self.is_sigma_invariant(f):
             raise NotSigmaInvariantError("restriction is only defined on sigma-invariant elements")
-        flabs = ((ctxE.base_label(canon), c) for canon, (_, c) in f.terms.items())
-        terms = [(ctxF.representative(flab), c) for flab, c in flabs if flab is not None]
+        terms = []
+        for canon, (_, c) in f.terms.items():
+            flab = ctxE.base_label(canon)
+            if flab is None:
+                continue
+            if ctxF.canonical_label(flab) != flab:
+                raise InvariantViolationError(
+                    f"{flab}, de-embedded from {canon}, is not a canonical label of G(F)")
+            terms.append((flab, c))
         # in label order: a later sum or product keeps the first label it
         # meets for each double coset, and documents print that label
         return target.element(sorted(terms))

@@ -349,6 +349,10 @@ def check_lemma_conv(tower: Tower, window_spread=2, elements=20, seed=0) -> Repo
                  {"p": ctx.side.p, "m": ctx.m, "n": ctx.n,
                   "window": window_spread, "elements": elements, "seed": seed})
     mus = cochar_window(ctx.n, -1, window_spread, max_spread=window_spread)
+    lam_list = [mu for mu in mus if spread(mu) >= 1][:3]
+    if elements and not lam_list:
+        raise ConfigError(f"the three-factor identity needs a cocharacter of spread >= 1, "
+                          f"and the window of spread {window_spread} at n = {ctx.n} has none")
     for lam_ in mus:
         for mu_ in mus:
             lhs = alg.convolve(alg.unif_basis(lam_), alg.unif_basis(mu_))
@@ -356,7 +360,6 @@ def check_lemma_conv(tower: Tower, window_spread=2, elements=20, seed=0) -> Repo
             rep.add(**_sample_entry("cocharacter-additivity",
                                     f"{lam_}+{mu_}", lhs, rhs))
     window_elements = [_random_residue_gl(ctx, rng) for _ in range(elements)]
-    lam_list = [mu for mu in mus if spread(mu) >= 1][:3]
     for i, (x1, x2) in enumerate(zip(window_elements, reversed(window_elements))):
         lam_ = lam_list[i % len(lam_list)]
         # X1 pi^lam X2 = pi^lam_1 (X1 pi^(lam - lam_1) X2), whose largest

@@ -6,9 +6,9 @@ large to list, closed under its elementary generators) and compared by the
 definition x^{-1} y in K, and convolution coefficients come from the double
 sum over group/K points.  ``fingerprint`` is the complete double-coset
 invariant (mu, sorted left-coset keys) that the library used before
-canonical labels: ``coeff_at`` finds an element's term by it, and
-``fingerprint_bfs_labels`` is the label walk with it as the identity, kept
-to check the walk of ``enumerate_labels``.  Several keep an earlier
+canonical labels: ``coeff_at`` finds an element's term by it.
+``canonical_window`` lists a window by brute force, as the canonical labels
+of all |G|^2 pairs (P, Q).  Several keep an earlier
 construction of the library as an oracle for the faster one: ``flatten``
 (the label order), ``left_coset_key_by_inverse`` (V = H^{-1} A by a matrix
 inverse), ``smith_x_by_inverse`` (x = P^{-1} by a matrix inverse),
@@ -19,9 +19,9 @@ a lifted label by ``sigma_on_group``, then the Smith decomposition) and
 ``embedded_label_by_lift`` (a base-side label lifted, embedded in G(E) and
 Smith-decomposed), with ``brauer_restrict_by_window`` (Br(f) by walking
 every base-side label of f's windows and naming each that way).
-``residue_mat_mul`` is the label walk's product written as dot products of
-rows and columns, zero terms included, so the walk, orbit and Gamma_mu
-oracles share no code with ``coord_mul``.
+``residue_mat_mul`` is the residue-matrix product written as dot products
+of rows and columns, zero terms included, so the orbit and Gamma_mu oracles
+share no code with ``coord_mul``.
 ``basis_product_mirrored`` reads a product of basis elements off the
 mirrored product of the inverse labels (``inverse_label``), so its one-row
 count runs over the other factor's transversal.  The ``dense_*`` matrix
@@ -34,8 +34,9 @@ The oracles work on precision-tracked ``GroupMatrix`` values, while the
 library's products run on integral coordinates.  The one conversion between
 them is ``integral_coords``: it reads a matrix at its certified absolute
 precision N_g after a central shift, and ``smith_of_matrix``, ``label_of``
-and ``smith_reconstruction`` pass it to the library's one elimination, which
-refuses when no pivot lies below N_g or lambda_n + m > N_g.
+and ``smith_reconstruction`` pass it to the library's one elimination
+through ``smith_at``, which refuses when no pivot lies below N_g or
+lambda_n + m > N_g.
 ``as_group_matrix`` goes the other way, for ``lift_label`` (the matrix
 lift(P) pi^mu lift(Q)^{-1} of a label) and ``left_coset_matrices``.
 
@@ -51,7 +52,6 @@ precision.  Only tests use them, so they live here.
 import itertools
 import random
 import weakref
-from collections import deque
 
 from closehecke.cartan import CosetLabel
 from closehecke.errors import (
@@ -296,26 +296,11 @@ def residue_mat_mul(ctx, A, B):
     return tuple(out)
 
 
-def fingerprint_bfs_labels(ctx, mu):
-    """Labels of invariant ``mu`` (spread > 0) by the breadth-first walk over
-    the residue generators acting on P and Q, a moved label being new when
-    its fingerprint is unseen; sorted by label order."""
-    start = ctx.unif_label(mu)
-    seen = {fingerprint(ctx, start)}
-    orbit = [start]
-    queue = deque([start])
-    gens = ctx._residue_gl_generators()
-    while queue:
-        lab = queue.popleft()
-        for s in gens:
-            for moved in (CosetLabel(mu, residue_mat_mul(ctx, s, lab.P), lab.Q, ctx.m),
-                          CosetLabel(mu, lab.P, residue_mat_mul(ctx, s, lab.Q), ctx.m)):
-                fp = fingerprint(ctx, moved)
-                if fp not in seen:
-                    seen.add(fp)
-                    orbit.append(moved)
-                    queue.append(moved)
-    return sorted(orbit)
+def canonical_window(ctx, mu):
+    """The window of ``mu`` by brute force: the canonical labels of
+    (mu, P, Q) for every pair of G(o/pi^m), sorted."""
+    els = ctx.group_elements()
+    return sorted({ctx.canonical_label(CosetLabel(mu, P, Q, ctx.m)) for P in els for Q in els})
 
 
 _TABLES = weakref.WeakKeyDictionary()
@@ -493,7 +478,7 @@ def integral_coords(ctx, g, shift=None):
     its coordinates over ``ring``, a working ring of the side that holds
     pi^prec.  ``shift`` defaults to the least certified valuation of an
     entry.  A zero floor below the shift leaves prec <= 0, which
-    ``smith_cartan`` refuses."""
+    ``smith_at`` refuses."""
     if shift is None:
         vals = [x.v for row in g.rows for x in row if not x.is_zero_marker()]
         if not vals:
@@ -517,13 +502,25 @@ def integral_coords(ctx, g, shift=None):
     return tuple(rows), ring, shift, prec
 
 
+def smith_at(ctx, rows, ring, prec):
+    """``smith_cartan`` of ``rows`` known modulo pi^prec only, for prec at
+    most the ring's pi-level: a pivot at or above pi^prec makes
+    lambda_n + m exceed prec, so the one bound lambda_n + m <= prec refuses
+    every matrix whose label the known digits leave open."""
+    mu, x, y = ctx.smith_cartan(rows, ring)
+    if mu[-1] + ctx.m > prec:
+        raise InsufficientPrecisionError(
+            f"invariant {mu} needs pi^{mu[-1] + ctx.m}, known to pi^{prec}")
+    return mu, x, y
+
+
 def smith_of_matrix(ctx, g):
     """(mu, x, y) of g = x pi^mu y^{-1} for a precision-tracked g, through
     the library's one elimination on g's integral coordinates; x and y come
     back as matrices known modulo pi^(N_g - lambda_n), which is as far as g
     fixes them."""
     rows, ring, shift, prec = integral_coords(ctx, g)
-    mu, x, y = ctx.smith_cartan(rows, ring, prec)
+    mu, x, y = smith_at(ctx, rows, ring, prec)
     known = prec - mu[-1]
 
     def back(M):
@@ -539,7 +536,7 @@ def smith_reconstruction(ctx, g):
     coordinates with y inverted by ``unimodular_inverse``, reproduces
     pi^-shift g modulo pi^(N_g)."""
     rows, ring, shift, prec = integral_coords(ctx, g)
-    mu, x, y = ctx.smith_cartan(rows, ring, prec)
+    mu, x, y = smith_at(ctx, rows, ring, prec)
     # the shift takes the least valuation, so mu_1 = 0 and pi^(mu - mu_1) = pi^mu
     rec = coord_mul(ring, x, ctx.unif_scale_rows(mu, unimodular_inverse(ring, y), ring))
     ok = all(ring.residue(a, prec) == ring.residue(b, prec)
@@ -551,7 +548,8 @@ def label_of(ctx, g):
     """The label of a precision-tracked matrix g, read at its certified
     absolute precision."""
     rows, ring, shift, prec = integral_coords(ctx, g)
-    return ctx.label_of_matrix(rows, ring, shift, prec)
+    smith_at(ctx, rows, ring, prec)
+    return ctx.label_of_matrix(rows, ring, shift)
 
 
 def lift_residue_matrix(ctx, data, ring):
@@ -602,7 +600,7 @@ def left_coset_matrices(ctx, label, ring):
 
 def hecke_unit(H):
     """The unit of the Hecke algebra H: the basis element of K itself."""
-    return H.basis(H.context.identity_label())
+    return H.unif_basis((0,) * H.context.n)
 
 
 def coeff_at(f, label):

@@ -28,13 +28,13 @@ from closehecke.transfer import Tower, random_label
 
 from helpers import (
     brute_left_cosets,
+    canonical_window,
     closure_left_cosets,
     coset_matches,
     canonical_label_by_tables,
     default_pi_prec,
     distinct_double_cosets,
     fingerprint,
-    fingerprint_bfs_labels,
     flatten,
     gamma_stabilizer,
     integral_coords,
@@ -138,7 +138,7 @@ def test_smith_cartan_invariance_under_units(ctx3):
 
 def test_left_coset_reps_identity(ctx2):
     ring = ctx2.working_ring(6)
-    reps = ctx2.left_coset_reps(ctx2.identity_label(), ring)
+    reps = ctx2.left_coset_reps(ctx2.unif_label((0, 0)), ring)
     assert len(reps) == 1
 
 
@@ -348,7 +348,7 @@ def test_q_inverse_is_taken_once_per_q_and_ring(monkeypatch):
 
 def test_q_inverse_memo_keeps_no_failed_inverse(monkeypatch):
     ctx = GroupContext(base_side("F", MIXED, 2, 1), 2)
-    ring, Q = ctx.working_ring(6), ctx.identity_label().Q
+    ring, Q = ctx.working_ring(6), ctx.unif_label((0, 0)).Q
     real = cartan.unimodular_inverse
 
     def refuse(ring, A):
@@ -521,15 +521,17 @@ def test_enumerate_labels_complete_and_distinct(ctx2):
 def test_enumerate_labels_matches_fingerprint_bfs(p, m):
     # for n = 2 and spread >= 1 there are (q + 1) |G(o/pi^m)| / q double
     # cosets, whatever the spread; the labels are as many and pairwise
-    # distinct by definition, so they are all of them
+    # distinct by definition and by fingerprint, so they are all of them,
+    # and they are the canonical labels of all |G|^2 pairs, in label order
     count = {(2, 1): 9, (3, 1): 64, (2, 2): 144}[(p, m)]
     assert (p + 1) * group_order(2, p, m) // p == count
     for mu in [(0, 1), (0, 2)]:
         ctx = GroupContext(base_side("F", MIXED, p, m), 2)
         labels = ctx.enumerate_labels([mu])
-        assert len(labels) == count
+        assert len(labels) == count == ctx.group_order() ** 2 // ctx.gamma_order(mu)
         assert distinct_double_cosets(ctx, labels, ctx.working_ring(default_pi_prec(ctx, [mu])))
-        assert labels == fingerprint_bfs_labels(ctx, mu)
+        assert len({fingerprint(ctx, lab) for lab in labels}) == count
+        assert labels == canonical_window(ctx, mu)
 
 
 @pytest.mark.parametrize("side, mu", [
@@ -539,19 +541,42 @@ def test_enumerate_labels_matches_fingerprint_bfs(p, m):
     (base_side("F", MIXED, 2, 1), (0, 0, 1)),
 ], ids=["F_3[t]", "twisted", "n=3", "n=3-central-pair"])
 def test_walk_gives_the_fingerprint_walk_labels_in_its_order(side, mu):
+    # the closed-form window is the brute-force one, in its order: the
+    # canonical labels of all |G|^2 pairs, |G|^2 / |Gamma_mu| of them, with
+    # pairwise distinct fingerprints
     ctx = GroupContext(side, len(mu))
-    assert ctx.enumerate_labels([mu]) == fingerprint_bfs_labels(ctx, mu)
+    labels = ctx.enumerate_labels([mu])
+    assert labels == canonical_window(ctx, mu)
+    assert len({fingerprint(ctx, lab) for lab in labels}) == len(labels) == \
+        ctx.group_order() ** 2 // ctx.gamma_order(mu)
 
 
-def test_walk_missing_a_generator_raises(monkeypatch):
-    # without the unit generator every move keeps det P / det Q, so the
-    # walk from (I, I) misses half the labels of GL_2(F_3); the count
-    # |G|^2 / |Gamma_mu| tells
+def test_a_window_short_of_its_count_raises(monkeypatch):
+    # a normal form of Q Y_mu taken over all of GL_n merges the classes of
+    # Q Y_mu, so the window of GL_2(F_3) falls short of |G|^2 / |Gamma_mu|;
+    # the count tells
     ctx = GroupContext(base_side("F", MIXED, 3, 1), 2)
-    full = GroupContext._residue_gl_generators
-    monkeypatch.setattr(GroupContext, "_residue_gl_generators", lambda self: full(self)[:-1])
-    with pytest.raises(InvariantViolationError):
+    real = GroupContext._y_normal_form
+    monkeypatch.setattr(GroupContext, "_y_normal_form",
+                        lambda self, Q, mu: real(self, Q, (0,) * len(mu)))
+    with pytest.raises(InvariantViolationError, match="normal forms give"):
         ctx.enumerate_labels([(0, 1)])
+
+
+@pytest.mark.parametrize("case, p, l, count", [(UNRAMIFIED, 2, 3, 11025),
+                                                (RAMIFIED, 3, 2, 12960)],
+                         ids=["unramified", "ramified"])
+def test_spread_one_extension_windows_list_under_the_default_budgets(case, p, l, count):
+    # |G|^2 of either E side exceeds the default budget, but the labels of
+    # its spread <= 1 window do not: each window is listed, every label a
+    # fixed point of canonical_label
+    ctx = Tower(p, 1, case=case, l=l).ctx["E"]
+    mus = cochar_window(2, 0, 1)
+    assert ctx.group_order() ** 2 > ctx.budget
+    labels = ctx.enumerate_labels(mus)
+    assert len(labels) == count == \
+        sum(ctx.group_order() ** 2 // ctx.gamma_order(mu) for mu in mus)
+    assert all(ctx.canonical_label(lab) == lab for lab in labels)
 
 
 # -- canonical labels ----------------------------------------------------------------
@@ -656,24 +681,19 @@ def test_canonical_label_agrees_with_the_table_construction(side):
 
 @pytest.mark.parametrize("side", list(_CANONICAL_WINDOWS))
 def test_representative_names_the_listed_label_of_each_double_coset(side):
-    # each window maps canonical labels to the labels enumerate_labels
-    # lists, built on first use; a central label (mu, x, I) is its own
-    # canonical label
+    # each window lists the canonical label of each of its double cosets,
+    # so a listed label is its own representative: the windows are the
+    # brute-force ones, and a context lists the same windows in any order
+    # of request; a central window is (mu, x, I) for x in G
     ctx, fresh = (GroupContext(_CANONICAL_WINDOWS[side](), 2) for _ in range(2))
-    for mu in [(0, 0), (1, 1), (0, 1), (-1, 1)]:
+    mus = [(0, 0), (1, 1), (0, 1), (-1, 1)]
+    for mu in mus:
         listed = ctx.enumerate_labels([mu])
+        assert all(ctx.canonical_label(lab) == lab for lab in listed)
+        assert listed == canonical_window(fresh, mu)
         if spread(mu) == 0:
-            assert all(ctx.canonical_label(lab) == lab for lab in listed)
-        assert [fresh.representative(ctx.canonical_label(lab)) for lab in listed] == listed
-
-
-def test_representative_of_a_label_outside_its_window_raises():
-    # a label that its window does not hold as a canonical label is an
-    # invariant violation naming it, not a KeyError
-    ctx = GroupContext(base_side("F", MIXED, 3, 1), 2)
-    lab = next(lab for lab in ctx.enumerate_labels([(0, 1)]) if ctx.canonical_label(lab) != lab)
-    with pytest.raises(InvariantViolationError, match="not a canonical label"):
-        ctx.representative(lab)
+            assert {lab.Q for lab in listed} == {ctx.unif_label(mu).Q}
+    assert fresh.enumerate_labels(mus[::-1]) == ctx.enumerate_labels(mus)
 
 
 def test_gamma_order_is_the_size_of_the_listed_groups():
@@ -696,7 +716,7 @@ def test_gamma_order_is_the_size_of_the_listed_groups():
 def test_sort_key_orders_like_flattened_residues(side, mus):
     # a label sorts as its tuple (mu, P, Q, level), which within one context
     # is the order of (mu, flattened P, flattened Q); the E sides enumerate
-    # their central windows only (spread is over budget)
+    # their central windows only, to keep the test small
     labels = GroupContext(side, 2).enumerate_labels(mus)
     assert len(set(labels)) == len(labels)
     shuffled = random.Random(5).sample(labels, len(labels))
@@ -712,18 +732,21 @@ def test_enumerate_deterministic_order(ctx3):
 
 
 def test_enumeration_budget_guard():
-    # spread windows carry the |G(o/p^m)|^2 guard; central windows are only
-    # bounded by the group order itself
+    # budget bounds the labels of one window and pair_budget the group
+    # listed, |GL_2(Z/9)| = 3,888; the spread window (0, 1) holds
+    # 3,888^2 / 2,916 = 5,184 labels, so a budget of 5,183 refuses it and
+    # the default budget lists it, although |G|^2 is over 10^7
     ctx = GroupContext(base_side("F", MIXED, 3, 2), 2, budget=10)
     with pytest.raises(BudgetExceededError):
         ctx.enumerate_labels([(0, 1)])
-    ctx2 = GroupContext(base_side("F", MIXED, 3, 2), 2, budget=10, pair_budget=10)
+    ctx2 = GroupContext(base_side("F", MIXED, 3, 2), 2, pair_budget=10)
     with pytest.raises(BudgetExceededError):
         ctx2.enumerate_labels([(0, 0)])
-    # the default budget keeps level-2 spread windows out of desk range
+    with pytest.raises(BudgetExceededError, match="5184 labels"):
+        GroupContext(base_side("F", MIXED, 3, 2), 2, budget=5183).enumerate_labels([(0, 1)])
     ctx3 = GroupContext(base_side("F", MIXED, 3, 2), 2)
-    with pytest.raises(BudgetExceededError):
-        ctx3.enumerate_labels([(0, 1)])
+    assert ctx3.group_order() ** 2 > ctx3.budget
+    assert len(ctx3.enumerate_labels([(0, 1)])) == 5184
 
 
 # -- stabilizer -------------------------------------------------------------------------

@@ -46,6 +46,14 @@ def test_cosets_enumerate(capsys):
     assert code == 0 and doc["result"]["count"] == 6
 
 
+def test_cosets_enumerate_lists_a_spread_window_of_an_extension_side(capsys):
+    # |G|^2 of the ramified E side is over the default budget, the 12,960
+    # labels of its spread <= 1 window are not
+    code, out = run_cli(capsys, "cosets", "enumerate", "--side", "E", "--case", "ramified",
+                        "--p", "3", "--l", "2", "--mu-lo", "0", "--mu-hi", "1", "--window", "1")
+    assert code == 0 and json.loads(out)["result"]["count"] == 12960
+
+
 def test_check_pass_exit_zero(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _ = run_cli(capsys, "check", "lemma-conv", "--p", "2", "--m", "1",
@@ -297,11 +305,11 @@ _TYPED_INVARIANT_TESTS = [
     "tests/test_products.py::test_smith_refusals_are_typed",
     "tests/test_products.py::test_a_matrix_known_below_the_bound_is_refused",
     "tests/test_cartan.py::test_label_ring_at_the_wrong_level_raises_typed_error",
-    "tests/test_cartan.py::test_walk_missing_a_generator_raises",
+    "tests/test_cartan.py::test_a_window_short_of_its_count_raises",
     "tests/test_cartan.py::test_an_unknown_multiplier_reaches_the_smith_transforms",
     "tests/test_cartan.py::test_sigma_label_of_a_base_side_is_a_side_mismatch",
     "tests/test_cartan.py::test_inverse_refuses_a_pivot_under_a_zero_floor",
-    "tests/test_cartan.py::test_representative_of_a_label_outside_its_window_raises",
+    "tests/test_hecke.py::test_brauer_restrict_refuses_a_non_canonical_base_label",
     "tests/test_transfer.py::test_extension_pair_guards_raise_typed_errors",
     "tests/test_transfer.py::test_close_pair_uniformizer_mismatch_raises_typed_error",
     "tests/test_hecke.py::test_inconsistent_double_coset_counts_raise",
@@ -345,14 +353,24 @@ _UNRAM = ["--p", "2", "--l", "3", "--case", "unramified"]
 # proved byte for byte: for each argv, the old stdout parsed, edited as the
 # change intends (say, a removed config key deleted) and dumped again with
 # json.dumps(doc, sort_keys=True, indent=2) + "\n" equals the new stdout.
-# "hecke brauer" reads the orbit sum "hecke sigma" prints
+# "hecke brauer" reads the orbit sum "hecke sigma" prints.
+# Windows list canonical labels and Brauer restriction prints the
+# de-embedded canonical label, which re-recorded two digests:
+# - "cosets enumerate --p 2 ... --window 1": the new list of 21 labels is
+#   the sorted list of canonical_label of each old label (7 of the old 21
+#   were not canonical); command, config and version are unchanged;
+# - "check main-diagram" ramified: config, pass flag and the order of the
+#   165 sample inputs are unchanged, and the multiset of (kind, input,
+#   equal, lhs, rhs) is unchanged once every term label is mapped through
+#   canonical_label; samples move only within the "orbit-sum of F-label
+#   (0, 1)" group, whose F-labels are now listed in canonical form.
 _PINNED_DOCUMENTS = [
     (["fields", "build", *_UNRAM],
      "ac37a05239c08826628e7cde32b93457407584d1717a1051d17cb256883708c1"),
     (["fields", "build", *_RAM],
      "450ab3d4ab4e7d76bcedf7f859f1f4f364c051789ae1af1e49db617b18780dcd"),
     (["cosets", "enumerate", "--p", "2", "--mu-lo", "0", "--mu-hi", "1", "--window", "1"],
-     "1a2ebacef44773603faa2a3a589489b2ec1056d17dbca8bfc8bf0acc1ace7041"),
+     "b04e94016e61bd060332047765b23249a28b40f34c630a6c3f78fe57bba6d2be"),
     (["cosets", "enumerate", "--side", "E", *_RAM, "--mu-lo", "0", "--mu-hi", "0"],
      "6ead6296c612c3c1ada5f43086005252470f87bb765803601505043c608f1237"),
     (["check", "kaz-hom", "--p", "2", "--l", "3", "--window", "1", "--samples", "2",
@@ -364,7 +382,7 @@ _PINNED_DOCUMENTS = [
     (["check", "galois-equivariance", *_UNRAM, "--window", "1", "--samples", "2"],
      "0e2deb39d19f5047fd016a2c33544e71d70f95259df2d6001772298c00159aa0"),
     (["check", "main-diagram", *_RAM, "--window", "1", "--samples", "2"],
-     "b5f822fa79b525faa865043193aadff5e8292e549419a5f0b7456243b5cf4ef9"),
+     "0723c3e49af62f0f14e906881c1316a9b25dcef60618ef750007ac80f8d66f28"),
     (["check", "lemma-conv", "--p", "2", "--window", "1", "--samples", "2", "--seed", "3"],
      "241cee29dcf1dac383f995f3794c5d4e428655a6b00e00ca393626d021dc5c7a"),
     (["hecke", "convolve", "--p", "3", "--l", "2", "--a", "f.json", "--b", "f.json"],
@@ -413,9 +431,13 @@ _E_TWO_TERMS = {**_E_PI, "terms": _E_PI["terms"] + [
     (["kaz", "map", "--p", "3", "--l", "2", "--in", "f.json"], {"f.json": {**_F_PI, "l": 5}},
      "SPEC_MISMATCH"),
     (["hecke", "sigma", *_RAM, "--in", "f.json"], {"f.json": _F_PI}, "SIDE_MISMATCH"),
+    (["check", "lemma-conv", "--p", "2", "--window", "0", "--samples", "1"], {},
+     "CONFIG_INVALID"),
+    (["check", "lemma-conv", "--p", "2", "--n", "1", "--samples", "1"], {}, "CONFIG_INVALID"),
 ], ids=["file-holds-a-list", "E-element-without-case", "cosets-E-without-case",
         "orbit-sum-of-two-terms", "brauer-of-an-F-element", "convolve-F-with-E",
-        "element-field-mismatch", "sigma-of-an-F-element"])
+        "element-field-mismatch", "sigma-of-an-F-element", "lemma-conv-window-0",
+        "lemma-conv-rank-1"])
 def test_each_bad_input_exits_two_with_its_typed_code(tmp_path, monkeypatch, capsys,
                                                       argv, files, code):
     monkeypatch.chdir(tmp_path)

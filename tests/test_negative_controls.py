@@ -6,6 +6,8 @@ commutation check can see is caught by the absolute oracle named for it.
 
 import pytest
 
+from closehecke.cartan import CosetLabel, GroupContext
+from closehecke.errors import InvariantViolationError
 from closehecke.hecke import HeckeAlgebra
 from closehecke.transfer import (
     Tower,
@@ -90,3 +92,37 @@ def test_a_fault_alike_on_br_and_br_prime_needs_the_absolute_oracle(monkeypatch)
     rep = check_main_diagram(tower, mu_spread=1, base_window=0, samples=4, seed=60)
     assert rep.passed and nonzero_samples(rep) >= 1
     assert any(tower.brauer(h) != brauer_restrict_by_window(HE, h, HF) for _, h in samples)
+
+
+def _base_label_without_round_trip(self, label):
+    """``GroupContext.base_label`` less its embed_base_label(flab) == label
+    test: it de-embeds labels that meet no double coset of G(F)."""
+    e = self.side.e
+    P, Q = (tuple(tuple(x[0] for x in row) for row in R) for R in (label.P, label.Q))
+    return CosetLabel(tuple(x // e for x in label.mu), P, Q, self.side.base_level_m)
+
+
+def test_base_label_without_its_round_trip_is_caught(monkeypatch):
+    # Brauer restriction reads de-embedded labels as they stand.  On the
+    # ramified tower the fault de-embeds terms of odd mu too: where the
+    # label it makes is not canonical, brauer_restrict's canonicity guard
+    # raises, which stops the main diagram; where it is canonical, Br(h)
+    # gains a term, and brauer_restrict_by_window, which de-embeds nothing,
+    # catches it
+    tower = Tower(3, 1, case="ramified", l=2)
+    HE, HF = tower.alg["E"], tower.alg["F"]
+    samples = [h for _, h in structured_orbit_sums(tower, 1, 0, 6, 60)]
+    assert all(HE.brauer_restrict(h, HF) == brauer_restrict_by_window(HE, h, HF)
+               for h in samples)
+    monkeypatch.setattr(GroupContext, "base_label", _base_label_without_round_trip)
+    with pytest.raises(InvariantViolationError, match="is not a canonical label of G"):
+        check_main_diagram(tower, mu_spread=1, base_window=0, samples=6, seed=60)
+    guarded = wrong = 0
+    for h in samples:
+        try:
+            got = HE.brauer_restrict(h, HF)
+        except InvariantViolationError:
+            guarded += 1
+            continue
+        wrong += got != brauer_restrict_by_window(HE, h, HF)
+    assert guarded >= 1 and wrong >= 1

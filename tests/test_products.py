@@ -131,6 +131,9 @@ def test_smith_refusals_are_typed():
     zero, one, pi2 = ring.zero(), ring.one(), ring.mul_pi(ring.one(), 2)
     with pytest.raises(InsufficientPrecisionError, match="no pivot"):
         ctx.smith_cartan(((zero, zero), (zero, zero)), ring)
+    # over o/pi^3, pi^2 is a pivot, but lambda_n + m = 4 exceeds N = 3
+    short = ctx.working_ring(3)
     with pytest.raises(InsufficientPrecisionError, match="needs pi"):
-        ctx.smith_cartan(((one, zero), (zero, pi2)), ring, prec=3)
+        ctx.smith_cartan(((short.one(), short.zero()),
+                          (short.zero(), short.mul_pi(short.one(), 2))), short)
     assert ctx.smith_cartan(((one, zero), (zero, pi2)), ring)[0] == (0, 2)

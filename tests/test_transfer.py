@@ -341,7 +341,7 @@ def test_report_shape_and_failure_diagnostics(tower_ram):
     assert entry["equal"] is False and "lhs" in entry and "rhs" in entry
     # t[(0,0)] and t[(0,1)] both differ; the first in label order is named
     ctx, F = tower_ram.ctx["F"], tower_ram.alg["F"].field
-    assert entry["firstDiff"] == {"label": ctx.label_to_json(ctx.identity_label()),
+    assert entry["firstDiff"] == {"label": ctx.label_to_json(ctx.unif_label((0,) * ctx.n)),
                                   "lhs": F.coords_json(F.one()),
                                   "rhs": F.coords_json(F.zero())}
     assert all(("lhs" in s and "rhs" in s) for s in rep.samples)
@@ -361,7 +361,7 @@ def test_failing_sample_names_its_first_differing_label(monkeypatch, tower_unram
         diff = s["firstDiff"]
         assert set(diff) == {"label", "lhs", "rhs"}
         label = ctx.label_from_json(diff["label"])
-        assert fingerprint(ctx, label) == fingerprint(ctx, ctx.identity_label())
+        assert fingerprint(ctx, label) == fingerprint(ctx, ctx.unif_label((0,) * ctx.n))
         c = coeff_at(HFp.from_json(s["lhs"]), label)
         assert diff["lhs"] == F.coords_json(c)
         assert diff["rhs"] == F.coords_json(F.add(c, F.one()))
