@@ -322,8 +322,13 @@ class GroupContext:
         running over pi^m o / pi^(m + mu_i - mu_j).  Two such u in one coset
         agree entry by entry, diagonal by diagonal, so the list is
         duplicate-free and has prod q^(mu_i - mu_j) members; u = I comes first.
+        ``budget`` bounds that count, checked before anything is listed.
         """
         n, mu, m = self.n, label.mu, self.m
+        count = self.coset_count(mu)
+        if count > self.budget:
+            raise BudgetExceededError(
+                f"the transversal of {mu} holds {count} cosets, over budget {self.budget}")
         P, right = self._label_factors(label, ring)
         zero, mul, add = ring.zero(), ring.mul, ring.add
         # u - I = sum of c_ij e_i e_j^T, so P u R = P R plus c_ij times the

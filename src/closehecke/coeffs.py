@@ -6,14 +6,20 @@ lexicographically smallest monic irreducible of degree k (degree 1 uses
 X - 0, i.e. plain F_l).  Chosen over an algebraic closure so that every
 structure constant, being the image of an integer, lands in the prime field.
 
-Polynomials over a field F are dense little-endian lists of F-elements with
-no trailing zero; F_p is ``CoeffField(p, 1)``.  The rings' minimal
-polynomials and the Tate splitter both use these helpers, and
-:func:`power` is the one square-and-multiply behind every ``pow``.
+Polynomials over a field or truncated ring F are dense little-endian lists
+of F-elements with no trailing zero; F_p is ``CoeffField(p, 1)``, and
+``poly_rem`` divides only by a polynomial whose leading coefficient is a
+unit.  The Tate splitter, the rings' minimal polynomials, their products
+over F_p[t]/t^N, Horner's rule (:func:`poly_eval`) and Newton's iteration
+(``closehecke.rings.hensel_root``) all use these helpers;
+:func:`poly_mulmod` is the one reduced product on int coordinates, behind
+``CoeffField.mul`` and the extension rings over Z/p^N; and :func:`power` is
+the one square-and-multiply behind every ``pow``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import ConfigError, NotAUnitError, SpecMismatchError, json_field
@@ -61,13 +67,9 @@ class CoeffField:
             raise SpecMismatchError(f"l = {l} is not prime")
         self.l = l
         self.k = k
-        # X^k = -(m_0 + m_1 X + ... + m_{k-1} X^{k-1})
-        if k == 1:
-            self.head = ((-0) % l,)
-            self._min_low = (0,)
-        else:
-            self._min_low = smallest_irreducible(l, k)
-            self.head = tuple((-c) % l for c in self._min_low)
+        if k > 1:
+            # X^k = head(X) = -(m_0 + m_1 X + ... + m_{k-1} X^{k-1})
+            self.head = tuple((-c) % l for c in smallest_irreducible(l, k))
 
     def __eq__(self, other):
         return isinstance(other, CoeffField) and (self.l, self.k) == (other.l, other.k)
@@ -103,21 +105,9 @@ class CoeffField:
         return tuple((x - y) % self.l for x, y in zip(a, b))
 
     def mul(self, a, b):
-        l, k = self.l, self.k
-        if k == 1:
-            return ((a[0] * b[0]) % l,)
-        conv = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] = (conv[i + j] + x * y) % l
-        for i in range(2 * k - 2, k - 1, -1):
-            c = conv[i]
-            if c:
-                for j in range(k):
-                    conv[i - k + j] = (conv[i - k + j] + c * self.head[j]) % l
-                conv[i] = 0
-        return tuple(conv[:k])
+        if self.k == 1:
+            return ((a[0] * b[0]) % self.l,)
+        return poly_mulmod(a, b, self.head, self.l)
 
     def pow(self, a, e):
         if e < 0:
@@ -153,7 +143,28 @@ class CoeffField:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over a CoeffField (dense little-endian lists)
+# reduced products on int coefficient vectors
+
+def poly_mulmod(a, b, head, modulus):
+    """a b in Z/modulus[X]/(X^d - head(X)) for d = len(head), on int
+    coefficient vectors of length d: the full product, reduced by
+    X^d = head(X) from the top degree down, taken mod ``modulus`` once."""
+    d = len(head)
+    conv = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+    for i in range(2 * d - 2, d - 1, -1):
+        c = conv[i]
+        if c:
+            for j, h in enumerate(head):
+                conv[i - d + j] += c * h
+    return tuple(c % modulus for c in conv[:d])
+
+
+# ---------------------------------------------------------------------------
+# polynomials over a ring or CoeffField (dense little-endian lists)
 
 def poly_trim(F, f):
     while f and F.is_zero(f[-1]):
@@ -181,6 +192,14 @@ def poly_mul(F, f, g):
         for j, b in enumerate(g):
             out[i + j] = F.add(out[i + j], F.mul(a, b))
     return poly_trim(F, out)
+
+
+def poly_eval(F, f, x):
+    """f(x) by Horner's rule."""
+    acc = F.zero()
+    for c in reversed(f):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
 
 
 def poly_rem(F, f, g):
@@ -234,6 +253,7 @@ def is_irreducible(F, f):
                for r in range(2, d + 1) if d % r == 0 and is_prime(r))
 
 
+@functools.cache
 def smallest_irreducible(p, degree):
     """Lexicographically smallest monic irreducible of given degree over F_p
     with a nonzero constant term, as its low coefficients (c_0, ..., c_{d-1});

@@ -19,6 +19,8 @@ benchmark's tracer still counts their calls.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import (
     InsufficientPrecisionError,
     InvariantViolationError,
@@ -328,18 +330,13 @@ def spread(mu):
 
 
 def cochar_window(n, lo, hi, max_spread=None):
-    """All non-decreasing n-tuples with entries in [lo, hi], optionally
-    filtered by spread, in lexicographic order."""
-    out = []
-
-    def rec(prefix, floor):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for v in range(floor, hi + 1):
-            rec(prefix + [v], v)
-
-    rec([], lo)
-    if max_spread is not None:
-        out = [mu for mu in out if spread(mu) <= max_spread]
-    return out
+    """All non-decreasing n-tuples with entries in [lo, hi] and spread at
+    most ``max_spread`` >= 0 (any spread when None), in lexicographic order.
+    The bound applies while the tuples are generated, so a wide window of
+    small spread costs only its members."""
+    if n == 0:
+        return [()]
+    s = hi - lo if max_spread is None else max_spread
+    return [(a,) + rest for a in range(lo, hi + 1)
+            for rest in itertools.combinations_with_replacement(
+                range(a, min(hi, a + s) + 1), n - 1)]

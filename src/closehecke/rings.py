@@ -13,7 +13,10 @@ Coordinate conventions
 
 Ring objects operate on these raw coordinates, exactly in the truncation;
 the callers prove the truncation level they need (see
-``closehecke.hecke.HeckeAlgebra._basis_product``).
+``closehecke.hecke.HeckeAlgebra._basis_product``).  Extension products,
+Horner evaluation and the Newton iteration take their polynomial arithmetic
+from ``closehecke.coeffs``; only ``BaseRing.mul`` keeps its own truncated
+product on F_p[t]/t^N, which never forms the half it would discard.
 
 Memo tables
     A ring with at most ``TABLE_BOUND`` elements answers ``mul``, ``add``
@@ -36,7 +39,15 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .coeffs import CoeffField, is_irreducible, is_prime, power, smallest_irreducible
+from .coeffs import (
+    is_prime,
+    poly_eval,
+    poly_mul,
+    poly_mulmod,
+    poly_rem,
+    power,
+    smallest_irreducible,
+)
 from .errors import (
     GaloisConditionError,
     InvariantViolationError,
@@ -265,25 +276,12 @@ class BaseRing:
         return coords
 
 
-@functools.lru_cache(maxsize=None)
-def _minimal_poly(p, l, coeffs):
-    """The low-degree F_p coefficients of a monic irreducible f of degree l,
-    leading 1 implicit: the smallest such f when ``coeffs`` is None, else
-    ``coeffs`` reduced mod p and checked.  Memoized, because every ring of
-    a side is built from the side's one polynomial."""
-    if coeffs is None:
-        return smallest_irreducible(p, l)
-    coeffs = tuple(c % p for c in coeffs)
-    F = CoeffField(p, 1)
-    if len(coeffs) != l or not is_irreducible(F, [F.from_int(c) for c in coeffs + (1,)]):
-        raise SpecMismatchError(f"minimalPoly is not irreducible of degree {l} mod p")
-    return coeffs
-
-
 class ExtensionRing:
-    """base[T]/(f) with f monic irreducible (unramified) or T^l - w (ramified)."""
+    """base[T]/(f) with f the smallest monic irreducible of degree l over F_p
+    (unramified) or T^l - w (ramified); ``head`` holds T^l as a polynomial of
+    degree < l in T."""
 
-    def __init__(self, base_ring: BaseRing, kind, l, minimal_poly=None, unif_class=None):
+    def __init__(self, base_ring: BaseRing, kind, l, *, unif_class=None):
         p = base_ring.p
         if not is_prime(l):
             raise SpecMismatchError(f"l = {l} is not prime")
@@ -295,8 +293,7 @@ class ExtensionRing:
         self.p = p
         self.level = base_ring.level          # base truncation level
         if kind == UNRAMIFIED:
-            self.minimal_poly = _minimal_poly(
-                p, l, None if minimal_poly is None else tuple(minimal_poly))
+            self.minimal_poly = smallest_irreducible(p, l)
             self.e = 1
             # T^l = -(f_0 + f_1 T + ... + f_{l-1} T^{l-1})
             self.head = tuple(base_ring.neg(base_ring.from_int(c)) for c in self.minimal_poly)
@@ -316,12 +313,14 @@ class ExtensionRing:
                 self.w_unit_inv = base_ring.inv(base_ring.div_pi(unif_class, 1))
             else:
                 self.w_unit_inv = None
-            self.head = None
+            self.head = (unif_class,) + (base_ring.zero(),) * (l - 1)
         else:
             raise SpecMismatchError(f"unknown extension kind {kind!r}")
         self.pi_level = base_ring.level * self.e
-        # Over Z/p^N the convolution runs on plain ints, reduced once
-        self._int_coords = base_ring.model == MIXED
+        if base_ring.model == EQUAL:
+            # the monic relation T^l - head(T) that reduces products over
+            # F_p[t]/t^N; over Z/p^N ``poly_mulmod`` reduces by head itself
+            self._relation = [base_ring.neg(h) for h in self.head] + [base_ring.one()]
         self._one = (base_ring.one(),) + (base_ring.zero(),) * (l - 1)
         self._inverses = {}   # unit -> its verified inverse
         _tabulate(self, self.size(), ("mul", "add", "sub"))
@@ -378,42 +377,11 @@ class ExtensionRing:
         return tuple(self.base.sub(x, y) for x, y in zip(a, b))
 
     def mul(self, a, b):
-        B, l = self.base, self.l
-        if self._int_coords:
-            conv = [0] * (2 * l - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        conv[i + j] += x * y
-            if self.kind == RAMIFIED:
-                w = self.w
-                for i in range(l - 1):
-                    conv[i] += conv[i + l] * w
-            else:
-                head = self.head
-                for i in range(2 * l - 2, l - 1, -1):
-                    c = conv[i]
-                    if c:
-                        for j in range(l):
-                            conv[i - l + j] += c * head[j]
-            M = B.modulus
-            return tuple(c % M for c in conv[:l])
-        conv = [B.zero()] * (2 * l - 1)
-        for i, x in enumerate(a):
-            if not B.is_zero(x):
-                for j, y in enumerate(b):
-                    conv[i + j] = B.add(conv[i + j], B.mul(x, y))
-        for i in range(2 * l - 2, l - 1, -1):
-            c = conv[i]
-            if B.is_zero(c):
-                continue
-            if self.kind == RAMIFIED:
-                conv[i - l] = B.add(conv[i - l], B.mul(c, self.w))
-            else:
-                for j in range(l):
-                    conv[i - l + j] = B.add(conv[i - l + j], B.mul(c, self.head[j]))
-            conv[i] = B.zero()
-        return tuple(conv[:l])
+        B = self.base
+        if B.model == MIXED:
+            return poly_mulmod(a, b, self.head, B.modulus)
+        r = poly_rem(B, poly_mul(B, a, b), self._relation)
+        return tuple(r) + (B.zero(),) * (self.l - len(r))
 
     def is_zero(self, a):
         return all(self.base.is_zero(x) for x in a)
@@ -530,19 +498,12 @@ def hensel_root(ring, coeffs, x):
     (ring elements) that is congruent to ``x`` modulo pi, by Newton's
     iteration; the derivative must be a unit at x."""
     deriv = [ring.mul(ring.from_int(j), c) for j, c in enumerate(coeffs)][1:]
-
-    def value(poly, y):
-        acc = ring.zero()
-        for c in reversed(poly):
-            acc = ring.add(ring.mul(acc, y), c)
-        return acc
-
     for _ in range(ring.pi_level.bit_length() + 2):
-        fx = value(coeffs, x)
+        fx = poly_eval(ring, coeffs, x)
         if ring.is_zero(fx):
             return x
-        x = ring.sub(x, ring.mul(fx, ring.inv(value(deriv, x))))
-    if not ring.is_zero(value(coeffs, x)):
+        x = ring.sub(x, ring.mul(fx, ring.inv(poly_eval(ring, deriv, x))))
+    if not ring.is_zero(poly_eval(ring, coeffs, x)):
         raise InvariantViolationError(f"Newton's iteration in {ring!r} ended off a root")
     return x
 
@@ -594,12 +555,10 @@ class RingIso:
 
 
 def _subst_formula(ring, image_coeffs):
-    """Coordinates of sum_j c_j pi^j in ``ring`` from F_p coefficients
-    (little-endian, c_0 first), Horner in the natural uniformizer."""
-    acc = ring.zero()
-    for c in reversed(image_coeffs):
-        acc = ring.add(ring.mul_pi(acc, 1), ring.from_int(c))
-    return acc
+    """Coordinates of sum_j c_j pi^j in the base ring ``ring`` from F_p
+    coefficients (little-endian, c_0 first), Horner in the natural
+    uniformizer."""
+    return poly_eval(ring, [ring.from_int(c) for c in image_coeffs], ring.unif())
 
 
 def _equal_substitution(dom, cod, image_coeffs):
@@ -628,21 +587,12 @@ def _equal_substitution(dom, cod, image_coeffs):
 
 
 def _revert_series(ring, image_coeffs):
-    """Compositional inverse of phi = sum_{j>=1} c_j t^j in the equal ring
-    F_p[t]/t^m, returned in the same c_1-first convention.  Solves
-    psi(phi(t)) = t degree by degree; correcting psi at degree k moves the
-    composite by c_1^k t^k plus higher order."""
-    p, m = ring.p, ring.level
-    fwd = _equal_substitution(ring, ring, image_coeffs)
-    inv_c1 = pow(image_coeffs[0], -1, p)
-    psi = [inv_c1] + [0] * (m - 2)
-    for k in range(2, m):
-        composite = fwd(tuple([0] + psi)[:m] + (0,) * max(0, m - 1 - len(psi)))
-        err = ring.sub(composite, ring.unif())
-        if any(err[:k]):
-            raise InvariantViolationError(f"series reversion drifted below degree {k}")
-        psi[k - 1] = (-err[k] * pow(inv_c1, k, p)) % p
-    return tuple(psi)
+    """Compositional inverse psi of phi = sum_{j>=1} c_j t^j in the equal
+    ring F_p[t]/t^m, returned in the same c_1-first convention: the root of
+    phi(X) - t congruent to 0 mod t, where phi' = c_1 + ... is a unit, so
+    ``hensel_root`` finds it and certifies phi(psi) = t."""
+    coeffs = [ring.neg(ring.unif())] + [ring.from_int(c) for c in image_coeffs]
+    return hensel_root(ring, coeffs, ring.zero())[1:]
 
 
 def build_lambda(dom: BaseRing, cod: BaseRing, unif_image=None) -> RingIso:
@@ -680,13 +630,8 @@ def build_pi(lam: RingIso, E: ExtensionRing, Ep: ExtensionRing) -> RingIso:
         raise KindMismatchError("extensions have different kind or degree")
     if E.base != lam.domain or Ep.base != lam.codomain:
         raise SpecMismatchError("extensions not built over the iso's rings")
-    if E.kind == RAMIFIED and lam.apply(E.w) != Ep.w:
-        raise SpecMismatchError("uniformizer classes do not correspond")
-    if E.kind == UNRAMIFIED:
-        img = tuple(lam.apply(E.base.neg(h)) for h in E.head)
-        exp = tuple(Ep.base.neg(h) for h in Ep.head)
-        if img != exp:
-            raise SpecMismatchError("minimal polynomials do not correspond")
+    if tuple(lam.apply(h) for h in E.head) != Ep.head:
+        raise SpecMismatchError("the relations T^l = head(T) do not correspond")
 
     def fwd(coords, _l=lam):
         return tuple(_l.apply(x) for x in coords)
@@ -721,9 +666,6 @@ class GaloisGenerator:
         else:
             self.zeta = None
             self.gen_image = self._frobenius_gen_image()
-        self._powers = [self.ring.one(), self.gen_image]
-        for i in range(2, self.l):
-            self._powers.append(ring.mul(self._powers[-1], self.gen_image))
         _tabulate(self, ring.size(), ("apply_coords",))
 
     def _frobenius_gen_image(self):
@@ -737,12 +679,9 @@ class GaloisGenerator:
         return hensel_root(ring, f + [ring.one()], s)
 
     def apply_coords(self, coords):
+        """sigma(sum_i x_i T^i) = sum_i x_i sigma(T)^i, by Horner at sigma(T)."""
         ring = self.ring
-        out = ring.zero()
-        for i, x in enumerate(coords):
-            if not ring.base.is_zero(x):
-                out = ring.add(out, ring.mul(ring.embed(x), self._powers[i]))
-        return out
+        return poly_eval(ring, [ring.embed(x) for x in coords], self.gen_image)
 
 
 # ---------------------------------------------------------------------------

@@ -52,10 +52,13 @@ class ExtensionPair:
 
 def build_close_pair(p, m, pair_mode="mixed-equal", unif_image=None) -> ClosePair:
     """The two supported closeness modes: mixed/equal at m = 1, and
-    equal/equal at any m with a configurable uniformizer image."""
+    equal/equal at any m with a configurable uniformizer image; only the
+    latter reads ``unif_image``, so the former refuses one."""
     if pair_mode == "mixed-equal":
         if m != 1:
             raise ConfigError("mixed/equal pairs exist only at closeness level m = 1")
+        if unif_image is not None:
+            raise ConfigError("a uniformizer image is read only by equal/equal pairs")
         F = base_side("F", MIXED, p, m)
         Fp = base_side("F'", EQUAL, p, m)
         lam = build_lambda(F.ring(m), Fp.ring(m))

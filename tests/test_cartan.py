@@ -154,6 +154,18 @@ def test_left_coset_reps_count_and_brute_match(ctx2):
         assert sum(1 for r in reps if same_left_coset(ctx2, b, r)) == 1
 
 
+def test_a_transversal_over_budget_is_refused_before_listing(monkeypatch):
+    # mu = (0, 3) has q^3 = 8 cosets: budget 8 lists them, budget 7 refuses
+    # them before a single digit is drawn
+    F = base_side("F", MIXED, 2, 1)
+    at, under = GroupContext(F, 2, budget=8), GroupContext(F, 2, budget=7)
+    ring, lab = at.working_ring(6), at.unif_label((0, 3))
+    assert len(at.left_coset_reps(lab, ring)) == 8
+    monkeypatch.setattr(under, "_digits", lambda *args: pytest.fail("listed over budget"))
+    with pytest.raises(BudgetExceededError, match="8 cosets, over budget 7"):
+        under.left_coset_reps(lab, ring)
+
+
 def test_left_coset_count_conjugation_invariant(ctx2):
     # every label of one invariant has as many distinct left-coset keys as
     # the diagonal one
@@ -828,6 +840,27 @@ def test_cochar_window_and_antidominance():
     with pytest.raises(Exception):
         check_antidominant((1, 0))
     assert spread((0, 2)) == 2
+
+
+def _filtered_window(n, lo, hi, s):
+    return [mu for mu in itertools.product(range(lo, hi + 1), repeat=n)
+            if list(mu) == sorted(mu) and (s is None or spread(mu) <= s)]
+
+
+def test_cochar_window_is_the_filtered_full_window():
+    for n in (1, 2, 3):
+        for lo in range(-2, 4):
+            for hi in range(-2, 4):
+                for s in (None, 0, 1, 2):
+                    assert cochar_window(n, lo, hi, max_spread=s) == _filtered_window(n, lo, hi, s)
+    assert cochar_window(0, 0, 3) == [()]
+
+
+def test_a_wide_central_window_lists_only_its_members():
+    # the spread bound applies while generating: the 20,001 central tuples,
+    # not the 200 million of the full window
+    win = cochar_window(2, 0, 20_000, max_spread=0)
+    assert win == [(a, a) for a in range(20_001)]
 
 
 def test_label_json_roundtrip(ctx_ram):

@@ -219,6 +219,7 @@ def _element(mu, P, level=1, coeff=(1,)):
     (_LAMBDA + ["a,b"], None),
     (_LAMBDA + [","], None),
     (["fields", "build", "--p", "2", "--case", "unramified"], None),
+    (["check", "kaz-hom", "--p", "2", "--l", "3", "--lambda-image", "1,1"], None),
 ], ids=["missing-file", "not-json", "missing-key", "n-zero", "terms-not-list",
         "l-not-int", "P-not-matrix", "P-singular", "mu-decreasing", "level-wrong",
         "negative-window",
@@ -227,7 +228,7 @@ def _element(mu, P, level=1, coeff=(1,)):
         "br-not-object",
         "out-unwritable", "mu-range-empty", "budget-zero",
         "pair-budget-zero", "lambda-image-not-int", "lambda-image-empty-entries",
-        "case-without-l"])
+        "case-without-l", "lambda-image-in-mixed-equal-mode"])
 def test_bad_input_exits_two_with_typed_error(tmp_path, monkeypatch, capsys, argv, content):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "m.json").write_text(json.dumps(_RHO))
@@ -434,10 +435,13 @@ _E_TWO_TERMS = {**_E_PI, "terms": _E_PI["terms"] + [
     (["check", "lemma-conv", "--p", "2", "--window", "0", "--samples", "1"], {},
      "CONFIG_INVALID"),
     (["check", "lemma-conv", "--p", "2", "--n", "1", "--samples", "1"], {}, "CONFIG_INVALID"),
+    # the transversals of mu = (0, 4) hold 2^4 = 16 cosets
+    (["check", "kaz-hom", "--p", "2", "--l", "3", "--window", "4", "--samples", "0",
+      "--budget", "10"], {}, "BUDGET_EXCEEDED"),
 ], ids=["file-holds-a-list", "E-element-without-case", "cosets-E-without-case",
         "orbit-sum-of-two-terms", "brauer-of-an-F-element", "convolve-F-with-E",
         "element-field-mismatch", "sigma-of-an-F-element", "lemma-conv-window-0",
-        "lemma-conv-rank-1"])
+        "lemma-conv-rank-1", "transversal-over-budget"])
 def test_each_bad_input_exits_two_with_its_typed_code(tmp_path, monkeypatch, capsys,
                                                       argv, files, code):
     monkeypatch.chdir(tmp_path)

@@ -6,7 +6,7 @@ import pytest
 from closehecke.coeffs import MAX_FIELD_SIZE, CoeffField, is_irreducible, smallest_irreducible
 from closehecke.errors import NotAUnitError, SpecMismatchError
 
-from helpers import brute_is_irreducible
+from helpers import _gf_mul, brute_is_irreducible
 
 
 @pytest.mark.parametrize("l,k", [(2, 1), (3, 1), (2, 2), (3, 2)])
@@ -24,6 +24,20 @@ def test_field_axioms_exhaustive(l, k):
             assert F.mul(a, b) == F.mul(b, a)
             for c in els[:4]:
                 assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+@pytest.mark.parametrize("l,k", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2)])
+def test_mul_matches_the_oracle_product(l, k):
+    # a product reduced modulo the wrong polynomial passes the field axioms,
+    # so every pair is compared with the schoolbook product of the oracle
+    F, low = CoeffField(l, k), smallest_irreducible(l, k)
+
+    def code(a):
+        return sum(c * l ** i for i, c in enumerate(a))
+
+    for a in F.elements():
+        for b in F.elements():
+            assert code(F.mul(a, b)) == _gf_mul(l, low, code(a), code(b))
 
 
 def test_zero_has_no_inverse():

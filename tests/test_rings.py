@@ -162,17 +162,12 @@ def test_ramified_spec_and_errors():
     (lambda: BaseRing(MIXED, 3, 0), SpecMismatchError),
     (lambda: ExtensionRing(BaseRing(EQUAL, 3, 1), UNRAMIFIED, 4), SpecMismatchError),
     (lambda: ExtensionRing(BaseRing(MIXED, 3, 1), UNRAMIFIED, 3), SamePrimeError),
-    # T^2 - 1 = (T - 1)(T + 1) over F_3
-    (lambda: ExtensionRing(BaseRing(EQUAL, 3, 1), UNRAMIFIED, 2, (2, 0)), SpecMismatchError),
-    # T + 1 is irreducible, but of degree 1
-    (lambda: ExtensionRing(BaseRing(EQUAL, 3, 1), UNRAMIFIED, 2, (1,)), SpecMismatchError),
     (lambda: ExtensionRing(BaseRing(EQUAL, 5, 1), RAMIFIED, 3, unif_class=(0,)),
      GaloisConditionError),
     (lambda: ExtensionRing(BaseRing(EQUAL, 3, 1), "wild", 2), SpecMismatchError),
     (lambda: ExtensionRing(BaseRing(EQUAL, 3, 1), RAMIFIED, 2), SpecMismatchError),
 ], ids=["unknown-model", "p-not-prime", "level-zero", "l-not-prime", "l-equals-p",
-        "reducible-minimal-poly", "minimal-poly-of-wrong-degree", "ramified-l-not-dividing-p-1", "unknown-kind",
-        "ramified-without-uniformizer"])
+        "ramified-l-not-dividing-p-1", "unknown-kind", "ramified-without-uniformizer"])
 def test_bad_ring_parameters_raise_typed_errors(build, error):
     with pytest.raises(error) as info:
         build()
@@ -365,19 +360,29 @@ def test_element_coords_bit_exact():
 
 # -- arithmetic fast paths against independent references ----------------------
 
-def _unram_z4(minimal_poly=(1, 1, 0)):
-    return ExtensionRing(BaseRing(MIXED, 2, 2), UNRAMIFIED, 3, minimal_poly)
+def _unram_z4():
+    return ExtensionRing(BaseRing(MIXED, 2, 2), UNRAMIFIED, 3)
 
 
 def _unram_z4_t2():
-    # T^3 + T^2 + 1: reducing T^4 feeds T^3 again, so the order of the
-    # reduction matters
-    return _unram_z4((1, 0, 1))
+    # Z/2[T]/(T^5 + T^2 + 1), the default degree-5 polynomial: reducing T^8
+    # feeds T^5 again, so the order of the reduction matters
+    return ExtensionRing(BaseRing(MIXED, 2, 1), UNRAMIFIED, 5)
 
 
 def _ram_z9():
     B = BaseRing(MIXED, 3, 2)
     return ExtensionRing(B, RAMIFIED, 2, unif_class=B.unif())
+
+
+def _unram_f2_t2():
+    # F_2[t]/t^2[T]/(T^3 + T + 1), 64 elements
+    return ExtensionRing(BaseRing(EQUAL, 2, 2), UNRAMIFIED, 3)
+
+
+def _ram_f3_t2():
+    # F_3[t]/t^2[T]/(T^2 - 2t), 81 elements
+    return ExtensionRing(BaseRing(EQUAL, 3, 2), RAMIFIED, 2, unif_class=(0, 2))
 
 
 def _f2_t5():
@@ -388,7 +393,7 @@ def _f3_t4():
     return BaseRing(EQUAL, 3, 4)
 
 
-@pytest.mark.parametrize("make", [_unram_z4, _unram_z4_t2, _ram_z9])
+@pytest.mark.parametrize("make", [_unram_z4, _unram_z4_t2, _ram_z9, _unram_f2_t2, _ram_f3_t2])
 def test_extension_mul_matches_schoolbook(make):
     E = make()
     els = list(E.elements())

@@ -66,6 +66,15 @@ def test_close_pair_modes():
         build_close_pair(3, 2, "mixed-equal")
 
 
+def test_a_uniformizer_image_is_refused_in_mixed_equal_mode():
+    # only an equal/equal pair reads the image; at m = 1 it still accepts one
+    with pytest.raises(ConfigError, match="equal/equal"):
+        build_close_pair(2, 1, "mixed-equal", unif_image=(1, 1))
+    with pytest.raises(ConfigError, match="equal/equal"):
+        Tower(2, 1, l=3, unif_image=(1, 1))
+    assert build_close_pair(2, 1, "equal-equal", unif_image=(1, 1)).Fp.unif_unit == (1, 1)
+
+
 def test_extension_pair_levels(tower_unram, tower_ram):
     assert tower_unram.extpair.E.e == 1
     assert tower_unram.extpair.E.m == 1
