@@ -163,7 +163,7 @@ class HeckeAlgebra:
         ring = ctx.label_ring
         gen = ctx.side.sigma(ring.level)
         zeta = ring.one() if gen.zeta is None else ring.embed(gen.zeta)
-        scale = [ring.pow(zeta, k % ctx.side.l) for k in label.mu]
+        scale = [ring.pow(zeta, k % gen.l) for k in label.mu]
         P = tuple(tuple(ring.mul(gen.apply_coords(x), z) for x, z in zip(row, scale))
                   for row in label.P)
         Q = tuple(tuple(gen.apply_coords(x) for x in row) for row in label.Q)
@@ -171,25 +171,26 @@ class HeckeAlgebra:
 
     def sigma_act(self, f: HeckeElement) -> HeckeElement:
         self._check_same(f.algebra)
-        if not self.context.side.is_ext:
+        if self.context.side.base_side is None:
             raise SideMismatchError("Galois action lives on the extension side")
         return self.element([(self.sigma_label(lab), c) for lab, c in f.terms.values()])
 
     def sigma_orbit(self, label):
         ctx = self.context
+        l = ctx.side.sigma(ctx.label_ring.level).l
         orbit = [label]
         seen = {ctx.canonical_label(label)}
         cur = label
-        for _ in range(self.context.side.l - 1):
+        for _ in range(l - 1):
             cur = self.sigma_label(cur)
             canon = ctx.canonical_label(cur)
             if canon in seen:
                 break
             seen.add(canon)
             orbit.append(cur)
-        if len(orbit) not in (1, self.context.side.l):
+        if len(orbit) not in (1, l):
             raise InvariantViolationError(
-                f"sigma orbit of length {len(orbit)}, expected 1 or {self.context.side.l}")
+                f"sigma orbit of length {len(orbit)}, expected 1 or {l}")
         return orbit
 
     def sigma_orbit_sum(self, label) -> HeckeElement:
@@ -213,8 +214,7 @@ class HeckeAlgebra:
         self._check_same(f.algebra)
         ctxE = self.context
         ctxF = target.context
-        side = ctxE.side
-        if not side.is_ext or side.base_side is not ctxF.side:
+        if ctxE.side.base_side is not ctxF.side:
             raise SideMismatchError("target is not the fixed-field side of this tower")
         if ctxF.n != ctxE.n:
             raise SideMismatchError(f"target has rank {ctxF.n}, not {ctxE.n}")

@@ -4,7 +4,12 @@ A local field enters only through its truncations o/p^N.  Two base models
 are supported: ``mixed`` is Z/p^N (truncation of a p-adic field) and
 ``equal`` is F_p[t]/(t^N) (truncation of F_p((t))).  Degree-l extensions
 are presented as quotients base[T]/(f) with f either a monic irreducible
-lift (unramified) or T^l - w for a uniformizer class w (totally ramified).
+lift (unramified) or T^l - w for a uniformizer class w (totally ramified);
+each ring carries its ramification index e and residue degree f as data.
+
+A side (``LocalFieldSide``) is a ring family with its e and f, the unit of
+its distinguished uniformizer and an optional Galois generator sigma, which
+alone checks the Galois conditions.
 
 Coordinate conventions
     mixed element   : int in [0, p^N)
@@ -44,7 +49,6 @@ from .coeffs import (
     poly_eval,
     poly_mul,
     poly_mulmod,
-    poly_rem,
     power,
     smallest_irreducible,
 )
@@ -69,10 +73,6 @@ RAMIFIED = "ramified"
 TABLE_BOUND = 1024   # rings of at most this many elements keep memo tables
 
 
-def _ceil_div(a, b):
-    return -(-a // b)
-
-
 def _tabulate(owner, size, names):
     """Shadow the methods ``names`` of ``owner`` by memo tables of their
     bound methods when ``size`` is at most TABLE_BOUND."""
@@ -86,6 +86,8 @@ def _tabulate(owner, size, names):
 
 class BaseRing:
     """Z/p^N or F_p[t]/(t^N) on raw coordinates."""
+
+    e = f = 1          # ramification index and residue degree over Q_p or F_p((t))
 
     def __init__(self, model, p, level):
         if model not in (MIXED, EQUAL):
@@ -278,69 +280,56 @@ class BaseRing:
 
 class ExtensionRing:
     """base[T]/(f) with f the smallest monic irreducible of degree l over F_p
-    (unramified) or T^l - w (ramified); ``head`` holds T^l as a polynomial of
-    degree < l in T."""
+    (unramified: e = 1, f = l) or T^l - w (ramified: e = l, f = 1); ``head``
+    holds T^l as a polynomial of degree < l in T.  No Galois condition is
+    asked of l: ``GaloisGenerator`` checks them, so e may be any l >= 2."""
 
     def __init__(self, base_ring: BaseRing, kind, l, *, unif_class=None):
         p = base_ring.p
-        if not is_prime(l):
-            raise SpecMismatchError(f"l = {l} is not prime")
-        if l == p:
-            raise SamePrimeError(f"l = p = {l}")
         self.base = base_ring
         self.kind = kind
         self.l = l
         self.p = p
         self.level = base_ring.level          # base truncation level
+        self.minimal_poly = self.w = self.w_unit_inv = None
         if kind == UNRAMIFIED:
             self.minimal_poly = smallest_irreducible(p, l)
-            self.e = 1
             # T^l = -(f_0 + f_1 T + ... + f_{l-1} T^{l-1})
             self.head = tuple(base_ring.neg(base_ring.from_int(c)) for c in self.minimal_poly)
-            self.w = None
         elif kind == RAMIFIED:
-            if (p - 1) % l != 0:
-                raise GaloisConditionError(f"l = {l} does not divide p - 1 = {p - 1}")
             # T^l = w, the distinguished uniformizer class of the base field.
             # At base level 1 the class is 0 and T-division cannot recover the
             # top coordinate; the canonical lift 0 is used there.
             if unif_class is None:
                 raise SpecMismatchError("ramified ring needs a uniformizer class")
-            self.minimal_poly = None
-            self.e = l
             self.w = unif_class
             if not base_ring.is_zero(unif_class) and base_ring.val(unif_class) == 1:
                 self.w_unit_inv = base_ring.inv(base_ring.div_pi(unif_class, 1))
-            else:
-                self.w_unit_inv = None
             self.head = (unif_class,) + (base_ring.zero(),) * (l - 1)
         else:
             raise SpecMismatchError(f"unknown extension kind {kind!r}")
+        # e, and the valuation of T: a unit (unramified) or a uniformizer
+        self.e, self.t_val = (l, 1) if kind == RAMIFIED else (1, 0)
+        self.f = l // self.e
         self.pi_level = base_ring.level * self.e
-        if base_ring.model == EQUAL:
-            # the monic relation T^l - head(T) that reduces products over
-            # F_p[t]/t^N; over Z/p^N ``poly_mulmod`` reduces by head itself
-            self._relation = [base_ring.neg(h) for h in self.head] + [base_ring.one()]
+        # the nonzero terms of head, which reduce products over F_p[t]/t^N
+        self._head_terms = [(j, h) for j, h in enumerate(self.head) if not base_ring.is_zero(h)]
+        self._key = (kind, base_ring, self.head)
         self._one = (base_ring.one(),) + (base_ring.zero(),) * (l - 1)
         self._inverses = {}   # unit -> its verified inverse
         _tabulate(self, self.size(), ("mul", "add", "sub"))
 
     def __eq__(self, other):
-        return self is other or (
-            isinstance(other, ExtensionRing) and self.kind == other.kind
-            and self.l == other.l and self.minimal_poly == other.minimal_poly
-            and self.base == other.base and self.w == other.w)
+        return self is other or (isinstance(other, ExtensionRing) and self._key == other._key)
 
     def __hash__(self):
-        return hash((self.kind, self.l, self.minimal_poly, self.base, self.w))
+        return hash(self._key)
 
     def to_json(self):
-        d = self.base.to_json()
         ext = {"kind": self.kind, "l": self.l}
         if self.minimal_poly is not None:
             ext["minimalPoly"] = list(self.minimal_poly) + [1]
-        d["ext"] = ext
-        return d
+        return {**self.base.to_json(), "e": self.e, "ext": ext}
 
     def __repr__(self):
         rel = f"T^{self.l}-pi" if self.kind == RAMIFIED else "f(T)"
@@ -380,32 +369,37 @@ class ExtensionRing:
         B = self.base
         if B.model == MIXED:
             return poly_mulmod(a, b, self.head, B.modulus)
-        r = poly_rem(B, poly_mul(B, a, b), self._relation)
-        return tuple(r) + (B.zero(),) * (self.l - len(r))
+        # reduce by the nonzero terms of T^l = head(T), top degree down
+        l, conv = self.l, poly_mul(B, a, b)
+        for i in range(len(conv) - 1, l - 1, -1):
+            c = conv[i]
+            if not B.is_zero(c):
+                for j, h in self._head_terms:
+                    conv[i - l + j] = B.add(conv[i - l + j], B.mul(c, h))
+        return tuple(conv[:l]) + (B.zero(),) * (l - len(conv))
 
     def is_zero(self, a):
         return all(self.base.is_zero(x) for x in a)
 
     def val(self, a):
-        """Valuation in the natural uniformizer of the extension."""
-        if self.kind == UNRAMIFIED:
-            return min(self.base.val(x) for x in a)
+        """Valuation in the natural uniformizer: min of e val(x_i) + i val(T)."""
+        base, e, t_val, level = self.base, self.e, self.t_val, self.level
         best = self.pi_level
         for i, x in enumerate(a):
-            bv = self.base.val(x)
-            if bv < self.base.level:
-                best = min(best, self.e * bv + i)
+            bv = base.val(x)
+            if bv < level:
+                v = e * bv + i * t_val
+                if v < best:
+                    best = v
         return best
 
     def is_unit(self, a):
         return self.val(a) == 0
 
     def _res_field_inv(self, a):
-        """An element congruent to the inverse of the unit a modulo pi."""
-        if self.kind == RAMIFIED:
-            return self.from_int(pow(self.base.res1_int(a[0]), -1, self.p))
-        # the residue field is F_q with q = p^l, so a^(q-1) = 1 mod pi
-        return self.pow(a, self.p ** self.l - 2)
+        """An element congruent to the inverse of the unit a modulo pi: the
+        residue field is F_q with q = p^f, so a^(q-1) = 1 mod pi."""
+        return self.pow(a, self.p ** self.f - 2)
 
     def inv(self, a):
         v = self._inverses.get(a)
@@ -443,9 +437,7 @@ class ExtensionRing:
 
     def coord_res_levels(self, r):
         """Base residue level of each T-coordinate at extension level r."""
-        if self.kind == UNRAMIFIED:
-            return tuple(r for _ in range(self.l))
-        return tuple(max(0, _ceil_div(r - i, self.l)) for i in range(self.l))
+        return tuple(max(0, -(-(r - i * self.t_val) // self.e)) for i in range(self.l))
 
     def residue(self, a, r):
         lv = self.coord_res_levels(r)
@@ -654,14 +646,20 @@ class GaloisGenerator:
     Unramified: the canonical Frobenius lift (T goes to the root of the
     minimal polynomial congruent to T^p mod pi).  Ramified: T goes to
     zeta_l T for the l-th root of unity lifting ``primitive_root_residue``.
+    Only here are the Galois conditions checked: l prime, l != p, and
+    l | p - 1 for a ramified ring (by ``primitive_root_residue``).
     """
 
     def __init__(self, ring: ExtensionRing):
+        l, p = ring.l, ring.p
+        if not is_prime(l):
+            raise SpecMismatchError(f"l = {l} is not prime")
+        if l == p:
+            raise SamePrimeError(f"l = p = {l}")
         self.ring = ring
-        self.l = ring.l
+        self.l = l
         if ring.kind == RAMIFIED:
-            self.zeta = hensel_root_of_unity(ring.base, ring.l,
-                                             primitive_root_residue(ring.p, ring.l))
+            self.zeta = hensel_root_of_unity(ring.base, l, primitive_root_residue(p, l))
             self.gen_image = ring.mul(ring.embed(self.zeta), ring.gen())
         else:
             self.zeta = None
@@ -683,74 +681,36 @@ class GaloisGenerator:
         ring = self.ring
         return poly_eval(ring, [ring.embed(x) for x in coords], self.gen_image)
 
+    def to_json(self):
+        return {} if self.zeta is None else {"zetaResidue": self.ring.base.res1_int(self.zeta)}
+
 
 # ---------------------------------------------------------------------------
 # Sides: one local field of a close pair or extension tower
 
 class LocalFieldSide:
-    """A local field known only through its truncations.
-
-    The distinguished uniformizer is stored as an exact formula
-    w = (w_0, w_1, ...) of F_p coefficients, meaning pi_dist = pi_nat * w(pi_nat);
-    the formula instantiates at every working level, so closeness data fixed
-    at level m never needs to be deepened.
+    """A local field known only through its truncations, as data: the ring
+    family ``rings`` (base level -> ring), the unit rule ``unit`` (ring ->
+    w with pi_dist = pi_nat * w), the fields ``doc`` that its document adds
+    to its ring's, and ``base_side``, the fixed field of its Galois
+    generator sigma (None: no sigma).  p, e, the residue degree f and the
+    level m in pi-units are read off the ring at base level ``level``.
+    Only ``base_side`` and ``extension_side`` know which kind they build.
     """
 
-    def __init__(self, name, model=None, p=None, m=None, unif_unit=(1,),
-                 base_side=None, kind=None, l=None):
+    def __init__(self, name, rings, unit, level, doc=(), base_side=None):
         self.name = name
+        self.unif_unit_coords = unit
+        self.base_level_m = level
         self.base_side = base_side
-        self._rings = {}
+        self.ring = functools.cache(rings)      # base level -> ring, memoized
+        self._doc = dict(doc)
         self._sigmas = {}
-        if base_side is None:
-            self.is_ext = False
-            self.model = model
-            self.p = p
-            self.base_level_m = m
-            self.e = 1
-            self.residue_degree = 1
-            self.m = m
-            self.kind = None
-            self.l = None
-            self.unif_unit = tuple(unif_unit)
-            if self.unif_unit[0] % p == 0:
-                raise SpecMismatchError("uniformizer unit part must be a unit")
-        else:
-            self.is_ext = True
-            self.model = base_side.model
-            self.p = base_side.p
-            self.kind = kind
-            self.l = l
-            self.base_level_m = base_side.m
-            # the level-m ring checks the degree and kind
-            ring = self.ring(base_side.m)
-            self.e = ring.e
-            self.residue_degree = l // ring.e
-            self.m = ring.pi_level
+        ring = self.ring(level)
+        self.p, self.e, self.residue_degree, self.m = ring.p, ring.e, ring.f, ring.pi_level
 
     def __repr__(self):
         return f"<side {self.name}>"
-
-    def ring(self, base_level):
-        """Ring of this side truncated at the given base level (memoized)."""
-        if base_level in self._rings:
-            return self._rings[base_level]
-        if not self.is_ext:
-            r = BaseRing(self.model, self.p, base_level)
-        else:
-            base_ring = self.base_side.ring(base_level)
-            w = self.base_side.unif_class(base_ring) if self.kind == RAMIFIED else None
-            r = ExtensionRing(base_ring, self.kind, self.l, unif_class=w)
-        self._rings[base_level] = r
-        return r
-
-    def unif_unit_coords(self, ring):
-        """Unit w with pi_dist = pi_nat * w, in the given ring of this side."""
-        if not self.is_ext:
-            return _subst_formula(ring, self.unif_unit)
-        if self.kind == RAMIFIED:
-            return ring.one()
-        return ring.embed(self.base_side.unif_unit_coords(ring.base))
 
     def unif_class(self, ring):
         """Distinguished uniformizer class in the given ring of this side."""
@@ -758,7 +718,7 @@ class LocalFieldSide:
 
     def sigma(self, base_level) -> GaloisGenerator:
         """Matched Galois generator at a working level (extensions only)."""
-        if not self.is_ext:
+        if self.base_side is None:
             raise SideMismatchError(f"base field {self.name} carries no Galois generator")
         if base_level not in self._sigmas:
             self._sigmas[base_level] = GaloisGenerator(self.ring(base_level))
@@ -766,20 +726,33 @@ class LocalFieldSide:
 
     def to_json(self):
         d = self.ring(self.base_level_m).to_json()
-        d["name"] = self.name
-        d["m"] = self.m
-        if not self.is_ext and self.unif_unit != (1,):
-            d["unifUnit"] = list(self.unif_unit)
-        if self.is_ext:
-            d["e"] = self.e
-            if self.kind == RAMIFIED:
-                d["ext"]["zetaResidue"] = primitive_root_residue(self.p, self.l)
+        d.update(self._doc, name=self.name, m=self.m)
+        if self.base_side is not None:
+            d["ext"].update(self.sigma(self.base_level_m).to_json())
         return d
 
 
 def base_side(name, model, p, m, unif_unit=(1,)) -> LocalFieldSide:
-    return LocalFieldSide(name, model=model, p=p, m=m, unif_unit=unif_unit)
+    """Z/p^m or F_p[t]/t^m.  The unit w of the distinguished uniformizer is
+    the exact formula w(pi_nat) with F_p coefficients ``unif_unit``: it
+    instantiates at every level, so closeness data fixed at level m never
+    needs to be deepened."""
+    unit = tuple(unif_unit)
+    if unit[0] % p == 0:
+        raise SpecMismatchError("uniformizer unit part must be a unit")
+    return LocalFieldSide(name, lambda level: BaseRing(model, p, level),
+                          lambda ring: _subst_formula(ring, unit), m,
+                          doc={"unifUnit": list(unit)} if unit != (1,) else {})
 
 
 def extension_side(name, base, kind, l) -> LocalFieldSide:
-    return LocalFieldSide(name, base_side=base, kind=kind, l=l)
+    """The degree-l extension of ``base``.  Ramified, T^l is the base's
+    distinguished uniformizer, so T is E's; unramified, E keeps the base's."""
+    def rings(level):
+        base_ring = base.ring(level)
+        w = base.unif_class(base_ring) if kind == RAMIFIED else None
+        return ExtensionRing(base_ring, kind, l, unif_class=w)
+
+    def unit(ring):
+        return ring.one() if kind == RAMIFIED else ring.embed(base.unif_unit_coords(ring.base))
+    return LocalFieldSide(name, rings, unit, base.m, base_side=base)

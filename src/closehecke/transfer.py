@@ -109,7 +109,7 @@ def _verify_extension_pair(pair, E, Ep, pi):
         require(pi.apply(sig.apply_coords(a)) == sigp.apply_coords(fa),
                 "Pi o sigma must equal sigma' o Pi")
         sa = a
-        for _ in range(E.l):
+        for _ in range(dom.l):
             sa = sig.apply_coords(sa)
         require(sa == a, "sigma must have order l")
     for b in els[:32]:
@@ -144,11 +144,13 @@ class Tower:
         self.m = m
         self.n = n
         self.case = case
+        # the coefficient field first: it refuses a composite or oversized l
+        # before a degree-l ring is built
+        self.field = CoeffField(l if l is not None else (3 if p == 2 else 2), coeff_k)
         self.pair = build_close_pair(p, m, pair_mode, unif_image)
         self.extpair = None
         if case is not None:
             self.extpair = build_extension_pair(self.pair, case, l)
-        self.field = CoeffField(l if l is not None else (3 if p == 2 else 2), coeff_k)
         kw = dict(budget=budget, pair_budget=pair_budget)
         self.ctx = {"F": GroupContext(self.pair.F, n, **kw),
                     "F'": GroupContext(self.pair.Fp, n, **kw)}

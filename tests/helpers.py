@@ -71,7 +71,6 @@ from closehecke.matrices import (
     spread,
     unimodular_inverse,
 )
-from closehecke.rings import RAMIFIED
 from closehecke.tate import CyclicModule
 from closehecke.transfer import Report, _sample_entry, random_label
 
@@ -165,8 +164,8 @@ def closure_left_cosets(ctx, g, mu):
     ring, n, side = g.ring, ctx.n, ctx.side
     r = ctx.m + spread(mu)
     basis = [ring.one()]
-    if side.is_ext and side.kind == "unramified":
-        basis = [ring.pow(ring.gen(), i) for i in range(side.l)]
+    if side.residue_degree > 1:
+        basis = [ring.pow(ring.gen(), i) for i in range(side.residue_degree)]
     ident = GroupMatrix.identity(ring, n)
     gens = []
     for j in range(ctx.m, r):
@@ -194,8 +193,7 @@ def _brute_k_elements(ctx, ring, r):
         yield GroupMatrix.identity(ring, n)
         return
     side = ctx.side
-    e_ring = side.l if (side.is_ext and side.kind == "ramified") else 1
-    sub = side.ring(max(-(-depth // e_ring), 1))
+    sub = side.ring(max(-(-depth // side.e), 1))
     residues = sorted({sub.residue(a, depth) for a in sub.elements()})
     ident = GroupMatrix.identity(ring, n)
     for combo in itertools.product(residues, repeat=n * n):
@@ -377,7 +375,7 @@ def sigma_on_group(ctx, g):
     With the ramified zeta-scaling rule, sigma(pi^v u) = pi^v zeta^v
     sigma(u); the unramified Frobenius fixes the uniformizer."""
     side = ctx.side
-    if not side.is_ext:
+    if side.base_side is None:
         raise SideMismatchError("the Galois action lives on an extension side")
     ring = g.ring
     gen = side.sigma(ring.level)
@@ -390,8 +388,8 @@ def sigma_on_group(ctx, g):
                 new.append(x)
                 continue
             u = gen.apply_coords(x.unit)
-            if zeta is not None and x.v % side.l:
-                u = ring.mul(u, ring.pow(zeta, x.v % side.l))
+            if zeta is not None and x.v % gen.l:
+                u = ring.mul(u, ring.pow(zeta, x.v % gen.l))
             new.append(FieldElement(ring, x.v, u, x.prec))
         rows.append(new)
     return GroupMatrix(ring, rows)
@@ -422,7 +420,7 @@ def embedded_label_by_lift(ctxE, ctxF, flab):
     def run(prec):
         ringE = ctxE.working_ring(prec)
         ringF = side.base_side.ring(ringE.level)
-        w = side.base_side.unif_unit_coords(ringF) if side.kind == RAMIFIED else ringF.one()
+        w = side.base_side.unif_unit_coords(ringF) if e > 1 else ringF.one()
         gF = lift_label(ctxF, flab, ringF)
         return label_of(ctxE, GroupMatrix(ringE, [
             [FieldElement.zero(ringE, e * x.v) if x.is_zero_marker()

@@ -319,6 +319,8 @@ _TYPED_INVARIANT_TESTS = [
     "tests/test_hecke.py::test_sigma_orbit_of_wrong_length_raises",
     "tests/test_hecke.py::test_brauer_restrict_to_another_rank_is_a_side_mismatch",
     "tests/test_rings.py::test_bad_ring_parameters_raise_typed_errors",
+    "tests/test_rings.py::test_bad_galois_parameters_raise_typed_errors",
+    "tests/test_rings.py::test_ramified_spec_and_errors",
     "tests/test_rings.py::test_wrong_residue_inverse_raises_typed_error",
     "tests/test_rings.py::test_failed_frobenius_lift_raises_typed_error",
     "tests/test_tate.py::test_wrong_quotient_dimension_raises_typed_error",

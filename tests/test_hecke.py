@@ -10,6 +10,7 @@ from closehecke.errors import (
     SideMismatchError,
 )
 from closehecke.hecke import HeckeAlgebra
+from closehecke.matrices import cochar_window
 from closehecke.rings import MIXED, RAMIFIED, UNRAMIFIED, base_side, extension_side
 
 from closehecke.transfer import Tower, random_label
@@ -258,7 +259,7 @@ def test_sigma_act_order_l(ram_pair, unram_pair):
         rng = random.Random(5)
         f = HE.basis(rand_label(ctx, rng, [(0, 1)]))
         g = f
-        for _ in range(ctx.side.l):
+        for _ in range(ctx.side.sigma(ctx.label_ring.level).l):
             g = HE.sigma_act(g)
         assert g == f
 
@@ -309,6 +310,48 @@ def test_sigma_label_matches_the_lift_oracle(tower):
                 ctx.canonical_label(sigma_label_by_lift(ctx, lab))
 
 
+@pytest.fixture(scope="module", params=["unramified", "ramified"])
+def acceptance_tower(request):
+    return _GALOIS_TOWERS[request.param]()
+
+
+def test_sigma_is_multiplicative_of_order_l(acceptance_tower):
+    # the main diagram takes sigma to be an algebra automorphism of order l:
+    # on the window-2 cocharacter pairs plus seeded pairs, as kaz-hom draws
+    # them, sigma(f g) = sigma(f) sigma(g) and sigma^l fixes every factor
+    # and product
+    tw = acceptance_tower
+    HE, ctx = tw.alg["E"], tw.ctx["E"]
+    l = ctx.side.sigma(ctx.label_ring.level).l
+    mus = cochar_window(tw.n, 0, 2, max_spread=2)
+    pairs = [(HE.unif_basis(a), HE.unif_basis(b)) for a in mus for b in mus]
+    rng, small = random.Random(14), cochar_window(tw.n, 0, 1)
+    pairs += [(HE.basis(random_label(ctx, rng, small)), HE.basis(random_label(ctx, rng, small)))
+              for _ in range(10)]
+    for f, g in pairs:
+        fg = HE.convolve(f, g)
+        assert HE.sigma_act(fg) == HE.convolve(HE.sigma_act(f), HE.sigma_act(g))
+        for h in (f, g, fg):
+            image = h
+            for _ in range(l):
+                image = HE.sigma_act(image)
+            assert image == h
+
+
+def test_sigma_label_on_a_window_slice_and_the_embedded_base_labels(acceptance_tower):
+    # sigma_label against the lift oracle on a seeded slice of the spread <= 1
+    # window of E, and sigma fixes every embedded label of F's window
+    tw = acceptance_tower
+    ctxE, ctxF, HE = tw.ctx["E"], tw.ctx["F"], tw.alg["E"]
+    window = cochar_window(tw.n, 0, 1, max_spread=1)
+    for lab in random.Random(14).sample(ctxE.enumerate_labels(window), 60):
+        assert ctxE.canonical_label(HE.sigma_label(lab)) == \
+            ctxE.canonical_label(sigma_label_by_lift(ctxE, lab))
+    for flab in ctxF.enumerate_labels(window):
+        label = ctxE.embed_base_label(flab)
+        assert ctxE.canonical_label(HE.sigma_label(label)) == ctxE.canonical_label(label)
+
+
 def test_sigma_label_keeps_the_invariant(ram_pair, unram_pair):
     # sigma acts on the residues P and Q alone, so mu never moves
     rng = random.Random(12)
@@ -334,7 +377,7 @@ def test_orbit_sum_properties(ram_pair, unram_pair):
     stable = HE.sigma_orbit_sum(ctx.unif_label((0, 2)))
     assert len(stable.terms) == 1
     free = HE.sigma_orbit_sum(ctx.unif_label((0, 1)))
-    assert len(free.terms) == ctx.side.l
+    assert len(free.terms) == ctx.side.e
     assert HE.is_sigma_invariant(stable) and HE.is_sigma_invariant(free)
     HEu, _ = unram_pair
     ring = HEu.context.label_ring

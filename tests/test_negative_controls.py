@@ -126,3 +126,38 @@ def test_base_label_without_its_round_trip_is_caught(monkeypatch):
             continue
         wrong += got != brauer_restrict_by_window(HE, h, HF)
     assert guarded >= 1 and wrong >= 1
+
+
+def _embed_dropping_the_unit(real):
+    """``GroupContext.embed_base_label`` with the twisted-uniformizer fault
+    of the lift-and-embed route it replaced: the natural pi_F^nu goes to
+    T^(e nu), dropping its unit w^-nu.  The distinguished pi_F^nu is
+    pi_nat^nu w^nu, so it lands on T^(e nu) w^nu: column j of P picks up
+    w^nu_j, w the base side's distinguished unit."""
+    def embed(self, flab):
+        base = self.side.base_side
+        ring = base.ring(self.side.base_level_m)
+        w = base.unif_unit_coords(ring)
+        P = tuple(tuple(ring.mul(x, ring.pow(w, k)) for x, k in zip(row, flab.mu))
+                  for row in flab.P)
+        return real(self, CosetLabel(flab.mu, P, flab.Q, flab.level))
+
+    return embed
+
+
+def test_an_embedding_that_drops_the_uniformizer_unit_fails_the_main_diagram(monkeypatch):
+    # lambda(t) = 2t gives F' the distinguished uniformizer 2t, so w = 2 and
+    # w^nu = 2 for odd nu; F's w = 1 hides the fault on the E -> F route.
+    # Br' drops the terms of odd nu, so the main diagram fails on exactly the
+    # cocharacter orbit sums pi_(0,2) and pi_(2,2), which hold the embedded
+    # labels of nu = (0,1) and (1,1)
+    def tower():
+        return Tower(3, 2, case="ramified", l=2, pair_mode="equal-equal", unif_image=(2,))
+
+    args = dict(mu_spread=2, base_window=0, samples=0, seed=60)
+    assert check_main_diagram(tower(), **args).passed
+    monkeypatch.setattr(GroupContext, "embed_base_label",
+                        _embed_dropping_the_unit(GroupContext.embed_base_label))
+    rep = check_main_diagram(tower(), **args)
+    assert {s["input"] for s in rep.samples if not s["equal"]} == \
+        {"orbit-sum pi_(0, 2)", "orbit-sum pi_(2, 2)"}

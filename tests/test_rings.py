@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -147,27 +148,14 @@ def test_unramified_minimal_poly_choice():
     assert smallest_irreducible(3, 2) == (1, 0)  # T^2 + 1 over F_3
 
 
-def test_ramified_spec_and_errors():
-    B = BaseRing(EQUAL, 3, 1)
-    assert ExtensionRing(B, RAMIFIED, 2, unif_class=B.unif()).e == 2
-    with pytest.raises(GaloisConditionError):
-        ExtensionRing(BaseRing(EQUAL, 2, 1), RAMIFIED, 3, unif_class=(0,))
-    with pytest.raises(SamePrimeError):
-        ExtensionRing(B, UNRAMIFIED, 3)
-
-
 @pytest.mark.parametrize("build, error", [
     (lambda: BaseRing("adic", 3, 1), SpecMismatchError),
     (lambda: BaseRing(EQUAL, 4, 1), SpecMismatchError),
     (lambda: BaseRing(MIXED, 3, 0), SpecMismatchError),
-    (lambda: ExtensionRing(BaseRing(EQUAL, 3, 1), UNRAMIFIED, 4), SpecMismatchError),
-    (lambda: ExtensionRing(BaseRing(MIXED, 3, 1), UNRAMIFIED, 3), SamePrimeError),
-    (lambda: ExtensionRing(BaseRing(EQUAL, 5, 1), RAMIFIED, 3, unif_class=(0,)),
-     GaloisConditionError),
     (lambda: ExtensionRing(BaseRing(EQUAL, 3, 1), "wild", 2), SpecMismatchError),
     (lambda: ExtensionRing(BaseRing(EQUAL, 3, 1), RAMIFIED, 2), SpecMismatchError),
-], ids=["unknown-model", "p-not-prime", "level-zero", "l-not-prime", "l-equals-p",
-        "ramified-l-not-dividing-p-1", "unknown-kind", "ramified-without-uniformizer"])
+], ids=["unknown-model", "p-not-prime", "level-zero", "unknown-kind",
+        "ramified-without-uniformizer"])
 def test_bad_ring_parameters_raise_typed_errors(build, error):
     with pytest.raises(error) as info:
         build()
@@ -201,6 +189,32 @@ def test_ramified_residue_levels_roundtrip():
 
 
 # -- Pi and Galois generators ----------------------------------------------------
+
+def test_ramified_spec_and_errors():
+    # the ring needs no Galois condition: its sigma checks them
+    B = BaseRing(EQUAL, 3, 1)
+    R = ExtensionRing(B, RAMIFIED, 2, unif_class=B.unif())
+    assert (R.e, R.f) == (2, 1)
+    assert GaloisGenerator(R).l == 2
+    with pytest.raises(GaloisConditionError):
+        GaloisGenerator(ExtensionRing(BaseRing(EQUAL, 2, 1), RAMIFIED, 3, unif_class=(0,)))
+    with pytest.raises(SamePrimeError):
+        GaloisGenerator(ExtensionRing(B, UNRAMIFIED, 3))
+
+
+@pytest.mark.parametrize("ring, error", [
+    (lambda: ExtensionRing(BaseRing(EQUAL, 3, 1), UNRAMIFIED, 4), SpecMismatchError),
+    (lambda: ExtensionRing(BaseRing(MIXED, 3, 1), UNRAMIFIED, 3), SamePrimeError),
+    (lambda: ExtensionRing(BaseRing(EQUAL, 5, 1), RAMIFIED, 3, unif_class=(0,)),
+     GaloisConditionError),
+], ids=["l-not-prime", "l-equals-p", "ramified-l-not-dividing-p-1"])
+def test_bad_galois_parameters_raise_typed_errors(ring, error):
+    # each ring builds; the Galois generator refuses it
+    R = ring()
+    with pytest.raises(error) as info:
+        GaloisGenerator(R)
+    assert info.type is error
+
 
 @pytest.fixture(scope="module")
 def ramified_tower():
@@ -393,13 +407,49 @@ def _f3_t4():
     return BaseRing(EQUAL, 3, 4)
 
 
-@pytest.mark.parametrize("make", [_unram_z4, _unram_z4_t2, _ram_z9, _unram_f2_t2, _ram_f3_t2])
+def _wild_z8():
+    # Z/8[T]/(T^2 - 2), Q_2(sqrt 2) at base level 3: l = p, so no sigma
+    B = BaseRing(MIXED, 2, 3)
+    return ExtensionRing(B, RAMIFIED, 2, unif_class=B.unif())
+
+
+def _wild_f2_t2():
+    # F_2[t]/t^2[T]/(T^2 - t), 16 elements
+    return ExtensionRing(BaseRing(EQUAL, 2, 2), RAMIFIED, 2, unif_class=(0, 1))
+
+
+def _eisenstein_z9_e4():
+    # Z/9[T]/(T^4 - 3): e = 4 is not prime
+    B = BaseRing(MIXED, 3, 2)
+    return ExtensionRing(B, RAMIFIED, 4, unif_class=B.unif())
+
+
+@pytest.mark.parametrize("make", [_unram_z4, _unram_z4_t2, _ram_z9, _unram_f2_t2, _ram_f3_t2,
+                                  _wild_z8, _wild_f2_t2])
 def test_extension_mul_matches_schoolbook(make):
     E = make()
     els = list(E.elements())
     for a in els:
         for b in els:
             assert E.mul(a, b) == schoolbook_ext_mul(E, a, b)
+
+
+@pytest.mark.parametrize("make", [_wild_z8, _wild_f2_t2, _eisenstein_z9_e4])
+def test_an_eisenstein_ring_needs_no_galois_condition(make):
+    # e >= 2 with l = p or l composite: units invert, val agrees with
+    # pi-division, and a residue at level r lifts to within pi^r
+    R = make()
+    assert (R.e, R.f, R.pi_level) == (R.l, 1, R.l * R.level)
+    els = list(R.elements())
+    for a in random.Random(3).sample(els, min(len(els), 300)):
+        v = R.val(a)
+        if v == 0:
+            assert R.mul(a, R.inv(a)) == R.one()
+        if v < R.pi_level:
+            u = R.div_pi(a, v)
+            assert R.val(u) == 0 and R.mul_pi(u, v) == a
+        for r in range(R.pi_level + 1):
+            assert R.val(R.sub(a, R.lift_residue(R.residue(a, r), r))) >= r
 
 
 @pytest.mark.parametrize("make", [_f2_t5, _f3_t4])

@@ -10,6 +10,7 @@ from closehecke.errors import (
     GaloisConditionError,
     InvariantViolationError,
     SideMismatchError,
+    SpecMismatchError,
 )
 from closehecke.rings import (
     EQUAL,
@@ -59,9 +60,9 @@ def tower_ram():
 
 def test_close_pair_modes():
     pair = build_close_pair(2, 1, "mixed-equal")
-    assert pair.F.model == MIXED and pair.Fp.model == EQUAL
+    assert pair.F.to_json()["model"] == MIXED and pair.Fp.to_json()["model"] == EQUAL
     pair2 = build_close_pair(3, 2, "equal-equal", unif_image=(2,))
-    assert pair2.Fp.unif_unit == (2,)
+    assert pair2.Fp.to_json()["unifUnit"] == [2]
     with pytest.raises(ConfigError):
         build_close_pair(3, 2, "mixed-equal")
 
@@ -72,7 +73,7 @@ def test_a_uniformizer_image_is_refused_in_mixed_equal_mode():
         build_close_pair(2, 1, "mixed-equal", unif_image=(1, 1))
     with pytest.raises(ConfigError, match="equal/equal"):
         Tower(2, 1, l=3, unif_image=(1, 1))
-    assert build_close_pair(2, 1, "equal-equal", unif_image=(1, 1)).Fp.unif_unit == (1, 1)
+    assert build_close_pair(2, 1, "equal-equal", unif_image=(1, 1)).Fp.to_json()["unifUnit"] == [1, 1]
 
 
 def test_extension_pair_levels(tower_unram, tower_ram):
@@ -99,6 +100,17 @@ def test_tower_rejects_its_own_bad_fields_before_building_a_side(monkeypatch, kw
     monkeypatch.setattr(transfer, "build_extension_pair", built)
     with pytest.raises(ConfigError):
         Tower(3, 1, **kw)
+
+
+def test_tower_refuses_a_composite_l_before_building_a_side(monkeypatch):
+    # a ring asks no Galois condition of its degree, so the coefficient field
+    # F_l refuses l = 1001 before a degree-1001 ring is built
+    def built(*args, **kwargs):
+        pytest.fail("a side was built")
+
+    monkeypatch.setattr(transfer, "build_close_pair", built)
+    with pytest.raises(SpecMismatchError, match="l = 1001 is not prime"):
+        Tower(3, 1, case="unramified", l=1001)
 
 
 def _extension_parts(p, kind, l):
