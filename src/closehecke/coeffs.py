@@ -54,15 +54,20 @@ def power(mul, one, a, e):
 MAX_FIELD_SIZE = 2 ** 16
 
 
+def check_field_size(l, k):
+    """Refuse a field of l^k > MAX_FIELD_SIZE elements; k >= 17 gives
+    l^k > 2^16 for every l >= 2, so no l ** k is formed for a huge k."""
+    if k >= MAX_FIELD_SIZE.bit_length() or l ** k > MAX_FIELD_SIZE:
+        raise SpecMismatchError(f"|F| = {l}^{k} exceeds {MAX_FIELD_SIZE}")
+
+
 class CoeffField:
     """F_{l^k}; elements are k-tuples of ints mod l."""
 
     def __init__(self, l, k=1):
         if k < 1:
             raise SpecMismatchError("k must be >= 1")
-        # k >= 17 gives l^k > 2^16 for every l >= 2: no l ** k for a huge k
-        if k >= MAX_FIELD_SIZE.bit_length() or l ** k > MAX_FIELD_SIZE:
-            raise SpecMismatchError(f"|F| = {l}^{k} exceeds {MAX_FIELD_SIZE}")
+        check_field_size(l, k)
         if not is_prime(l):
             raise SpecMismatchError(f"l = {l} is not prime")
         self.l = l

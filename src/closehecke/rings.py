@@ -45,6 +45,7 @@ import functools
 import itertools
 
 from .coeffs import (
+    check_field_size,
     is_prime,
     poly_eval,
     poly_mul,
@@ -293,6 +294,7 @@ class ExtensionRing:
         self.level = base_ring.level          # base truncation level
         self.minimal_poly = self.w = self.w_unit_inv = None
         if kind == UNRAMIFIED:
+            check_field_size(p, l)  # F_{p^l} under CoeffField's bound, before the search
             self.minimal_poly = smallest_irreducible(p, l)
             # T^l = -(f_0 + f_1 T + ... + f_{l-1} T^{l-1})
             self.head = tuple(base_ring.neg(base_ring.from_int(c)) for c in self.minimal_poly)

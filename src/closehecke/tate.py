@@ -2,17 +2,21 @@
 composition factors and the linkage predicate.
 
 Everything is exact linear algebra at desk dimension: vectors are coordinate
-tuples, operators act on column vectors, subspaces are row-echelon bases.
-T, the actions and their echelon bases are mostly zeros, so every kernel
-works over nonzero entries only; an entry is tested for zero by equality
-with a bound ``F.zero()``, so no kernel reads the layout of a field element.
+tuples, operators act on column vectors, subspaces are reduced row-echelon
+bases.  One ``rref`` answers each subspace question: an image is the rref of
+A^T, a Tate quotient basis the rref of ker's rows reduced against im, and a
+minimal polynomial the first column without a pivot among the flattened
+powers of A.  T, the actions and their echelon bases are mostly zeros, so
+every kernel works over nonzero entries only; an entry is tested for zero by
+equality with a bound ``F.zero()``, so no kernel reads the layout of a field
+element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .coeffs import CoeffField, frobenius_gcd, is_irreducible, poly_trim
+from .coeffs import CoeffField, frobenius_gcd, is_irreducible
 from .errors import (
     ConfigError,
     DimBoundExceededError,
@@ -168,41 +172,13 @@ def kernel_basis(F, A):
         for row, pc in zip(ech, pivots):
             v[pc] = F.neg(row[c])
         basis.append(tuple(v))
-    ech2, _ = rref(F, basis) if basis else ([], [])
-    return ech2
+    return rref(F, basis)[0]
 
 
 def image_basis(F, A):
-    """Row-echelon basis of the column space of A."""
-    zero = F.zero()
-    cols = [tuple(A[i][j] for i in range(len(A))) for j in range(len(A[0]))] if A else []
-    nz = [c for c in cols if any(x != zero for x in c)]
-    if not nz:
-        return []
-    ech, _ = rref(F, nz)
-    return ech
-
-
-def solve_in_span(F, basis_rows, v):
-    """Coefficients expressing v in the given (independent) rows, or None."""
-    zero = F.zero()
-    if not basis_rows:
-        return None if any(x != zero for x in v) else ()
-    d = len(v)
-    k = len(basis_rows)
-    aug = [[basis_rows[j][i] for j in range(k)] + [v[i]] for i in range(d)]
-    ech, pivots = rref(F, aug)
-    coeffs = [zero] * k
-    for row, c in zip(ech, pivots):
-        if c == k:
-            return None  # inconsistent
-        coeffs[c] = row[k]
-    # verify (guards against underdetermined nonsense): v - sum cf b = 0
-    rest = list(v)
-    for cf, b in zip(coeffs, basis_rows):
-        if cf != zero:
-            _sub_multiple(F, rest, cf, b, zero)
-    return tuple(coeffs) if all(x == zero for x in rest) else None
+    """Row-echelon basis of the column space of A: the rref of A^T, which
+    drops the zero columns of A."""
+    return rref(F, mat_transpose(A))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +282,8 @@ def _tate_spaces(M: CyclicModule, i: int):
         ker, im = kernel_basis(F, N), image_basis(F, A)
     else:
         raise SpecMismatchError("i must be 0 or 1")
-    zero = F.zero()
     im_piv = _pivots(F, im)
-    reduced = []
-    for row in ker:
-        rem = reduce_against(F, im, im_piv, row)
-        if any(x != zero for x in rem):
-            reduced.append(rem)
-    qbasis, q_piv = rref(F, reduced) if reduced else ([], [])
+    qbasis, q_piv = rref(F, [reduce_against(F, im, im_piv, row) for row in ker])
     if len(qbasis) != len(ker) - len(im):
         raise InvariantViolationError(
             f"H^{i} quotient has dimension {len(qbasis)}, "
@@ -361,19 +331,15 @@ def _matrix_polynomial(F, f, A):
 
 
 def min_poly(F, A):
-    """Monic minimal polynomial of A, by the first linear dependence among
-    its flattened powers."""
-    d = len(A)
-    powers = [mat_identity(F, d)]
-    flat = [tuple(x for row in powers[0] for x in row)]
-    while True:
-        nxt = mat_mul(F, powers[-1], A)
-        v = tuple(x for row in nxt for x in row)
-        coeffs = solve_in_span(F, flat, v)
-        if coeffs is not None:
-            return poly_trim(F, [F.neg(c) for c in coeffs] + [F.one()])
-        powers.append(nxt)
-        flat.append(v)
+    """Monic minimal polynomial of A, from one rref of the matrix whose
+    columns are the flattened powers I, A, ..., A^d.  Once A^j lies in the
+    span of the lower powers so does every higher one, so the pivots are
+    the columns 0, ..., j-1 and column j writes A^j in them."""
+    powers = [mat_identity(F, len(A))]
+    for _ in A:
+        powers.append(mat_mul(F, powers[-1], A))
+    ech, pivots = rref(F, list(zip(*([x for row in P for x in row] for P in powers))))
+    return [F.neg(row[len(pivots)]) for row in ech] + [F.one()]
 
 
 # ---------------------------------------------------------------------------

@@ -261,24 +261,28 @@ def random_label(ctx, rng, mus):
 
 def check_kaz_hom(tower: Tower, window_spread=2, samples=10, seed=0) -> Report:
     """Kaz(f * g) = Kaz(f) * Kaz(g) on cocharacter basis pairs in the window
-    plus seeded random basis pairs, both products computed on their own side."""
+    plus seeded random basis pairs, both products computed on their own side.
+    Every Kazhdan route of the tower is checked: F -> F' first, then, when
+    the tower has a case, E -> E' under sample names prefixed "E: "."""
     rng = random.Random(seed)
     rep = Report("check kaz-hom", {"p": tower.p, "m": tower.m, "n": tower.n,
                                    "window": window_spread, "samples": samples,
                                    "seed": seed})
-    HF = tower.alg["F"]
     mus = cochar_window(tower.n, 0, window_spread, max_spread=window_spread)
-    pairs = [(HF.unif_basis(lam_), HF.unif_basis(mu_), f"t[{lam_}]*t[{mu_}]")
-             for lam_ in mus for mu_ in mus]
     small = cochar_window(tower.n, 0, 1)
-    for i in range(samples):
-        a = random_label(tower.ctx["F"], rng, small)
-        b = random_label(tower.ctx["F"], rng, small)
-        pairs.append((HF.basis(a), HF.basis(b), f"random#{i}"))
-    for f, g, name in pairs:
-        lhs = tower.kaz(HF.convolve(f, g))
-        rhs = tower.alg["F'"].convolve(tower.kaz(f), tower.kaz(g))
-        rep.add(**_sample_entry("kaz-hom", name, lhs, rhs))
+    routes = [("F", "F'", "")] + ([("E", "E'", "E: ")] if tower.case else [])
+    for side, target, prefix in routes:
+        H = tower.alg[side]
+        pairs = [(H.unif_basis(lam_), H.unif_basis(mu_), f"{prefix}t[{lam_}]*t[{mu_}]")
+                 for lam_ in mus for mu_ in mus]
+        for i in range(samples):
+            a = random_label(tower.ctx[side], rng, small)
+            b = random_label(tower.ctx[side], rng, small)
+            pairs.append((H.basis(a), H.basis(b), f"{prefix}random#{i}"))
+        for f, g, name in pairs:
+            lhs = tower.kaz(H.convolve(f, g))
+            rhs = tower.alg[target].convolve(tower.kaz(f), tower.kaz(g))
+            rep.add(**_sample_entry("kaz-hom", name, lhs, rhs))
     return rep
 
 

@@ -28,7 +28,9 @@ count runs over the other factor's transversal.  The ``dense_*`` matrix
 oracles write out every product and sum over a CoeffField, zeros included,
 and share no code with the zero-skipping kernels of ``closehecke.tate``;
 ``dense_kernel_basis`` reads the kernel off Gauss-Jordan elimination of
-[A^T | I] rather than off the free columns.
+[A^T | I] rather than off the free columns, and ``dense_min_poly`` tries
+every monic polynomial in order of degree, by Horner's rule, until one
+vanishes at A.
 
 The oracles work on precision-tracked ``GroupMatrix`` values, while the
 library's products run on integral coordinates.  The one conversion between
@@ -776,6 +778,25 @@ def dense_image_basis(F, A):
     """Reduced echelon basis of the column space of A."""
     cols = [tuple(row[j] for row in A) for j in range(len(A[0]))] if A else []
     return dense_rref(F, cols)[0]
+
+
+def dense_min_poly(F, A):
+    """The lowest-degree monic f with f(A) = 0, by trying every monic
+    polynomial of each degree in turn, f(A) by Horner's rule over the
+    ``dense_mat_*`` products.  Cheap while |F|^d stays in the hundreds."""
+    d = len(A)
+    ident = tuple(tuple(F.one() if i == j else F.zero() for j in range(d)) for i in range(d))
+    zero = tuple(tuple(F.zero() for _ in range(d)) for _ in range(d))
+    for deg in range(d + 1):
+        for low in itertools.product(list(F.elements()), repeat=deg):
+            f = list(low) + [F.one()]
+            acc = zero
+            for c in reversed(f):
+                acc = dense_mat_add(F, dense_mat_mul(F, acc, A),
+                                    tuple(tuple(F.mul(c, x) for x in row) for row in ident))
+            if acc == zero:
+                return f
+    raise AssertionError("no monic polynomial of degree <= d vanishes at A")
 
 
 def dense_spin(F, mats, vectors):

@@ -153,7 +153,7 @@ def test_criterion_03_hecke_axioms():
             f"{triples} associativity triples, {pairs} oracle pairs")
 
 
-def test_criterion_04_kazhdan_homomorphism():
+def test_criterion_04_kazhdan_homomorphism(tower_unram, tower_ram):
     t0 = time.perf_counter()
     ok = True
     ran = []
@@ -172,6 +172,12 @@ def test_criterion_04_kazhdan_homomorphism():
         rep = check_kaz_hom(tower, window_spread=2, samples=10, seed=40 + p + m)
         ok = ok and rep.passed
         ran.append(f"p={p} {mode} m={m}: {len(rep.samples)}")
+    # both acceptance towers add the E -> E' route after the F samples
+    for tower in (tower_unram, tower_ram):
+        rep = check_kaz_hom(tower, window_spread=2, samples=10, seed=40 + tower.p)
+        e_samples = [s for s in rep.samples if s["input"].startswith("E: ")]
+        ok = ok and rep.passed and len(e_samples) == len(rep.samples) // 2 > 0
+        ran.append(f"{tower.case} E route: {len(e_samples)}")
     _report(4, ok, time.perf_counter() - t0, 120, "; ".join(ran))
 
 

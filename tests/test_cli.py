@@ -440,10 +440,13 @@ _E_TWO_TERMS = {**_E_PI, "terms": _E_PI["terms"] + [
     # the transversals of mu = (0, 4) hold 2^4 = 16 cosets
     (["check", "kaz-hom", "--p", "2", "--l", "3", "--window", "4", "--samples", "0",
       "--budget", "10"], {}, "BUDGET_EXCEEDED"),
+    # F_{2^257} is refused before the search for its minimal polynomial
+    (["fields", "build", "--case", "unramified", "--p", "2", "--l", "257"], {},
+     "SPEC_MISMATCH"),
 ], ids=["file-holds-a-list", "E-element-without-case", "cosets-E-without-case",
         "orbit-sum-of-two-terms", "brauer-of-an-F-element", "convolve-F-with-E",
         "element-field-mismatch", "sigma-of-an-F-element", "lemma-conv-window-0",
-        "lemma-conv-rank-1", "transversal-over-budget"])
+        "lemma-conv-rank-1", "transversal-over-budget", "unramified-residue-field-2^257"])
 def test_each_bad_input_exits_two_with_its_typed_code(tmp_path, monkeypatch, capsys,
                                                       argv, files, code):
     monkeypatch.chdir(tmp_path)

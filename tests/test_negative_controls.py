@@ -53,6 +53,23 @@ def test_kaz_without_lambda_fails_kaz_hom(monkeypatch, p, m, image):
     assert not check_kaz_hom(tower, window_spread=1, samples=10, seed=0).passed
 
 
+def test_e_route_without_pi_fails_kaz_hom(monkeypatch):
+    # an E -> E' route that copies labels to E' without Pi: the window's
+    # cocharacter pairs still pass, as their P and Q are identities, so the
+    # seeded pairs are the ones that fail, and every F sample passes
+    tower = Tower(3, 2, case="ramified", l=2, pair_mode="equal-equal", unif_image=(2,))
+    assert check_kaz_hom(tower, window_spread=1, samples=10, seed=0).passed
+    real = Tower.kaz_label
+
+    def kaz_label(self, side, label):
+        return (label, "E'") if side == "E" else real(self, side, label)
+
+    monkeypatch.setattr(Tower, "kaz_label", kaz_label)
+    rep = check_kaz_hom(tower, window_spread=1, samples=10, seed=0)
+    failed = [s["input"] for s in rep.samples if not s["equal"]]
+    assert failed and all(name.startswith("E: random#") for name in failed)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_swapped_convolution_passes_kaz_hom_and_fails_lemma_conv(monkeypatch, p):
     # Kaz transports both products alike, so only the three-factor identity

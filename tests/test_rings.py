@@ -154,8 +154,12 @@ def test_unramified_minimal_poly_choice():
     (lambda: BaseRing(MIXED, 3, 0), SpecMismatchError),
     (lambda: ExtensionRing(BaseRing(EQUAL, 3, 1), "wild", 2), SpecMismatchError),
     (lambda: ExtensionRing(BaseRing(EQUAL, 3, 1), RAMIFIED, 2), SpecMismatchError),
+    # the residue field F_{p^l} over the coefficient-field bound, refused
+    # before the search for its minimal polynomial
+    (lambda: ExtensionRing(BaseRing(EQUAL, 2, 1), UNRAMIFIED, 257), SpecMismatchError),
+    (lambda: ExtensionRing(BaseRing(MIXED, 3, 1), UNRAMIFIED, 11), SpecMismatchError),
 ], ids=["unknown-model", "p-not-prime", "level-zero", "unknown-kind",
-        "ramified-without-uniformizer"])
+        "ramified-without-uniformizer", "unramified-2^257", "unramified-3^11"])
 def test_bad_ring_parameters_raise_typed_errors(build, error):
     with pytest.raises(error) as info:
         build()

@@ -44,6 +44,7 @@ from helpers import (
     dense_mat_apply,
     dense_mat_mul,
     dense_mat_sub,
+    dense_min_poly,
     dense_reduce,
     dense_rref,
     dense_spin,
@@ -109,6 +110,11 @@ def test_sparse_kernels_match_dense_oracle(F):
             v = sparse_matrix(F, rng, 1, mid, density)[0] if mid else ()
             assert mat_apply(F, A, v) == dense_mat_apply(F, A, v)
             _row_kernels_match_dense_oracle(F, A, sparse_matrix(F, rng, n, mid, density), v)
+    # rank-deficient rectangular matrices: products through a narrow middle
+    for n, m, rank in [(3, 5, 1), (5, 3, 2), (4, 4, 2), (2, 6, 1), (6, 2, 1)]:
+        A = mat_mul(F, sparse_matrix(F, rng, n, rank, 0.7), sparse_matrix(F, rng, rank, m, 0.7))
+        assert len(image_basis(F, A)) <= rank
+        _row_kernels_match_dense_oracle(F, A, A, sparse_matrix(F, rng, 1, m, 0.7)[0])
     # a pivot c whose inverse is not one (unless F = F_2), a zero row and
     # two zero columns, one of them past the last pivot
     o, z, c = F.one(), F.zero(), max(F.elements())
@@ -116,6 +122,33 @@ def test_sparse_kernels_match_dense_oracle(F):
     _row_kernels_match_dense_oracle(F, A, A, (o, c, c, o, z))
     assert kernel_basis(F, A) and all(mat_apply(F, A, v) == (z,) * 4
                                       for v in kernel_basis(F, A))
+
+
+def _companion(F, f):
+    """The companion matrix of a monic f: its minimal polynomial is f."""
+    d = len(f) - 1
+    return tuple(tuple(F.one() if j == i - 1 else F.zero() for j in range(d - 1))
+                 + (F.neg(f[i]),) for i in range(d))
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4], ids=["F2", "F3", "F4"])
+def test_min_poly_matches_brute_force_oracle(F):
+    rng = random.Random(47 + F.l * F.k)
+    elements = list(F.elements())
+    z, c = F.zero(), max(elements)
+    for d in range(1, 5):
+        scalar = tuple(tuple(c if i == j else z for j in range(d)) for i in range(d))
+        nilpotent = tuple(tuple(rng.choice(elements) if j > i else z for j in range(d))
+                          for i in range(d))
+        full_degree = _companion(F, [rng.choice(elements) for _ in range(d)] + [F.one()])
+        zero = tuple((z,) * d for _ in range(d))
+        for A in [zero, scalar, nilpotent, full_degree] + [
+                sparse_matrix(F, rng, d, d, density) for density in (0.3, 0.6, 1.0)]:
+            assert min_poly(F, A) == dense_min_poly(F, A), A
+        assert len(min_poly(F, full_degree)) == d + 1
+    # the shift of F^4 is nilpotent of index 4: its minimal polynomial is x^4
+    shift = tuple(tuple(F.one() if j == i + 1 else z for j in range(4)) for i in range(4))
+    assert min_poly(F, shift) == [z] * 4 + [F.one()]
 
 
 # -- norm operator ------------------------------------------------------------

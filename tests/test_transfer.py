@@ -370,14 +370,18 @@ def test_report_shape_and_failure_diagnostics(tower_ram):
 
 def test_failing_sample_names_its_first_differing_label(monkeypatch, tower_unram):
     # a convolution on F' that adds the unit moves exactly the identity
-    # coset's coefficient, so every sample fails there and only there
+    # coset's coefficient, so every F sample fails there and only there,
+    # while the E -> E' samples, whose products are taken on E', pass
     HFp = tower_unram.alg["F'"]
     ctx, F = HFp.context, HFp.field
     convolve = HFp.convolve
     monkeypatch.setattr(HFp, "convolve", lambda f, g: convolve(f, g) + hecke_unit(HFp))
     rep = check_kaz_hom(tower_unram, window_spread=1, samples=1, seed=1)
     assert rep.samples and not rep.passed
-    for s in rep.samples:
+    f_samples = [s for s in rep.samples if not s["input"].startswith("E: ")]
+    assert all(s["equal"] for s in rep.samples[len(f_samples):])
+    assert len(f_samples) == len(rep.samples) // 2
+    for s in f_samples:
         assert s["equal"] is False
         diff = s["firstDiff"]
         assert set(diff) == {"label", "lhs", "rhs"}
