@@ -65,6 +65,11 @@ def group_order(n, q, pi_level):
     return order * q ** (n * n * (pi_level - 1))
 
 
+def coset_exponent(mu):
+    """k = sum over i < j of mu_j - mu_i: |K pi^mu K / K| = q^k."""
+    return sum(b - a for i, a in enumerate(mu) for b in mu[i + 1:])
+
+
 class GroupContext:
     """GL_n double-coset computations on one side at one congruence level."""
 
@@ -325,10 +330,7 @@ class GroupContext:
         ``budget`` bounds that count, checked before anything is listed.
         """
         n, mu, m = self.n, label.mu, self.m
-        count = self.coset_count(mu)
-        if count > self.budget:
-            raise BudgetExceededError(
-                f"the transversal of {mu} holds {count} cosets, over budget {self.budget}")
+        self.check_transversal(mu)
         P, right = self._label_factors(label, ring)
         zero, mul, add = ring.zero(), ring.mul, ring.add
         # u - I = sum of c_ij e_i e_j^T, so P u R = P R plus c_ij times the
@@ -507,9 +509,21 @@ class GroupContext:
         return order
 
     def coset_count(self, mu):
-        """|K pi^mu K / K| = q^(sum over i < j of mu_j - mu_i), the length of
-        a transversal from left_coset_reps."""
-        return self.residue_q ** sum(b - a for i, a in enumerate(mu) for b in mu[i + 1:])
+        """|K pi^mu K / K| = q^k, the length of a transversal from
+        left_coset_reps, for k = ``coset_exponent(mu)``."""
+        return self.residue_q ** coset_exponent(mu)
+
+    def check_transversal(self, mu):
+        """Refuse the transversal of mu when its q^k cosets exceed ``budget``.
+        q >= 2, so k > budget.bit_length() gives q^k > budget, and no q^k is
+        formed for a huge k; the message names q^k, and its value when
+        formed."""
+        q, k = self.residue_q, coset_exponent(mu)
+        count = q ** k if k <= self.budget.bit_length() else None
+        if count is None or count > self.budget:
+            size = f"{q}^{k}" if count is None else f"{q}^{k} = {count}"
+            raise BudgetExceededError(
+                f"the transversal of {mu} holds {size} cosets, over budget {self.budget}")
 
     # -- enumeration ---------------------------------------------------------------
 

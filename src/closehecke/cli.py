@@ -4,15 +4,21 @@ Every run echoes its fully resolved configuration and the library version;
 identical configuration and seed give byte-identical reports.  Exit codes:
 0 success or pass, 1 check failure, 2 configuration error.
 
-The CLI checks only the bounds of the flags that no library constructor
-reads; ``Tower`` and the builders behind it reject a bad tower with their
-own typed errors.  One table, ``_CHECKS``, serves both the parser and the
-dispatch of the verification suites.
+One table, ``_COMMANDS``, declares each subcommand once: its help, its tower
+flags, its own arguments and the function that computes its result.  One
+loop turns the table into the parser, and one handler runs every command
+that builds a tower: it reads the tower flags, computes, echoes the
+configuration and emits the document.  ``tate cohomology`` and
+``linkage check`` build no tower and keep their own handlers.  The CLI
+checks only the bounds of the flags that no library constructor reads;
+``Tower`` and the builders behind it reject a bad tower with their own
+typed errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import sys
 
@@ -21,6 +27,7 @@ from .errors import CloseHeckeError, ConfigError, json_field
 from .matrices import cochar_window
 from .tate import linkage_check, module_from_json, tate_cohomology
 from .transfer import (
+    Report,
     Tower,
     check_galois_equivariance,
     check_kaz_hom,
@@ -29,16 +36,7 @@ from .transfer import (
 )
 
 
-def _parse_lambda_image(text):
-    if not text:
-        return None
-    try:
-        return [int(c) for c in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"--lambda-image needs comma-separated integers, not {text!r}") from None
-
-
-def _add_tower_args(p, need_case=False):
+def _add_tower_args(p, need_case):
     p.add_argument("--p", type=int, required=True, help="residue characteristic")
     p.add_argument("--l", type=int, default=None, help="extension degree / coefficient prime")
     p.add_argument("--m", type=int, default=1, help="closeness and congruence level")
@@ -54,14 +52,11 @@ def _add_tower_args(p, need_case=False):
     p.add_argument("--pair-budget", type=int, default=10 ** 4)
 
 
-def _add_output_args(p):
-    p.add_argument("--out", default=None, help="write the JSON document here")
-    p.add_argument("--json", action="store_true", help="stream the JSON document to stdout")
-
-
 def _tower(args):
     """The tower of ``args`` and the run configuration its document echoes,
     after the checks that no library constructor makes."""
+    if getattr(args, "mu_lo", 0) > getattr(args, "mu_hi", 0):
+        raise ConfigError(f"--mu-lo {args.mu_lo} exceeds --mu-hi {args.mu_hi}")
     for flag in ("window", "samples"):
         value = getattr(args, flag, None)
         if value is not None and value < 0:
@@ -70,7 +65,13 @@ def _tower(args):
         value = getattr(args, flag)
         if value < 1:
             raise ConfigError(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
-    lambda_image = _parse_lambda_image(args.lambda_image)
+    lambda_image = None
+    if args.lambda_image:
+        try:
+            lambda_image = [int(c) for c in args.lambda_image.split(",")]
+        except ValueError:
+            raise ConfigError("--lambda-image needs comma-separated integers, "
+                              f"not {args.lambda_image!r}") from None
     cfg = {"p": args.p, "l": args.l, "m": args.m, "n": args.n, "k": args.k,
            "case": args.case, "pairMode": args.pair_mode, "lambdaImage": lambda_image,
            "seed": getattr(args, "seed", None), "window": getattr(args, "window", None),
@@ -95,9 +96,7 @@ def _emit(doc, args):
 
 
 def _wrap(command, config, payload):
-    doc = {"command": command, "config": config, "library_version": __version__}
-    doc.update(payload)
-    return doc
+    return {"command": command, "config": config, "library_version": __version__, **payload}
 
 
 def _load(path, parse):
@@ -128,115 +127,69 @@ def _br_generators(doc):
     return gens
 
 
-def _algebra_for_element(tower, doc):
-    side = doc.get("side", "F")
-    if side not in tower.alg:
-        raise ConfigError(f"side {side!r} not present (need --case for E/E')")
-    return tower.alg[side]
-
-
 def _load_element(path, tower):
-    """(algebra, element) for the Hecke element in ``path``."""
+    """The Hecke element in ``path``, on the algebra of its "side" (F by
+    default)."""
     def parse(doc):
-        alg = _algebra_for_element(tower, doc)
-        return alg, alg.from_json(doc)
+        side = doc.get("side", "F")
+        if side not in tower.alg:
+            raise ConfigError(f"side {side!r} not present (need --case for E/E')")
+        return tower.alg[side].from_json(doc)
     return _load(path, parse)
 
 
-# -- command handlers ---------------------------------------------------------
+# -- what each tower command computes -------------------------------------------
 
-def _cmd_fields_build(args):
-    tower, cfg = _tower(args)
-    payload = {"result": {
-        "F": tower.pair.F.to_json(),
-        "F'": tower.pair.Fp.to_json(),
-        "E": tower.extpair.E.to_json(),
-        "E'": tower.extpair.Ep.to_json(),
-        "e": tower.extpair.E.e,
-        "lambda": tower.pair.lam.to_json(),
-        "pi": tower.extpair.pi.to_json(),
-    }}
-    _emit(_wrap("fields build", cfg, payload), args)
-    return 0
+def _fields(tower, args):
+    pair, ext = tower.pair, tower.extpair
+    return {"F": pair.F.to_json(), "F'": pair.Fp.to_json(), "E": ext.E.to_json(),
+            "E'": ext.Ep.to_json(), "e": ext.E.e, "lambda": pair.lam.to_json(),
+            "pi": ext.pi.to_json()}
 
 
-def _cmd_cosets_enumerate(args):
-    if args.mu_lo > args.mu_hi:
-        raise ConfigError(f"--mu-lo {args.mu_lo} exceeds --mu-hi {args.mu_hi}")
-    tower, cfg = _tower(args)
+def _cosets(tower, args):
     if args.side not in tower.ctx:
         raise ConfigError("this command needs --case unramified|ramified")
     ctx = tower.ctx[args.side]
-    mus = cochar_window(args.n, args.mu_lo, args.mu_hi, max_spread=args.window)
-    labels = ctx.enumerate_labels(mus)
-    payload = {"result": {"side": args.side, "count": len(labels),
-                          "labels": [ctx.label_to_json(lab) for lab in labels]}}
-    cfg.update(muLo=args.mu_lo, muHi=args.mu_hi, side=args.side)
-    _emit(_wrap("cosets enumerate", cfg, payload), args)
+    labels = ctx.enumerate_labels(
+        cochar_window(args.n, args.mu_lo, args.mu_hi, max_spread=args.window))
+    return {"side": args.side, "count": len(labels),
+            "labels": [ctx.label_to_json(lab) for lab in labels]}
+
+
+def _convolve(tower, args):
+    f = _load_element(args.a, tower)
+    return f.algebra.convolve(f, _load(args.b, f.algebra.from_json)).to_json()
+
+
+def _sigma(tower, args):
+    f = _load_element(args.infile, tower)
+    if not args.orbit_sum:
+        return f.algebra.sigma_act(f).to_json()
+    supports = f.support()
+    if len(supports) != 1:
+        raise ConfigError("--orbit-sum expects a single basis element")
+    return f.algebra.sigma_orbit_sum(supports[0]).to_json()
+
+
+def _run_tower(args):
+    """Every command that builds a tower: the tower, the result, the echoed
+    configuration with the command's own keys, and the document.  A check
+    suite's report merges the configuration into its own and exits 1 when
+    the check fails."""
+    tower, cfg = _tower(args)
+    out = args.spec.run(tower, args)
+    if isinstance(out, Report):
+        doc = out.to_json()
+        doc["config"] = {**cfg, **doc["config"]}
+        _emit(doc, args)
+        return 0 if out.passed else 1
+    cfg.update({key: getattr(args, dest) for key, dest in args.spec.echo})
+    _emit(_wrap(args.name, cfg, {"result": out}), args)
     return 0
 
 
-def _cmd_hecke_convolve(args):
-    tower, cfg = _tower(args)
-    alg, f = _load_element(args.a, tower)
-    g = _load(args.b, alg.from_json)
-    out = alg.convolve(f, g)
-    _emit(_wrap("hecke convolve", cfg, {"result": out.to_json()}), args)
-    return 0
-
-
-def _cmd_hecke_brauer(args):
-    tower, cfg = _tower(args)
-    _, f = _load_element(args.infile, tower)
-    out = tower.brauer(f)
-    _emit(_wrap("hecke brauer", cfg, {"result": out.to_json()}), args)
-    return 0
-
-
-def _cmd_hecke_sigma(args):
-    tower, cfg = _tower(args)
-    alg, f = _load_element(args.infile, tower)
-    if args.orbit_sum:
-        supports = f.support()
-        if len(supports) != 1:
-            raise ConfigError("--orbit-sum expects a single basis element")
-        out = alg.sigma_orbit_sum(supports[0])
-    else:
-        out = alg.sigma_act(f)
-    _emit(_wrap("hecke sigma", cfg, {"result": out.to_json()}), args)
-    return 0
-
-
-def _cmd_kaz_map(args):
-    tower, cfg = _tower(args)
-    _, f = _load_element(args.infile, tower)
-    out = tower.kaz(f)
-    _emit(_wrap("kaz map", cfg, {"result": out.to_json()}), args)
-    return 0
-
-
-# check name -> (needs --case, default --samples, the suite run on a tower)
-_CHECKS = {
-    "kaz-hom": (False, 10, lambda tower, args: check_kaz_hom(
-        tower, window_spread=args.window, samples=args.samples, seed=args.seed)),
-    "galois-equivariance": (True, 50, lambda tower, args: check_galois_equivariance(
-        tower, window_spread=args.window, samples=args.samples, seed=args.seed)),
-    "main-diagram": (True, 25, lambda tower, args: check_main_diagram(
-        tower, mu_spread=args.window, samples=args.samples, seed=args.seed)),
-    "lemma-conv": (False, 20, lambda tower, args: check_lemma_conv(
-        tower, window_spread=args.window, elements=args.samples, seed=args.seed)),
-}
-
-
-def _cmd_check(args):
-    tower, cfg = _tower(args)
-    _, _, run = _CHECKS[args.check_command]
-    rep = run(tower, args)
-    doc = rep.to_json()
-    doc["config"] = {**cfg, **doc["config"]}
-    _emit(doc, args)
-    return 0 if rep.passed else 1
-
+# -- the commands that build no tower -----------------------------------------------
 
 def _cmd_tate_cohomology(args):
     M = _load(args.module, module_from_json)
@@ -259,88 +212,91 @@ def _cmd_linkage_check(args):
     return 0
 
 
+# -- the command table ------------------------------------------------------------------
+
+_NO_TOWER, _CASE_OPTIONAL, _CASE_REQUIRED = None, False, True
+
+
+# One subcommand: its help text (None leaves it out of its group's listing),
+# its tower flags, its own arguments, and ``run``, which computes the result
+# from (tower, args), or is the whole handler of a command without a tower;
+# ``echo`` lists the (config key, dest) pairs its document adds to the
+# tower configuration.
+_Command = collections.namedtuple("_Command", "help tower args run echo", defaults=((),))
+
+
+def _arg(*flags, **kw):
+    return flags, kw
+
+
+def _check(case, samples, suite, window="window_spread", count="samples"):
+    """A verification suite: --window, --samples and --seed, passed to
+    ``suite`` under its own keyword names, and its report."""
+    def run(tower, args):
+        return suite(tower, **{window: args.window, count: args.samples}, seed=args.seed)
+    return _Command(None, case, [
+        _arg("--window", type=int, default=2, help="cocharacter spread"),
+        _arg("--samples", type=int, default=samples),
+        _arg("--seed", type=int, default=0)], run)
+
+
+_IN = _arg("--in", dest="infile", required=True)
+_GROUPS = {"fields": "build field towers", "cosets": "double-coset enumeration",
+           "hecke": "Hecke algebra operations", "kaz": "Kazhdan transfer",
+           "check": "verification suites", "tate": "Tate cohomology",
+           "linkage": "linkage predicate"}
+_COMMANDS = {
+    ("fields", "build"): _Command(
+        "build a close pair with matched extensions", _CASE_REQUIRED, [], _fields),
+    ("cosets", "enumerate"): _Command(
+        "enumerate double-coset labels in a window", _CASE_OPTIONAL, [
+            _arg("--side", default="F", choices=["F", "F'", "E", "E'"]),
+            _arg("--mu-lo", type=int, default=0),
+            _arg("--mu-hi", type=int, default=1),
+            _arg("--window", type=int, default=None, help="max spread filter")],
+        _cosets, echo=(("muLo", "mu_lo"), ("muHi", "mu_hi"), ("side", "side"))),
+    ("hecke", "convolve"): _Command(None, _CASE_OPTIONAL, [
+        _arg("--a", required=True, help="left element JSON file"),
+        _arg("--b", required=True, help="right element JSON file")], _convolve),
+    ("hecke", "brauer"): _Command(None, _CASE_REQUIRED, [_IN], lambda tower, args:
+                                  tower.brauer(_load_element(args.infile, tower)).to_json()),
+    ("hecke", "sigma"): _Command(None, _CASE_REQUIRED, [
+        _IN, _arg("--orbit-sum", action="store_true")], _sigma),
+    ("kaz", "map"): _Command(None, _CASE_OPTIONAL, [_IN], lambda tower, args:
+                             tower.kaz(_load_element(args.infile, tower)).to_json()),
+    ("check", "kaz-hom"): _check(_CASE_OPTIONAL, 10, check_kaz_hom),
+    ("check", "galois-equivariance"): _check(_CASE_REQUIRED, 50, check_galois_equivariance),
+    ("check", "main-diagram"): _check(_CASE_REQUIRED, 25, check_main_diagram, window="mu_spread"),
+    ("check", "lemma-conv"): _check(_CASE_OPTIONAL, 20, check_lemma_conv, count="elements"),
+    ("tate", "cohomology"): _Command(None, _NO_TOWER, [
+        _arg("--module", required=True),
+        _arg("--i", type=int, choices=[0, 1], required=True)], _cmd_tate_cohomology),
+    ("linkage", "check"): _Command(None, _NO_TOWER, [
+        _arg("--xi", required=True), _arg("--rho", required=True), _arg("--br", required=True),
+        _arg("--seed", type=int, default=0)], _cmd_linkage_check),
+}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="closehecke",
         description="Congruence-level Hecke algebras over close local fields: "
                     "builders, transfers, and exact verification suites.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fields", help="build field towers")
-    psub = p.add_subparsers(dest="fields_command", required=True)
-    pb = psub.add_parser("build", help="build a close pair with matched extensions")
-    _add_tower_args(pb, need_case=True)
-    _add_output_args(pb)
-    pb.set_defaults(func=_cmd_fields_build)
-
-    p = sub.add_parser("cosets", help="double-coset enumeration")
-    psub = p.add_subparsers(dest="cosets_command", required=True)
-    pe = psub.add_parser("enumerate", help="enumerate double-coset labels in a window")
-    _add_tower_args(pe)
-    pe.add_argument("--side", default="F", choices=["F", "F'", "E", "E'"])
-    pe.add_argument("--mu-lo", type=int, default=0)
-    pe.add_argument("--mu-hi", type=int, default=1)
-    pe.add_argument("--window", type=int, default=None, help="max spread filter")
-    _add_output_args(pe)
-    pe.set_defaults(func=_cmd_cosets_enumerate)
-
-    p = sub.add_parser("hecke", help="Hecke algebra operations")
-    psub = p.add_subparsers(dest="hecke_command", required=True)
-    pc = psub.add_parser("convolve")
-    _add_tower_args(pc)
-    pc.add_argument("--a", required=True, help="left element JSON file")
-    pc.add_argument("--b", required=True, help="right element JSON file")
-    _add_output_args(pc)
-    pc.set_defaults(func=_cmd_hecke_convolve)
-    pbr = psub.add_parser("brauer")
-    _add_tower_args(pbr, need_case=True)
-    pbr.add_argument("--in", dest="infile", required=True)
-    _add_output_args(pbr)
-    pbr.set_defaults(func=_cmd_hecke_brauer)
-    ps = psub.add_parser("sigma")
-    _add_tower_args(ps, need_case=True)
-    ps.add_argument("--in", dest="infile", required=True)
-    ps.add_argument("--orbit-sum", action="store_true")
-    _add_output_args(ps)
-    ps.set_defaults(func=_cmd_hecke_sigma)
-
-    p = sub.add_parser("kaz", help="Kazhdan transfer")
-    psub = p.add_subparsers(dest="kaz_command", required=True)
-    pm = psub.add_parser("map")
-    _add_tower_args(pm)
-    pm.add_argument("--in", dest="infile", required=True)
-    _add_output_args(pm)
-    pm.set_defaults(func=_cmd_kaz_map)
-
-    p = sub.add_parser("check", help="verification suites")
-    psub = p.add_subparsers(dest="check_command", required=True)
-    for name, (needs_case, samples, _) in _CHECKS.items():
-        pc = psub.add_parser(name)
-        _add_tower_args(pc, need_case=needs_case)
-        pc.add_argument("--window", type=int, default=2, help="cocharacter spread")
-        pc.add_argument("--samples", type=int, default=samples)
-        pc.add_argument("--seed", type=int, default=0)
-        _add_output_args(pc)
-        pc.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("tate", help="Tate cohomology")
-    psub = p.add_subparsers(dest="tate_command", required=True)
-    pt = psub.add_parser("cohomology")
-    pt.add_argument("--module", required=True)
-    pt.add_argument("--i", type=int, choices=[0, 1], required=True)
-    _add_output_args(pt)
-    pt.set_defaults(func=_cmd_tate_cohomology)
-
-    p = sub.add_parser("linkage", help="linkage predicate")
-    psub = p.add_subparsers(dest="linkage_command", required=True)
-    pl = psub.add_parser("check")
-    pl.add_argument("--xi", required=True)
-    pl.add_argument("--rho", required=True)
-    pl.add_argument("--br", required=True)
-    pl.add_argument("--seed", type=int, default=0)
-    _add_output_args(pl)
-    pl.set_defaults(func=_cmd_linkage_check)
-
+    groups = {}
+    for (command, name), spec in _COMMANDS.items():
+        if command not in groups:
+            group = sub.add_parser(command, help=_GROUPS[command])
+            groups[command] = group.add_subparsers(dest=f"{command}_command", required=True)
+        p = groups[command].add_parser(name, **({"help": spec.help} if spec.help else {}))
+        if spec.tower is not _NO_TOWER:
+            _add_tower_args(p, need_case=spec.tower)
+        for flags, kw in spec.args:
+            p.add_argument(*flags, **kw)
+        p.add_argument("--out", default=None, help="write the JSON document here")
+        p.add_argument("--json", action="store_true", help="stream the JSON document to stdout")
+        p.set_defaults(func=spec.run if spec.tower is _NO_TOWER else _run_tower,
+                       spec=spec, name=f"{command} {name}")
     return ap
 
 

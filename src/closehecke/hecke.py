@@ -74,10 +74,14 @@ class HeckeAlgebra:
         self.context = context
         self.field = field
         self.side = context.side.name
+        # the side as data, on which a second tower with the same parameters agrees
+        ring = context.label_ring
+        self._key = (self.side, ring, context.side.unif_unit_coords(ring), context.n, field)
 
     def _check_same(self, other):
-        if other is not self and (other.side != self.side or other.field != self.field):
-            raise SideMismatchError(f"sides {self.side} and {other.side} differ")
+        if other is not self and other._key != self._key:
+            raise SideMismatchError(f"sides {self.side} and {other.side} differ in name, "
+                                    "tower or coefficient field")
 
     # -- constructors -------------------------------------------------------
     def element(self, pairs):
@@ -120,8 +124,10 @@ class HeckeAlgebra:
         is g (1 + g^{-1}(g' - g)) with g^{-1}(g' - g) in pi^m M_n(o), so it
         lies in g K_m: every lift of a' b_j' mod pi^N names one double coset,
         and pi_dist^(mu_a1 + mu_b1) is central, so it adds to the invariant.
-        ``smith_cartan`` checks the bound on each product."""
+        ``smith_cartan`` checks the bound on each product.  A transversal of
+        lb over budget is refused before the working ring is built."""
         ctx = self.context
+        ctx.check_transversal(lb.mu)
         shift = la.mu[0] + lb.mu[0]
         ring = ctx.working_ring(ctx.m + spread(la.mu) + spread(lb.mu))
         a, size_a = ctx.label_matrix(la, ring), ctx.coset_count(la.mu)

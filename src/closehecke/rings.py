@@ -215,7 +215,7 @@ class BaseRing:
         if j == 0:
             return a
         if self.model == MIXED:
-            return (a * self.p ** j) % self.modulus
+            return 0 if j >= self.level else (a * self.p ** j) % self.modulus
         return (0,) * min(j, self.level) + a[: max(self.level - j, 0)]
 
     def div_pi(self, a, j):
@@ -421,7 +421,7 @@ class ExtensionRing:
         if self.kind == UNRAMIFIED:
             return tuple(self.base.mul_pi(x, j) for x in a)
         out = a
-        for _ in range(j):
+        for _ in range(min(j, self.pi_level)):      # T^pi_level = w^level = 0
             out = (self.base.mul(out[-1], self.w),) + out[:-1]
         return out
 

@@ -224,14 +224,13 @@ class TateResult:
 
 
 def norm_operator(M: CyclicModule):
-    """N = id + T + ... + T^(l-1); raises NotOrderLError unless T^l = id."""
+    """N = id + T + ... + T^(l-1), which is (id - T)^(l-1) in characteristic
+    l; raises NotOrderLError unless T^l = id, that is (id - T)^l = 0."""
     F = M.field
-    ident = mat_identity(F, M.dim)
-    out = acc = ident
-    for _ in range(F.l - 1):
-        acc = mat_mul(F, acc, M.T)
-        out = mat_add(F, out, acc)
-    if mat_mul(F, acc, M.T) != ident:
+    A = out = mat_sub(F, mat_identity(F, M.dim), M.T)
+    for _ in range(F.l - 2):
+        out = mat_mul(F, out, A)
+    if mat_mul(F, out, A) != mat_zero(F, M.dim):
         raise NotOrderLError("T^l is not the identity")
     return out
 
@@ -298,15 +297,15 @@ def tate_cohomology(M: CyclicModule, i: int) -> TateResult:
 
 
 def tate_quotient_module(M: CyclicModule, i: int) -> CyclicModule:
-    """The Tate quotient with the induced named-generator action; T and the
-    generators must preserve the kernel and the image involved."""
+    """The Tate quotient with the induced named-generator action; the
+    generators must preserve the kernel and the image involved.  T acts on
+    it as the identity, so it is not induced: T fixes ker(id - T), and
+    T v - v lies in im(id - T)."""
     ker, im, quo = _tate_spaces(M, i)
-
-    def induce(ops):
-        return _subquotient_action(M.field, ops, ker, im, quo, SpecMismatchError)
-
-    return CyclicModule(M.field, len(quo[0]), induce({"T": M.T})["T"],
-                        induce(dict(sorted(M.action.items()))))
+    d = len(quo[0])
+    return CyclicModule(M.field, d, mat_identity(M.field, d),
+                        _subquotient_action(M.field, dict(sorted(M.action.items())),
+                                            ker, im, quo, SpecMismatchError))
 
 
 def frobenius_twist(M: CyclicModule) -> CyclicModule:
@@ -495,7 +494,10 @@ def composition_factors(M: CyclicModule, seed=0):
 def modules_isomorphic(A: CyclicModule, B: CyclicModule) -> bool:
     """Simultaneous-conjugacy test over the shared generator names.  For the
     simple modules produced by the splitter any nonzero intertwiner is
-    invertible, so the test is exact."""
+    invertible, so the test is exact.  Modules over different coefficient
+    fields raise SpecMismatchError."""
+    if A.field != B.field:
+        raise SpecMismatchError(f"modules over {A.field} and {B.field} cannot be compared")
     if A.dim != B.dim:
         return False
     if set(A.action) != set(B.action):
@@ -532,7 +534,10 @@ def linkage_check(Xi: CyclicModule, rho: CyclicModule, br_map: dict, seed=0):
     """Is the Frobenius twist of rho a Jordan-Holder constituent of a Tate
     cohomology group of Xi, over the shared sigma-invariant generator names?
 
-    Returns {0: bool, 1: bool}."""
+    Returns {0: bool, 1: bool}.  Xi and rho over different coefficient
+    fields raise SpecMismatchError."""
+    if Xi.field != rho.field:
+        raise SpecMismatchError(f"Xi lies over {Xi.field} and rho over {rho.field}")
     if Xi.dim > DIM_BOUND or rho.dim > DIM_BOUND:
         raise DimBoundExceededError("module dimension exceeds bound")
     if not Xi.action or not rho.action:

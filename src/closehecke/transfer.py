@@ -177,15 +177,21 @@ class Tower:
         Q = tuple(tuple(iso.apply(x) for x in row) for row in label.Q)
         return CosetLabel(label.mu, P, Q, label.level), target
 
+    def _route_of(self, f):
+        """The route of f's side, once f is checked to lie on this tower."""
+        route = self._route(f.algebra.side)
+        self.alg[f.algebra.side]._check_same(f.algebra)
+        return route
+
     def kaz(self, f: HeckeElement) -> HeckeElement:
         """Basis-label transport; coefficients unchanged."""
         side = f.algebra.side
-        target = self.alg[self._route(side)[1]]
+        target = self.alg[self._route_of(f)[1]]
         return target.element([(self.kaz_label(side, lab)[0], c)
                                for lab, c in f.terms.values()])
 
     def brauer(self, f: HeckeElement) -> HeckeElement:
-        target = self._route(f.algebra.side)[2]
+        target = self._route_of(f)[2]
         if target is None:
             raise SideMismatchError("Brauer restriction starts on an extension side")
         return f.algebra.brauer_restrict(f, self.alg[target])

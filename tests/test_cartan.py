@@ -166,6 +166,14 @@ def test_a_transversal_over_budget_is_refused_before_listing(monkeypatch):
         under.left_coset_reps(lab, ring)
 
 
+def test_a_huge_transversal_is_refused_by_its_exponent():
+    # q^k with k = 10^7 is never formed: the message names it as a power
+    ctx = GroupContext(base_side("F", MIXED, 3, 1), 2)
+    with pytest.raises(BudgetExceededError, match=r"holds 3\^10000000 cosets, over budget"):
+        ctx.check_transversal((0, 10 ** 7))
+    ctx.check_transversal((0, 14))             # 3^14 = 4,782,969 <= 10^7
+
+
 def test_left_coset_count_conjugation_invariant(ctx2):
     # every label of one invariant has as many distinct left-coset keys as
     # the diagonal one

@@ -1,13 +1,15 @@
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from closehecke.cli import main
+from closehecke.cli import build_parser, main
 from closehecke.transfer import Tower
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -443,10 +445,15 @@ _E_TWO_TERMS = {**_E_PI, "terms": _E_PI["terms"] + [
     # F_{2^257} is refused before the search for its minimal polynomial
     (["fields", "build", "--case", "unramified", "--p", "2", "--l", "257"], {},
      "SPEC_MISMATCH"),
+    # Xi over F_3 and rho over F_5
+    (["linkage", "check", "--xi", "m.json", "--rho", "r.json", "--br", "b.json"],
+     {"m.json": {"l": 3, "k": 1, "dim": 1, "T": [[1]], "action": {"e": [[2]]}},
+      "r.json": {**_RHO, "l": 5}, "b.json": {"e": "f"}}, "SPEC_MISMATCH"),
 ], ids=["file-holds-a-list", "E-element-without-case", "cosets-E-without-case",
         "orbit-sum-of-two-terms", "brauer-of-an-F-element", "convolve-F-with-E",
         "element-field-mismatch", "sigma-of-an-F-element", "lemma-conv-window-0",
-        "lemma-conv-rank-1", "transversal-over-budget", "unramified-residue-field-2^257"])
+        "lemma-conv-rank-1", "transversal-over-budget", "unramified-residue-field-2^257",
+        "linkage-fields-differ"])
 def test_each_bad_input_exits_two_with_its_typed_code(tmp_path, monkeypatch, capsys,
                                                       argv, files, code):
     monkeypatch.chdir(tmp_path)
@@ -456,9 +463,121 @@ def test_each_bad_input_exits_two_with_its_typed_code(tmp_path, monkeypatch, cap
     assert capsys.readouterr().err.startswith(f"error [{code}]: ")
 
 
+@pytest.mark.parametrize("spread", [10 ** 4, 10 ** 7])
+def test_a_convolution_of_huge_spread_is_refused_at_once(tmp_path, monkeypatch, capsys,
+                                                         spread):
+    # t[(0, s)] * t[(0, s)] at p = 3 lists 3^s cosets: refused before its
+    # working ring Z/3^(2s + 1) is built, and the message names 3^s, not
+    # its digits
+    monkeypatch.chdir(tmp_path)
+    label = {**_F_PI["terms"][0]["label"], "mu": [0, spread]}
+    (tmp_path / "f.json").write_text(json.dumps(
+        {**_F_PI, "terms": [{"label": label, "coeff": [1]}]}))
+    start = time.perf_counter()
+    assert main(["hecke", "convolve", "--p", "3", "--l", "2", "--a", "f.json",
+                 "--b", "f.json"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error [BUDGET_EXCEEDED]: the transversal of (0, {spread}) holds 3^{spread} "
+        "cosets, over budget 10000000\n")
+
+
 def test_kaz_hom_at_a_deep_equal_level_draws_without_listing_the_ring(capsys):
     # the label ring F_2[t]/t^40 has 2^40 elements: random residue matrices
     # are drawn by index, never from a list of the ring
     code, out = run_cli(capsys, "check", "kaz-hom", "--p", "2", "--l", "3", "--m", "40",
                         "--pair-mode", "equal-equal", "--window", "1", "--samples", "1")
     assert code == 0 and json.loads(out)["pass"] is True
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _listing(parser):
+    """The subparsers' dest and required flag, and the (name, help) entries
+    the parser's help lists."""
+    sub = _subparsers(parser)
+    return sub.dest, sub.required, [(c.dest, c.help) for c in sub._choices_actions]
+
+
+def _arguments(parser):
+    """Every argument of a subcommand, as the parser holds it."""
+    return [{"options": a.option_strings, "dest": a.dest, "default": a.default,
+             "choices": None if a.choices is None else list(a.choices),
+             "required": a.required, "type": getattr(a.type, "__name__", a.type),
+             "action": type(a).__name__, "help": a.help} for a in parser._actions]
+
+
+_GROUP_LISTINGS = {
+    None: ("command", True, [("fields", "build field towers"),
+                             ("cosets", "double-coset enumeration"),
+                             ("hecke", "Hecke algebra operations"),
+                             ("kaz", "Kazhdan transfer"),
+                             ("check", "verification suites"),
+                             ("tate", "Tate cohomology"),
+                             ("linkage", "linkage predicate")]),
+    "fields": ("fields_command", True,
+               [("build", "build a close pair with matched extensions")]),
+    "cosets": ("cosets_command", True,
+               [("enumerate", "enumerate double-coset labels in a window")]),
+    "hecke": ("hecke_command", True, []),
+    "kaz": ("kaz_command", True, []),
+    "check": ("check_command", True, []),
+    "tate": ("tate_command", True, []),
+    "linkage": ("linkage_command", True, []),
+}
+# (group, subcommand) -> sha256 of the JSON of its _arguments
+_SUBCOMMAND_SURFACES = {
+    ("fields", "build"):
+        "072aaa3734635bc79c01c7d0905572550d8353ba60af03f027b20eaadea11b6a",
+    ("cosets", "enumerate"):
+        "f36b6f88c3603af0c2b459e7b2dd904fae69ef04909a94bedda0e45901c6b009",
+    ("hecke", "convolve"):
+        "4dfd7cd4272fce298e8f81ff578712f570ba2d1ee20f4841ee4c52e8eb78d13a",
+    ("hecke", "brauer"):
+        "e5ca07a531a03c8da82e362e74f0ea7b1c55fb0c2e5c1252108e347b2272f1d5",
+    ("hecke", "sigma"):
+        "ea5839dc0ede3688f8d526240eb440cbb2599afbf0389f9ee7c6d08268973ceb",
+    ("kaz", "map"):
+        "849e83c4d083fd70548553368aa2c2a2d7e785c1fa63d7237d170551f0c68ca1",
+    ("check", "kaz-hom"):
+        "92f03e3d88577f37da021cf3ee40f929a0e28621746d8eb4fab7ca3c58902e7b",
+    ("check", "galois-equivariance"):
+        "ac266e245fe19f455366f4e041d3cd1e96a3d271c0a2086345147b2fb929eea0",
+    ("check", "main-diagram"):
+        "d7ae66a39ef8cdaccf75ade2997ba12662f5a893285695bb2fd655ee17baee88",
+    ("check", "lemma-conv"):
+        "17ab0869e79008a2a6ce7183cb10b273403ab9905def20c2e8772c7cd6026c68",
+    ("tate", "cohomology"):
+        "57db558cb5545e9d6b3c8ef122328be01bc1c71071c6fb2c54a33daabc391433",
+    ("linkage", "check"):
+        "cb0cadeb9b9b635f30d363aaf4a362ad113f0e2703507e7f44c9e8edb236fa7e",
+}
+
+
+def test_parser_surface_is_unchanged():
+    """Each group lists its subcommands with their help, and each of the 12
+    subcommands keeps its option strings, dests, defaults, choices, required
+    flags, types, action classes and help strings."""
+    top = build_parser()
+    groups = _subparsers(top).choices
+    assert {None: _listing(top), **{g: _listing(p) for g, p in groups.items()}} == \
+        _GROUP_LISTINGS
+    surfaces = {}
+    for group, parser in groups.items():
+        for name, sub in _subparsers(parser).choices.items():
+            text = json.dumps(_arguments(sub), sort_keys=True)
+            surfaces[group, name] = hashlib.sha256(text.encode()).hexdigest()
+    assert surfaces == _SUBCOMMAND_SURFACES
+
+
+def test_json_flag_prints_what_out_writes(tmp_path, capsys):
+    argv = ["fields", "build", "--case", "unramified", "--p", "2", "--l", "3"]
+    path = tmp_path / "doc.json"
+    assert main(argv + ["--out", str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out and out.encode() == path.read_bytes()
+    path.unlink()
+    assert main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == "" and path.read_text() == out

@@ -5,6 +5,7 @@ import pytest
 from closehecke.cartan import CosetLabel, GroupContext
 from closehecke.coeffs import CoeffField
 from closehecke.errors import (
+    BudgetExceededError,
     InvariantViolationError,
     NotSigmaInvariantError,
     SideMismatchError,
@@ -236,6 +237,16 @@ def test_structure_constants_representative_independent(HF2):
         assert fingerprint(ctx, alt) == fingerprint(ctx, la)
         out = HF2.convolve(HF2.basis(alt), HF2.basis(alt))
         assert out == base
+
+
+def test_a_product_over_budget_is_refused_before_its_working_ring(monkeypatch):
+    # t_(0,30) * t_(0,30) over F_2 lists 2^30 cosets of the right factor
+    H = Tower(2, 1, l=3).alg["F"]
+    monkeypatch.setattr(H.context, "working_ring",
+                        lambda prec: pytest.fail("built a ring over budget"))
+    t = H.unif_basis((0, 30))
+    with pytest.raises(BudgetExceededError, match=r"holds 2\^30 cosets, over budget"):
+        H.convolve(t, t)
 
 
 def test_side_mismatch(HF2, HF3):

@@ -183,6 +183,16 @@ def test_ramified_nilpotency_index():
     assert not R.is_zero(R.mul_pi(R.one(), 3))
 
 
+def test_a_shift_past_the_precision_is_zero_without_forming_it():
+    # pi^j for j at or past the pi-level is 0: neither p^j nor j single
+    # shifts of T are formed, so a huge j answers at once
+    ram = extension_side("E", base_side("F", MIXED, 3, 1), RAMIFIED, 2).ring(2)
+    for R in (BaseRing(MIXED, 3, 2), BaseRing(EQUAL, 3, 2), ram):
+        one = R.one()
+        assert R.mul_pi(one, R.pi_level) == R.mul_pi(one, 10 ** 12) == R.zero()
+        assert not R.is_zero(R.mul_pi(one, R.pi_level - 1))
+
+
 def test_ramified_residue_levels_roundtrip():
     side = extension_side("E", base_side("F", EQUAL, 3, 2), RAMIFIED, 2)
     R = side.ring(2)

@@ -283,6 +283,43 @@ def test_quotient_module_generator_moving_the_image():
         tate_quotient_module(M, 0)
 
 
+def _seeded_order_l_module(F, rng, d):
+    """T = P J P^-1 for J a direct sum of unipotent Jordan blocks of sizes at
+    most l and P a seeded invertible matrix, so T^l = id in characteristic l."""
+    J = [list(row) for row in mat_identity(F, d)]
+    start = 0
+    while start < d:
+        size = min(rng.randrange(1, F.l + 1), d - start)
+        for i in range(start, start + size - 1):
+            J[i][i + 1] = F.one()
+        start += size
+    ident = mat_identity(F, d)
+    while True:
+        P = tuple(tuple(rng.choice(list(F.elements())) for _ in range(d)) for _ in range(d))
+        ech, _ = rref(F, [P[i] + ident[i] for i in range(d)])
+        if len(ech) == d and all(row[:d] == ident[i] for i, row in enumerate(ech)):
+            break
+    P_inv = tuple(row[d:] for row in ech)
+    return CyclicModule(F, d, mat_mul(F, mat_mul(F, P, tuple(map(tuple, J))), P_inv))
+
+
+def test_quotient_module_t_is_the_identity_it_would_induce():
+    # oracle: T induced on the Tate quotient through the subquotient action
+    # is the identity that tate_quotient_module sets
+    rng = random.Random(62)
+    dims = set()
+    for F in (F2, F3, F9):
+        for _ in range(5):
+            M = _seeded_order_l_module(F, rng, rng.randrange(1, 7))
+            for i in (0, 1):
+                ker, im, quo = tate._tate_spaces(M, i)
+                induced = tate._subquotient_action(F, {"T": M.T}, ker, im, quo,
+                                                   SpecMismatchError)["T"]
+                assert induced == mat_identity(F, len(quo[0])) == tate_quotient_module(M, i).T
+                dims.add(len(quo[0]))
+    assert len(dims) > 2
+
+
 def test_quotient_basis_echelon_deterministic():
     M = CyclicModule(F3, 3, block_T(F3, [3]))
     r1 = tate_cohomology(M, 0)
@@ -483,6 +520,17 @@ def test_linkage_name_mismatch():
     rho = CyclicModule(F3, 1, mat_identity(F3, 1), {"f": ((F3.one(),),)})
     with pytest.raises(GeneratorNameMismatchError):
         linkage_check(Xi, rho, {"e": "missing"})
+
+
+def test_linkage_over_different_fields_is_a_spec_mismatch():
+    # rho over F_5, F_9 or F_2 against Xi over F_3: no answer, linked or not
+    Xi = CyclicModule(F3, 1, mat_identity(F3, 1), {"e": ((F3.from_int(2),),)})
+    for field in (CoeffField(5), F9, F2):
+        rho = CyclicModule(field, 1, mat_identity(field, 1), {"f": ((field.from_int(2),),)})
+        with pytest.raises(SpecMismatchError):
+            linkage_check(Xi, rho, {"e": "f"})
+        with pytest.raises(SpecMismatchError):
+            modules_isomorphic(Xi, CyclicModule(field, 1, rho.T, {"e": rho.action["f"]}))
 
 
 def test_linkage_free_module_never_links():

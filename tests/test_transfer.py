@@ -344,6 +344,25 @@ def test_brauer_restrict_on_a_second_tower_agrees(tower_ram):
     assert other.alg["E"].brauer_restrict(f, other.alg["F"]).to_json() == own.to_json()
 
 
+def test_a_tower_refuses_the_elements_of_another_tower(tower_ram):
+    # the same side name and coefficient field over another p name another
+    # algebra: comparing, convolving and transferring refuse
+    t5, t2 = Tower(5, 1, l=3), Tower(2, 1, l=3)
+    f5 = t5.alg["F"].unif_basis((0, 1))
+    with pytest.raises(SideMismatchError):
+        f5 == t2.alg["F"].unif_basis((0, 1))
+    with pytest.raises(SideMismatchError):
+        t2.alg["F"].convolve(f5, f5)
+    with pytest.raises(SideMismatchError):
+        t2.kaz(f5)
+    h = tower_ram.alg["E"].sigma_orbit_sum(tower_ram.ctx["E"].unif_label((0, 2)))
+    with pytest.raises(SideMismatchError):
+        Tower(5, 1, case="ramified", l=2).brauer(h)
+    # a second tower with the same parameters holds the same algebras
+    again = Tower(5, 1, l=3)
+    assert again.kaz(f5) == t5.kaz(f5) and again.alg["F"].convolve(f5, f5).terms
+
+
 def test_lemma_conv_small(tower_unram):
     rep = check_lemma_conv(tower_unram, window_spread=1, elements=4, seed=6)
     assert rep.passed
